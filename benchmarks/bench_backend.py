@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Perf-regression microbenchmark: reference vs fast/threaded backends.
+"""Perf-regression microbenchmark: reference vs fast backends.
 
 Unlike the table/figure benches in this directory (pytest-benchmark
 suites), this is a plain script so CI can run it without pytest:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Perf-regression microbenchmark: observability overhead.
 
-Like ``bench_lsh_backend.py`` this is a plain script so CI can run it
+Like ``bench_backend.py`` this is a plain script so CI can run it
 without pytest:
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py --smoke --check

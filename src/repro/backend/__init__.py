@@ -1,8 +1,8 @@
-"""Pluggable compute backends for the hot matrix kernels (ISSUE 7).
+"""Pluggable compute backends for the hot matrix kernels.
 
 Every dense GEMM, subset product, scaled sampled-GEMM, fused-hash
 projection and im2col in the repository dispatches through the active
-:class:`~repro.backend.base.ComputeBackend`.  Three implementations
+:class:`~repro.backend.base.ComputeBackend`.  Two implementations
 ship:
 
 ``reference``
@@ -13,9 +13,6 @@ ship:
     float32 staging + sgemm with an optional float64-accumulation mode;
     per-kernel results match reference within
     :data:`~repro.backend.fast.FAST_RTOL`.
-``threaded``
-    Row-sharded, cache-tiled GEMM over a thread pool; bitwise-equal to
-    reference at float64.
 
 Selection (first match wins):
 
@@ -42,7 +39,6 @@ from .base import ComputeBackend, KERNEL_NAMES, ScratchPool
 from .fast import FAST_ATOL, FAST_RTOL, FastBackend
 from .instrument import InstrumentedBackend
 from .reference import ReferenceBackend
-from .threaded import ThreadedBackend
 
 __all__ = [
     "ComputeBackend",
@@ -50,7 +46,6 @@ __all__ = [
     "KERNEL_NAMES",
     "ReferenceBackend",
     "FastBackend",
-    "ThreadedBackend",
     "InstrumentedBackend",
     "FAST_RTOL",
     "FAST_ATOL",
@@ -71,7 +66,6 @@ ENV_VAR = "REPRO_BACKEND"
 _REGISTRY: Dict[str, Callable[[], ComputeBackend]] = {
     "reference": ReferenceBackend,
     "fast": FastBackend,
-    "threaded": ThreadedBackend,
 }
 
 _instances: Dict[str, ComputeBackend] = {}

@@ -6,7 +6,7 @@ the scaled sampled-GEMM of the MC trainer, the column-subset products of
 the ALSH/top-k/dropout trainers and the fused LSH hashers — routes
 through one of the kernels declared here.  A backend is an object with
 these methods; :mod:`repro.backend` dispatches between registered
-implementations (``reference``, ``fast``, ``threaded``).
+implementations (``reference``, ``fast``).
 
 :class:`ComputeBackend` is both the interface and the canonical
 implementation: every method body below is the *exact* NumPy expression
@@ -14,8 +14,7 @@ the call sites used before the backend layer existed, so a subclass that
 overrides nothing is bitwise-identical to the historical code at float64
 (the property the no-op digest tests pin down).  Subclasses override
 individual kernels and must either preserve bitwise equality (the
-``reference`` and ``threaded`` backends, and ``fast`` at
-``precision="float64"``) or document their tolerance (``fast`` at
+``reference`` backend, and ``fast`` at ``precision="float64"``) or document their tolerance (``fast`` at
 float32, see :data:`repro.backend.fast.FAST_RTOL`).
 
 Conventions

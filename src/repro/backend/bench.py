@@ -1,4 +1,4 @@
-"""Microbenchmark: reference vs fast/threaded compute backends.
+"""Microbenchmark: reference vs fast compute backends.
 
 Times the dense and sampled GEMM kernels at the paper's shapes (the
 Table 2 minibatch, the 1000-wide hidden layers of Tables 3-4, and the
@@ -31,7 +31,6 @@ import numpy as np
 
 from .fast import FAST_RTOL, FastBackend
 from .reference import ReferenceBackend
-from .threaded import ThreadedBackend
 
 __all__ = [
     "default_shapes",
@@ -135,29 +134,18 @@ def bench_shape(shape: Dict, repeats: int = 5, seed: int = 0) -> Dict:
         [seed, shape["m"], shape["k"], shape["n"], shape.get("keep", 0)]
     )
     call = _make_call(shape, np.random.default_rng(ss))
-    backends = {
-        "reference": ReferenceBackend(),
-        "fast": FastBackend(),
-        "threaded": ThreadedBackend(),
-    }
+    backends = {"reference": ReferenceBackend(), "fast": FastBackend()}
     record: Dict = dict(shape)
     outputs = {}
-    try:
-        for name, backend in backends.items():
-            record[name] = _best_of(call, backend, repeats)
-            outputs[name] = call(backend)
-    finally:
-        backends["threaded"].close()
+    for name, backend in backends.items():
+        record[name] = _best_of(call, backend, repeats)
+        outputs[name] = call(backend)
     record["speedup"] = {
-        name: record["reference"] / max(record[name], 1e-12)
-        for name in ("fast", "threaded")
+        "fast": record["reference"] / max(record["fast"], 1e-12)
     }
     record["fast_close"] = bool(
         np.allclose(outputs["fast"], outputs["reference"],
                     rtol=FAST_RTOL, atol=_CHECK_ATOL)
-    )
-    record["threaded_bitwise"] = bool(
-        np.array_equal(outputs["threaded"], outputs["reference"])
     )
     return record
 
@@ -177,8 +165,7 @@ def run_shapes(
             print(
                 f"  [{i + 1}/{len(shapes)}] {shape_key(shape)}: "
                 f"ref {record['reference'] * 1e3:.3f}ms, "
-                f"fast {record['speedup']['fast']:.2f}x, "
-                f"threaded {record['speedup']['threaded']:.2f}x"
+                f"fast {record['speedup']['fast']:.2f}x"
                 f"{' [gate]' if shape.get('gate') else ''}"
                 f"{'' if record['fast_close'] else ' (fast DIVERGES)'}"
             )
@@ -189,18 +176,14 @@ def check_speedups(records: Sequence[Dict], min_speedup: float = 1.0) -> List[st
     """Regression gate: failures at the gated paper shapes.
 
     Every record's fast output must be within the documented float32
-    tolerance of reference (and threaded bitwise-equal); gated records
-    must additionally beat reference by ``min_speedup`` on ``fast``.
+    tolerance of reference; gated records must additionally beat
+    reference by ``min_speedup`` on ``fast``.
     """
     failures = []
     for record in records:
         if not record["fast_close"]:
             failures.append(
                 f"{shape_key(record)}: fast output outside float32 tolerance"
-            )
-        if not record["threaded_bitwise"]:
-            failures.append(
-                f"{shape_key(record)}: threaded output not bitwise-equal"
             )
         if record.get("gate") and record["speedup"]["fast"] < min_speedup:
             failures.append(
@@ -262,7 +245,7 @@ def run_cli(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Standalone entry point (``benchmarks/bench_backend.py``)."""
     parser = argparse.ArgumentParser(
-        description="reference vs fast/threaded compute backend microbenchmark"
+        description="reference vs fast compute backend microbenchmark"
     )
     add_arguments(parser)
     return run_cli(parser.parse_args(argv))

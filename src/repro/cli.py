@@ -19,12 +19,8 @@ Commands
     Print the analytical per-step FLOP table for an architecture.
 ``datasets``
     List the available benchmarks and their paper split sizes.
-``lsh-bench``
-    Benchmark the dict vs flat LSH backends on the ALSH hot path and
-    write the ``BENCH_lsh.json`` perf-trajectory file (``--smoke``,
-    ``--check``, ``--store`` for the executor's resumable JSONL sink).
 ``backend-bench``
-    Benchmark the reference vs fast/threaded compute backends on the
+    Benchmark the reference vs fast compute backends on the
     paper's dense and sampled GEMM shapes and write the
     ``BENCH_backend.json`` perf-trajectory file (``--quick``,
     ``--check``).
@@ -276,17 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluate against a live exporter's base URL "
                              "(fetches <url>/metrics.json)")
 
-    from .lsh import bench as lsh_bench
-
-    lsh = sub.add_parser(
-        "lsh-bench", help="benchmark dict vs flat LSH backends"
-    )
-    lsh_bench.add_arguments(lsh)
-
     from .backend import bench as backend_bench
 
     bb = sub.add_parser(
-        "backend-bench", help="benchmark reference vs fast/threaded backends"
+        "backend-bench", help="benchmark reference vs fast backends"
     )
     backend_bench.add_arguments(bb)
 
@@ -833,12 +822,6 @@ def _cmd_datasets(args) -> int:
     return 0
 
 
-def _cmd_lsh_bench(args) -> int:
-    from .lsh import bench as lsh_bench
-
-    return lsh_bench.run_cli(args)
-
-
 def _cmd_backend_bench(args) -> int:
     from .backend import bench as backend_bench
 
@@ -1050,7 +1033,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "theory": _cmd_theory,
         "flops": _cmd_flops,
         "datasets": _cmd_datasets,
-        "lsh-bench": _cmd_lsh_bench,
         "backend-bench": _cmd_backend_bench,
         "serve": _cmd_serve,
         "serve-bench": _cmd_serve_bench,

@@ -60,14 +60,6 @@ class ALSHApproxTrainer(Trainer):
     hash_family:
         "srp" (SimHash, the default) or "dwta" (densified winner-take-all,
         the SLIDE-style family — see :mod:`repro.lsh.dwta`).
-    backend:
-        LSH bucket storage — "flat" (default: vectorized CSR arrays with
-        fused all-table hashing, see :mod:`repro.lsh.flat`) or "dict"
-        (the pure-Python reference).  Both produce identical candidate
-        sets — and therefore identical training trajectories — for
-        identical seeds; "flat" makes table maintenance and candidate
-        lookup (the reference system's §9.2 hot path) several times
-        faster.
     rebuild:
         Hash-table refresh schedule; defaults to the paper's 100/1000
         policy with a 10 000-sample warm-up.
@@ -99,7 +91,6 @@ class ALSHApproxTrainer(Trainer):
         min_active_frac: float = 0.05,
         max_active_frac: float = 0.25,
         hash_family: str = "srp",
-        backend: str = "flat",
         rebuild: Optional[RebuildScheduler] = None,
         drift_threshold: Optional[float] = None,
         batch_mode: str = "per_sample",
@@ -141,7 +132,6 @@ class ALSHApproxTrainer(Trainer):
                 scale=scale,
                 family=hash_family,
                 seed=int(self.rng.integers(2**31)),
-                backend=backend,
                 recorder=self.obs,
             )
             index.build(layer.W.T)  # items are weight columns

@@ -149,7 +149,7 @@ class Trainer:
         ``tests/obs/test_noop.py``).
     compute_backend:
         Per-trainer compute-backend override — a registered name
-        (``"reference"``, ``"fast"``, ``"threaded"``) or a
+        (``"reference"`` or ``"fast"``) or a
         :class:`~repro.backend.ComputeBackend` instance.  ``None``
         (default) dispatches to the process-wide active backend at call
         time.  With a live recorder the backend is pinned at

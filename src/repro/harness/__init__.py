@@ -1,5 +1,5 @@
-"""Experiment harness: configs, the runner, timing, text reporting,
-analytical FLOP/energy models and result persistence."""
+"""Experiment harness: configs, the runner, the sweep executor, text
+reporting, analytical FLOP/energy models and result persistence."""
 
 from .config import ExperimentConfig
 from .energy import EnergyEstimate, EnergyModel, estimate_training_energy
@@ -22,7 +22,6 @@ from .parallel import (
     speedup_curve,
 )
 from .recommend import Recommendation, recommend_method
-from .report import depth_sweep_table, method_comparison_table, render_report
 from .reporting import (
     format_markdown_table,
     format_series,
@@ -32,7 +31,6 @@ from .reporting import (
 from .roofline import RooflineMachine, RooflinePoint, method_roofline, roofline_table
 from .results import ResultStore, result_from_dict, result_to_dict
 from .sweeps import Sweep
-from .timing import Timer, time_callable
 
 __all__ = [
     "ExperimentConfig",
@@ -43,11 +41,6 @@ __all__ = [
     "format_markdown_table",
     "format_series",
     "render_confusion",
-    "render_report",
-    "method_comparison_table",
-    "depth_sweep_table",
-    "Timer",
-    "time_callable",
     "StepFlops",
     "method_step_flops",
     "speedup_vs_standard",

@@ -43,7 +43,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..data.datasets import Dataset
-from ..obs import InMemoryRecorder, merge_snapshots, write_exposition
+from ..obs import (
+    InMemoryRecorder,
+    merge_snapshots,
+    scan_jsonl,
+    write_exposition,
+    write_trace,
+)
 from .config import ExperimentConfig
 from .experiment import ExperimentResult, run_experiment
 from .results import result_from_dict, result_to_dict
@@ -243,26 +249,13 @@ class JsonlSink:
 
     def append(self, record: Dict[str, Any]) -> None:
         """Append one JSON-safe record."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(record) + "\n")
+        write_trace(self.path, record)
 
     def load(self) -> List[Dict[str, Any]]:
         """All intact records (empty if the file does not exist)."""
         if not self.path.exists():
             return []
-        records = []
-        with open(self.path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    # A partially written (crashed) trailing line.
-                    continue
-        return records
+        return scan_jsonl(self.path)[0]
 
     def completed(self) -> Dict[str, Dict[str, Any]]:
         """Latest ``ok`` record per task key (what resume can skip)."""

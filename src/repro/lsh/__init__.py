@@ -19,13 +19,7 @@ from .rebuild import RebuildScheduler
 from .drift import ColumnDriftTracker
 from .dwta import DensifiedWTA, FusedDWTA
 from .srp import FusedSRP, SignedRandomProjection, collision_probability, pack_bits
-from .tables import (
-    HASH_FAMILIES,
-    LSH_BACKENDS,
-    HashTable,
-    LSHIndex,
-    make_hash_function,
-)
+from .tables import HASH_FAMILIES, LSHIndex, make_hash_function
 
 __all__ = [
     "SignedRandomProjection",
@@ -36,10 +30,8 @@ __all__ = [
     "make_fused_bank",
     "pack_bits",
     "HASH_FAMILIES",
-    "LSH_BACKENDS",
     "make_hash_function",
     "collision_probability",
-    "HashTable",
     "LSHIndex",
     "AsymmetricTransform",
     "MIPSIndex",

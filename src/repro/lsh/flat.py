@@ -1,12 +1,9 @@
 """Vectorized flat-array bucket storage for multi-table LSH.
 
-The dict backend (:class:`~repro.lsh.tables.HashTable`) keeps ``Dict[int,
-Set[int]]`` buckets and walks them with per-item Python loops — faithful
-and easy to audit, but it makes table maintenance and candidate lookup the
-dominant cost of ALSH training (the very path §9.2 says must be near-free
-for sampling to pay off).  :class:`FlatHashTables` stores the same L
-tables as contiguous int arrays and serves whole query batches with a
-handful of NumPy calls:
+Table maintenance and candidate lookup are the hot path of ALSH training
+(the very path §9.2 says must be near-free for sampling to pay off), so
+:class:`FlatHashTables` stores the L tables as contiguous int arrays and
+serves whole query batches with a handful of NumPy calls:
 
 * hashing of all L tables is fused into one pass over the batch
   (:class:`~repro.lsh.srp.FusedSRP` — a single ``(B, dim) @ (dim, L·K)``
@@ -26,7 +23,9 @@ Storage layout
     an inverted view.  Its row-major ravel is indexed directly by global
     member ids, which is what makes tombstone filtering one comparison.
 ``offsets[t]`` / ``members[t]`` (fused lazily into one global CSR)
-    Snapshot of bucket membership at the last compaction.  Entries whose
+    Snapshot of bucket membership at the last compaction.  ``offsets``
+    is a dense directory of ``2^K + 1`` entries per table, which is why
+    the table width is capped at :data:`MAX_BUCKET_BITS`.  Entries whose
     item has since moved buckets are *tombstones*: a member ``m`` listed
     under code ``c`` is live iff ``item_gcode`` still maps it to ``c``.
 ``extra_items[t]`` / ``extra_gcodes[t]``
@@ -39,10 +38,8 @@ partial re-inserts cheap.  When a table's garbage (tombstones + appended
 extras) exceeds ``compact_garbage_frac`` of its live items, the table is
 re-packed into a fresh CSR snapshot with a single stable argsort.
 
-The flat backend returns byte-identical candidate sets to the dict
-backend for identical seeds (the equivalence tests in
-``tests/lsh/test_flat_backend.py`` enforce this), so the dict backend is
-retained purely as the reference oracle.
+``tests/lsh/test_flat_backend.py`` checks every query against a plain
+NumPy oracle that hashes one table at a time and groups items by code.
 """
 
 from __future__ import annotations
@@ -54,7 +51,11 @@ import numpy as np
 from .dwta import DensifiedWTA, FusedDWTA
 from .srp import FusedSRP, SignedRandomProjection
 
-__all__ = ["FlatHashTables", "make_fused_bank"]
+__all__ = ["FlatHashTables", "make_fused_bank", "MAX_BUCKET_BITS"]
+
+#: Widest table the layout holds: each table's bucket directory has
+#: ``2^K + 1`` int64 offsets, 8 MiB per table at K = 20.
+MAX_BUCKET_BITS = 20
 
 
 def make_fused_bank(fns: Sequence):
@@ -89,8 +90,7 @@ class FlatHashTables:
     ----------
     fns:
         The L hash functions (one per table), all sharing ``dim`` and
-        ``n_bits``.  They must be constructed in the same order as the
-        dict backend's so that identical seeds give identical tables.
+        ``n_bits`` (at most :data:`MAX_BUCKET_BITS`).
     compact_garbage_frac:
         Re-pack a table's CSR snapshot when its dead entries exceed this
         fraction of its live items.  The fraction is honoured at every
@@ -107,6 +107,11 @@ class FlatHashTables:
         if compact_garbage_frac <= 0.0:
             raise ValueError(
                 f"compact_garbage_frac must be positive, got {compact_garbage_frac}"
+            )
+        if fns[0].n_bits > MAX_BUCKET_BITS:
+            raise ValueError(
+                f"n_bits={fns[0].n_bits} exceeds the flat tables' limit of "
+                f"{MAX_BUCKET_BITS} (a dense 2^n_bits bucket directory per table)"
             )
         self.fns = list(fns)
         self.n_tables = len(self.fns)
@@ -255,7 +260,7 @@ class FlatHashTables:
             raise ValueError("item ids must be non-negative")
         if ids.size > 1:
             # Duplicate ids within one call: the last occurrence wins,
-            # matching the dict backend's sequential insert semantics.
+            # as if the items were inserted one after another.
             uniq, rev_first = np.unique(ids[::-1], return_index=True)
             if uniq.size != ids.size:
                 keep = ids.size - 1 - rev_first
@@ -319,6 +324,12 @@ class FlatHashTables:
         sets the saved instance would have (internal compaction layout is
         not part of the contract — it never affects results).
         """
+        if "item_gcode" not in state:
+            raise ValueError(
+                "LSH state has no 'item_gcode' array; checkpoints in the "
+                "removed dict bucket layout (t<i>.items, t<i>.codes) "
+                "cannot be loaded"
+            )
         gcode = np.asarray(state["item_gcode"], dtype=np.int64)
         if gcode.ndim != 2 or gcode.shape[0] != self.n_tables:
             raise ValueError(

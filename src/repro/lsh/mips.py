@@ -64,15 +64,6 @@ class MIPSIndex:
         Hash family — "srp" (default) or "dwta".
     seed:
         Reproducibility control for the hash hyperplanes.
-    backend:
-        Bucket storage — "dict" (reference) or "flat" (vectorized CSR
-        arrays; see :mod:`repro.lsh.flat`).
-    refit_subset_scale:
-        If True, :meth:`update` refits the P-transform scaling on the
-        update subset (the reference implementation's partial-rebuild
-        behaviour, kept for the ablation).  Default False: updates reuse
-        the global scaling fitted by the last :meth:`build`, so
-        incremental re-hashing matches a fresh full build.
     recorder:
         Observability sink forwarded to the underlying :class:`LSHIndex`
         (query/candidate/update counters).
@@ -87,8 +78,6 @@ class MIPSIndex:
         scale: float = 0.83,
         family: str = "srp",
         seed: Optional[int] = None,
-        backend: str = "dict",
-        refit_subset_scale: bool = False,
         recorder: Optional[Recorder] = None,
     ):
         self.transform = AsymmetricTransform(m=m, scale=scale)
@@ -98,11 +87,9 @@ class MIPSIndex:
             n_tables=n_tables,
             family=family,
             seed=seed,
-            backend=backend,
             recorder=recorder,
         )
         self.dim = int(dim)
-        self.refit_subset_scale = bool(refit_subset_scale)
         self._n_items = 0
         self._data_scale: Optional[float] = None
         # Times update() had to abandon the cached build-time scale
@@ -134,10 +121,7 @@ class MIPSIndex:
         transform's ``scale`` bound U — the asymmetric padding terms are
         then invalid and recall silently degrades — so the scaling is
         refit on the subset and the tighter factor is adopted for
-        subsequent updates.  With ``refit_subset_scale=True`` the
-        scaling is always refit on the subset instead (the reference
-        implementation's behaviour, biased when the subset's norms are
-        unrepresentative).
+        subsequent updates.
         """
         data = np.atleast_2d(data)
         if data.shape[1] != self.dim:
@@ -145,7 +129,7 @@ class MIPSIndex:
         ids = np.asarray(ids).reshape(-1)
         if ids.size == 0:
             return
-        reuse = None if self.refit_subset_scale else self._data_scale
+        reuse = self._data_scale
         overflow = False
         if reuse is not None:
             max_norm = float(np.sqrt((data * data).sum(axis=1).max()))
@@ -182,7 +166,7 @@ class MIPSIndex:
         return self.index.garbage_fraction()
 
     def compact(self) -> int:
-        """Force-compact the underlying tables (flat backend only)."""
+        """Force-compact the underlying tables (see LSHIndex)."""
         return self.index.compact()
 
     # ------------------------------------------------------------------

@@ -100,11 +100,11 @@ class SignedRandomProjection:
 class FusedSRP:
     """L SRP functions hashed together through one fused GEMM.
 
-    The dict backend hashes a query batch once per table — L small matrix
-    products.  Stacking the hyperplanes of all L functions into a single
+    Hashing a query batch once per table costs L small matrix products.
+    Stacking the hyperplanes of all L functions into a single
     ``(dim, L·K)`` operand turns the whole multi-table hash into one
     ``(B, dim) @ (dim, L·K)`` product followed by bit-packing, which is
-    what makes the flat backend's query path a single BLAS call.
+    what makes the flat tables' query path a single BLAS call.
 
     All functions must share ``dim`` and ``n_bits``; per-column results
     are identical to calling each function's :meth:`hash` separately.

@@ -5,12 +5,14 @@ ALSH-approx assigns every layer L independent hash tables of 2^K buckets
 tables — a set of candidate node ids — which becomes the layer's active set.
 The index supports re-inserting a subset of items (after their weight
 vectors change) without rebuilding untouched entries, mirroring the paper's
-periodic hash-table updates.
+periodic hash-table updates.  Buckets are stored as the flat CSR arrays of
+:class:`~repro.lsh.flat.FlatHashTables`; this module adds the hash-family
+choice and the observability counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,16 +30,9 @@ from .dwta import DensifiedWTA
 from .flat import FlatHashTables
 from .srp import SignedRandomProjection
 
-__all__ = [
-    "HashTable",
-    "LSHIndex",
-    "make_hash_function",
-    "HASH_FAMILIES",
-    "LSH_BACKENDS",
-]
+__all__ = ["LSHIndex", "make_hash_function", "HASH_FAMILIES"]
 
 HASH_FAMILIES = ("srp", "dwta")
-LSH_BACKENDS = ("dict", "flat")
 
 
 def make_hash_function(family: str, dim: int, n_bits: int, rng: np.random.Generator):
@@ -49,69 +44,6 @@ def make_hash_function(family: str, dim: int, n_bits: int, rng: np.random.Genera
     raise ValueError(f"unknown hash family {family!r}; available: {HASH_FAMILIES}")
 
 
-class HashTable:
-    """One hash table: a K-bit hash function plus bucket → item-id sets."""
-
-    def __init__(
-        self, dim: int, n_bits: int, rng: np.random.Generator, family: str = "srp"
-    ):
-        self.fn = make_hash_function(family, dim, n_bits, rng)
-        self.buckets: Dict[int, Set[int]] = {}
-        self._item_bucket: Dict[int, int] = {}
-
-    def insert(self, ids: np.ndarray, vectors: np.ndarray) -> None:
-        """Insert (or move) items; an existing id is first removed."""
-        codes = self.fn.hash(vectors)
-        for item, code in zip(np.asarray(ids).tolist(), codes.tolist()):
-            old = self._item_bucket.get(item)
-            if old is not None and old != code:
-                bucket = self.buckets.get(old)
-                if bucket is not None:
-                    bucket.discard(item)
-                    if not bucket:
-                        del self.buckets[old]
-            self.buckets.setdefault(code, set()).add(item)
-            self._item_bucket[item] = code
-
-    def query(self, vector: np.ndarray) -> Set[int]:
-        """Item ids sharing the query's bucket."""
-        return self.buckets.get(self.fn.hash_one(vector), set())
-
-    def query_batch(self, vectors: np.ndarray) -> List[Set[int]]:
-        """Bucket contents for a batch of queries."""
-        codes = self.fn.hash(vectors)
-        return [self.buckets.get(int(c), set()) for c in codes]
-
-    def clear(self) -> None:
-        """Drop all stored items (hash function is kept)."""
-        self.buckets.clear()
-        self._item_bucket.clear()
-
-    def state(self):
-        """Bucket membership as ``(items, codes)`` arrays (sorted by id)."""
-        items = np.fromiter(
-            sorted(self._item_bucket), dtype=np.int64, count=len(self._item_bucket)
-        )
-        codes = np.fromiter(
-            (self._item_bucket[i] for i in items.tolist()),
-            dtype=np.int64,
-            count=items.size,
-        )
-        return items, codes
-
-    def restore(self, items: np.ndarray, codes: np.ndarray) -> None:
-        """Rebuild buckets from a :meth:`state` capture (no re-hashing)."""
-        self.clear()
-        for item, code in zip(
-            np.asarray(items).tolist(), np.asarray(codes).tolist()
-        ):
-            self.buckets.setdefault(code, set()).add(item)
-            self._item_bucket[item] = code
-
-    def __len__(self) -> int:
-        return len(self._item_bucket)
-
-
 class LSHIndex:
     """L independent K-bit hash tables over a fixed vector collection.
 
@@ -120,20 +52,16 @@ class LSHIndex:
     dim:
         Dimensionality of the (already transformed) vectors.
     n_bits:
-        K — bits per table (2^K buckets).
+        K — bits per table (2^K buckets, at most
+        :data:`~repro.lsh.flat.MAX_BUCKET_BITS`).
     n_tables:
         L — number of independent tables (paper default L = 5, K = 6).
     family:
         Hash family: "srp" (SimHash, the default) or "dwta"
         (densified winner-take-all, the SLIDE-style family).
     seed / rng:
-        Reproducibility controls.
-    backend:
-        Bucket storage: "dict" (per-table ``Dict[int, Set[int]]`` buckets,
-        the pure-Python reference) or "flat" (vectorized CSR arrays with
-        fused all-table hashing — see :mod:`repro.lsh.flat`).  Both return
-        identical candidate sets for identical seeds; "flat" is several
-        times faster on batched queries and bulk builds.
+        Reproducibility controls.  The L hash functions are drawn from
+        the rng in table order, so a seed fixes every table.
     recorder:
         Observability sink (:mod:`repro.obs`); counts queries, candidate
         volume, builds and incremental re-hashes.  Defaults to the no-op
@@ -148,49 +76,23 @@ class LSHIndex:
         family: str = "srp",
         seed: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        backend: str = "dict",
         recorder: Optional[Recorder] = None,
     ):
         if n_tables <= 0:
             raise ValueError(f"n_tables must be positive, got {n_tables}")
-        if backend not in LSH_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {LSH_BACKENDS}, got {backend!r}"
-            )
         rng = rng if rng is not None else np.random.default_rng(seed)
         self.dim = int(dim)
         self.n_bits = int(n_bits)
         self.n_tables = int(n_tables)
         self.family = family
-        self.backend = backend
         self.obs: Recorder = recorder if recorder is not None else NULL_RECORDER
-        # Both backends draw their hash functions from the rng in the same
-        # order, so the same seed hashes identically under either.
-        if backend == "flat":
-            self.tables: List[HashTable] = []
-            self.flat: Optional[FlatHashTables] = FlatHashTables(
-                [
-                    make_hash_function(family, dim, n_bits, rng)
-                    for _ in range(n_tables)
-                ]
-            )
-        else:
-            self.tables = [
-                HashTable(dim, n_bits, rng, family=family)
-                for _ in range(n_tables)
-            ]
-            self.flat = None
+        self.flat = FlatHashTables(
+            [make_hash_function(family, dim, n_bits, rng) for _ in range(n_tables)]
+        )
 
     def build(self, vectors: np.ndarray) -> None:
         """(Re)index a full collection; item ids are the row indices."""
-        vectors = np.atleast_2d(vectors)
-        if self.flat is not None:
-            self.flat.build(vectors)
-        else:
-            ids = np.arange(vectors.shape[0])
-            for table in self.tables:
-                table.clear()
-                table.insert(ids, vectors)
+        self.flat.build(np.atleast_2d(vectors))
         self.obs.add(LSH_BUILDS)
         if self.obs.enabled:
             loads = self.bucket_loads()
@@ -209,22 +111,16 @@ class LSHIndex:
         self.obs.add(LSH_UPDATES)
         if self.obs.enabled:
             self.obs.add(LSH_REHASHED_ITEMS, int(np.size(ids)))
-        if self.flat is not None:
-            self.flat.update(ids, vectors)
-            return
-        for table in self.tables:
-            table.insert(ids, vectors)
+        self.flat.update(ids, vectors)
 
     def compact(self) -> int:
-        """Force-compact the flat backend's tables; no-op on dict.
+        """Force-compact every table holding garbage; returns the count.
 
-        Returns the number of tables re-packed.  Lets an external policy
-        (the streaming trainer's garbage-gauge compaction) trigger
-        re-packing instead of the backend's per-table threshold.
+        Lets an external policy (the streaming trainer's garbage-gauge
+        compaction) trigger re-packing instead of the per-table
+        threshold.
         """
-        if self.flat is not None:
-            return self.flat.compact()
-        return 0
+        return self.flat.compact()
 
     def query(self, vector: np.ndarray, record: bool = True) -> np.ndarray:
         """Union of colliding ids across all L tables, sorted.
@@ -233,13 +129,7 @@ class LSHIndex:
         read-only quality probes so measuring recall does not inflate
         the work counters the probe sits beside.
         """
-        if self.flat is not None:
-            result = self.flat.query(vector)
-        else:
-            hits: Set[int] = set()
-            for table in self.tables:
-                hits |= table.query(vector)
-            result = np.fromiter(sorted(hits), dtype=np.int64, count=len(hits))
+        result = self.flat.query(vector)
         if record:
             self.obs.add(LSH_QUERIES)
             if self.obs.enabled:
@@ -250,19 +140,7 @@ class LSHIndex:
         self, vectors: np.ndarray, record: bool = True
     ) -> List[np.ndarray]:
         """Per-query candidate sets for a batch."""
-        vectors = np.atleast_2d(vectors)
-        if self.flat is not None:
-            results = self.flat.query_batch(vectors)
-        else:
-            per_table = [table.query_batch(vectors) for table in self.tables]
-            results = []
-            for i in range(vectors.shape[0]):
-                hits: Set[int] = set()
-                for table_hits in per_table:
-                    hits |= table_hits[i]
-                results.append(
-                    np.fromiter(sorted(hits), dtype=np.int64, count=len(hits))
-                )
+        results = self.flat.query_batch(np.atleast_2d(vectors))
         if record and self.obs.enabled:
             self.obs.add(LSH_QUERIES, len(results))
             self.obs.add(LSH_CANDIDATES, int(sum(r.size for r in results)))
@@ -279,62 +157,32 @@ class LSHIndex:
         same shape/family/seed (the trainers guarantee this by
         reconstructing from the same config).
         """
-        if self.flat is not None:
-            return dict(self.flat.state_dict())
-        out: Dict[str, np.ndarray] = {}
-        for t, table in enumerate(self.tables):
-            items, codes = table.state()
-            out[f"t{t}.items"] = items
-            out[f"t{t}.codes"] = codes
-        return out
+        return self.flat.state_dict()
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Restore bucket state captured by :meth:`state_dict`."""
-        if self.flat is not None:
-            self.flat.load_state_dict(state)
-            return
-        for t, table in enumerate(self.tables):
-            table.restore(state[f"t{t}.items"], state[f"t{t}.codes"])
+        self.flat.load_state_dict(state)
 
     def bucket_loads(self) -> List[np.ndarray]:
-        """Per-table array of item counts for each occupied bucket.
-
-        Backend-independent view for the diagnostics module.
-        """
-        if self.flat is not None:
-            return self.flat.bucket_loads()
-        return [
-            np.array(
-                [len(bucket) for bucket in table.buckets.values()], dtype=np.int64
-            )
-            for table in self.tables
-        ]
+        """Per-table array of item counts for each occupied bucket."""
+        return self.flat.bucket_loads()
 
     def garbage_fraction(self) -> float:
         """Fraction of stored entries that are maintenance garbage.
 
-        The flat backend accumulates tombstones and appended extras
-        between compactions (see :mod:`repro.lsh.flat`); the dict
-        backend moves items in place, so its garbage is always 0.  A
-        health gauge for the quality probes, backend-independent.
+        Tombstones and appended extras accumulate between compactions
+        (see :mod:`repro.lsh.flat`); a health gauge for the quality
+        probes.
         """
-        if self.flat is not None:
-            return self.flat.garbage_fraction()
-        return 0.0
+        return self.flat.garbage_fraction()
 
     def memory_bytes(self) -> int:
-        """Rough memory footprint: hyperplanes plus bucket entries.
+        """Rough memory footprint: hyperplanes plus bucket storage.
 
         Used by the §9.4-style memory analysis (table setup cost of
         ALSH-approx).
         """
-        if self.flat is not None:
-            return self.flat.memory_bytes()
-        planes = sum(t.fn.nbytes for t in self.tables)
-        entries = sum(len(t) for t in self.tables) * 8
-        return planes + entries
+        return self.flat.memory_bytes()
 
     def __len__(self) -> int:
-        if self.flat is not None:
-            return len(self.flat)
-        return len(self.tables[0])
+        return len(self.flat)

@@ -172,7 +172,6 @@ COUNTER_CATALOG: Dict[str, str] = {
     MEM_SCATTER_BYTES: "bytes scattered by sparse-column updates (modelled)",
     BACKEND_USED_PREFIX + "reference": "fit() calls run on the reference backend",
     BACKEND_USED_PREFIX + "fast": "fit() calls run on the fast (float32) backend",
-    BACKEND_USED_PREFIX + "threaded": "fit() calls run on the threaded backend",
     KERNEL_FLOPS_PREFIX + "matmul": "GEMM FLOPs executed by the matmul kernel",
     KERNEL_FLOPS_PREFIX + "matmul_add_bias": (
         "GEMM FLOPs executed by the matmul_add_bias kernel"

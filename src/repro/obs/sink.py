@@ -7,9 +7,10 @@ object per line and its resume logic only consumes records whose
 share one file: the executor ignores trace lines on resume, and
 :func:`read_traces` ignores outcome lines.
 
-This module stays dependency-free (it re-implements the three lines of
-append/read rather than importing the harness) so ``repro.obs`` never
-imports the packages it instruments.
+The executor's sink appends and reads through :func:`write_trace` and
+:func:`scan_jsonl`, so both kinds of line share one writer and one
+reader.  This module imports nothing from the rest of the package, so
+``repro.obs`` never imports the packages it instruments.
 """
 
 from __future__ import annotations

@@ -66,8 +66,6 @@ class ALSHTopKHead:
     family, m, scale:
         Hash family and asymmetric-transform knobs forwarded to
         :class:`~repro.lsh.mips.MIPSIndex`.
-    backend:
-        LSH bucket backend; the flat CSR arrays are the serving default.
     recorder:
         Observability sink for query/candidate/fallback counters.
     """
@@ -82,7 +80,6 @@ class ALSHTopKHead:
         family: str = "srp",
         m: int = 3,
         scale: float = 0.83,
-        backend: str = "flat",
         recorder: Recorder = NULL_RECORDER,
     ):
         if k < 1:
@@ -104,7 +101,6 @@ class ALSHTopKHead:
             scale=scale,
             family=family,
             seed=seed,
-            backend=backend,
         )
         self.index.build(self._aug_cols)
         self._last_queries: Optional[np.ndarray] = None

@@ -170,9 +170,7 @@ def bench_config(config: Dict, seed: int = 0, k: int = 10) -> Dict:
         "rehashed_items": snapshot["counters"].get("lsh.rehashed_items", 0),
         "compactions": summary["compactions"],
         "backend_compactions": sum(
-            ix.index.flat.compactions
-            for ix in st.trainer.indexes
-            if ix.index.flat is not None
+            ix.index.flat.compactions for ix in st.trainer.indexes
         ),
         "garbage_frac_max": _series_max(snapshot, SERIES_STREAM_GARBAGE) or 0.0,
         "garbage_frac_final": summary["garbage_frac"],

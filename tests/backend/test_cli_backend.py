@@ -65,8 +65,7 @@ def test_backend_bench_quick_writes_trajectory(tmp_path, capsys):
     assert len(gated) == 2
     for record in payload["records"]:
         assert record["fast_close"] is True
-        assert record["threaded_bitwise"] is True
-        assert set(record["speedup"]) == {"fast", "threaded"}
+        assert set(record["speedup"]) == {"fast"}
 
 
 def test_bench_gate_flags_slow_fast_backend():
@@ -75,10 +74,8 @@ def test_bench_gate_flags_slow_fast_backend():
         {
             "reference": 1.0,
             "fast": 2.0,
-            "threaded": 1.0,
-            "speedup": {"fast": 0.5, "threaded": 1.0},
+            "speedup": {"fast": 0.5},
             "fast_close": True,
-            "threaded_bitwise": True,
         }
     )
     failures = check_speedups([record], min_speedup=1.0)

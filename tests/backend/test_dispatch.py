@@ -10,7 +10,6 @@ from repro.backend import (
     ComputeBackend,
     FastBackend,
     ReferenceBackend,
-    ThreadedBackend,
     active_backend,
     available_backends,
     default_backend_name,
@@ -32,18 +31,17 @@ def _clean_default(monkeypatch):
 
 
 def test_builtins_are_registered():
-    assert available_backends() == ["fast", "reference", "threaded"]
+    assert available_backends() == ["fast", "reference"]
 
 
 def test_get_backend_returns_shared_instances():
     assert get_backend("reference") is get_backend("reference")
     assert isinstance(get_backend("reference"), ReferenceBackend)
     assert isinstance(get_backend("fast"), FastBackend)
-    assert isinstance(get_backend("threaded"), ThreadedBackend)
 
 
 def test_unknown_name_lists_available():
-    with pytest.raises(ValueError, match="nope.*fast, reference, threaded"):
+    with pytest.raises(ValueError, match="nope.*fast, reference$"):
         get_backend("nope")
 
 
@@ -66,10 +64,10 @@ def test_env_var_unknown_name_fails(monkeypatch):
 
 def test_set_default_overrides_env(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "fast")
-    assert set_default_backend("threaded") is None
-    assert default_backend_name() == "threaded"
+    assert set_default_backend("reference") is None
+    assert default_backend_name() == "reference"
     # Clearing restores the env-var lookup and returns the old override.
-    assert set_default_backend(None) == "threaded"
+    assert set_default_backend(None) == "reference"
     assert default_backend_name() == "fast"
 
 
@@ -82,8 +80,8 @@ def test_use_backend_nests_and_restores():
     assert active_backend().name == "reference"
     with use_backend("fast") as fast:
         assert active_backend() is fast
-        with use_backend("threaded"):
-            assert active_backend().name == "threaded"
+        with use_backend("reference"):
+            assert active_backend().name == "reference"
         assert active_backend() is fast
     assert active_backend().name == "reference"
 

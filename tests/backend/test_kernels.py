@@ -13,12 +13,7 @@ Two layers of evidence:
 import numpy as np
 import pytest
 
-from repro.backend import (
-    FAST_RTOL,
-    FastBackend,
-    ReferenceBackend,
-    ThreadedBackend,
-)
+from repro.backend import FAST_RTOL, FastBackend, ReferenceBackend
 
 from .conftest import TRAINER_NAMES, replay
 
@@ -121,17 +116,6 @@ def test_capture_covers_the_gemm_kernels(captured_calls):
 
 
 @pytest.mark.parametrize("source", CAPTURE_KEYS)
-def test_threaded_replays_bitwise(source, captured_calls):
-    backend = ThreadedBackend()
-    try:
-        for call in captured_calls[source]:
-            out = replay(call, backend)
-            assert np.array_equal(out, call["expected"]), call["kernel"]
-    finally:
-        backend.close()
-
-
-@pytest.mark.parametrize("source", CAPTURE_KEYS)
 def test_fast_float64_replays_bitwise(source, captured_calls):
     backend = FastBackend(precision="float64")
     for call in captured_calls[source]:
@@ -161,23 +145,8 @@ def test_fast_float64_accumulation_within_tolerance(source, captured_calls):
 
 
 # ----------------------------------------------------------------------
-# paper-scale shapes (big enough to take the staged/sharded code paths)
+# paper-scale shapes (big enough to take the staged code paths)
 # ----------------------------------------------------------------------
-
-
-def test_threaded_shards_bitwise_at_scale(rng):
-    # macs and row count above the sharding thresholds.
-    a = rng.normal(size=(512, 700))
-    w = rng.normal(size=(700, 600))
-    bias = rng.normal(size=600)
-    backend = ThreadedBackend(max_workers=3, tile_rows=64)
-    try:
-        assert np.array_equal(backend.matmul(a, w), a @ w)
-        assert np.array_equal(
-            backend.matmul_add_bias(a, w, bias), a @ w + bias
-        )
-    finally:
-        backend.close()
 
 
 def test_fast_float32_paths_within_tolerance_at_scale(rng):

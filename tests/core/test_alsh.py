@@ -197,43 +197,3 @@ class TestUnionBatchMode:
         trainer = ALSHApproxTrainer(net, seed=1, batch_mode="union")
         trainer.train_batch(rng.normal(size=(8, 20)), rng.integers(0, 4, 8))
         assert len(trainer._touched[0]) > 0
-
-
-class TestBackends:
-    """The flat bucket storage must not change training trajectories.
-
-    Both backends hash with seed-identical functions and return identical
-    candidate sets, so for a fixed trainer seed the sequence of active
-    sets — and therefore every weight update — must match bitwise.
-    """
-
-    def test_invalid_backend_rejected(self):
-        net = MLP([8, 6, 3], seed=0)
-        with pytest.raises(ValueError, match="backend"):
-            ALSHApproxTrainer(net, backend="sparse")
-
-    @pytest.mark.parametrize("batch_mode", ["per_sample", "union"])
-    def test_backends_train_identically(self, rng, batch_mode):
-        x = rng.normal(size=(40, 20))
-        y = rng.integers(0, 4, 40)
-        losses = {}
-        for backend in ("dict", "flat"):
-            net = MLP([20, 30, 30, 4], seed=0)
-            # early_every small enough that the run crosses a rebuild.
-            sched = RebuildScheduler(
-                early_every=15, late_every=15, warmup_samples=0
-            )
-            trainer = ALSHApproxTrainer(
-                net, lr=1e-3, seed=1, batch_mode=batch_mode,
-                backend=backend, rebuild=sched,
-            )
-            losses[backend] = [
-                trainer.train_batch(x[i : i + 8], y[i : i + 8])
-                for i in range(0, 40, 8)
-            ]
-            losses[backend].append(net.layers[0].W.copy())
-            assert sched.rebuild_count > 0
-        *loss_d, w_d = losses["dict"]
-        *loss_f, w_f = losses["flat"]
-        assert loss_d == loss_f  # bitwise, not approx
-        np.testing.assert_array_equal(w_d, w_f)

@@ -1,0 +1,65 @@
+"""ALSH checkpoints written before the dict bucket storage was removed.
+
+Both archives in ``tests/fixtures`` were written by the last version that
+still offered two LSH bucket storages, with::
+
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(40, 8)), rng.integers(0, 3, size=40)
+    trainer = ALSHApproxTrainer(MLP([8, 16, 16, 3], seed=0), seed=1, **kw)
+    trainer.fit(x, y, epochs=1, batch_size=8,
+                checkpoint_dir=out, checkpoint_tag=tag)
+
+``alsh_flat.ckpt.npz`` used the default flat storage (``kw = {}``) and
+must still resume.  ``alsh_dict.ckpt.npz`` used ``backend="dict"``, whose
+per-table ``t<i>.items`` / ``t<i>.codes`` arrays must be refused with a
+clear error instead of a bare ``KeyError``.
+"""
+
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.alsh_approx import ALSHApproxTrainer
+from repro.nn.checkpoint import load_checkpoint
+from repro.nn.network import MLP
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def resume(tmp_path, tag, epochs):
+    """Fit a same-config trainer to ``epochs``, resuming from the fixture."""
+    shutil.copy(FIXTURES / f"{tag}.ckpt.npz", tmp_path / f"{tag}.ckpt.npz")
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(40, 8)), rng.integers(0, 3, size=40)
+    trainer = ALSHApproxTrainer(MLP([8, 16, 16, 3], seed=0), seed=1)
+    history = trainer.fit(
+        x, y, epochs=epochs, batch_size=8,
+        checkpoint_dir=tmp_path, checkpoint_tag=tag,
+    )
+    return trainer, history
+
+
+def test_flat_checkpoint_restores_index_state(tmp_path):
+    archive = load_checkpoint(FIXTURES / "alsh_flat.ckpt.npz")
+    # One epoch is already done, so fit restores and trains nothing.
+    trainer, history = resume(tmp_path, "alsh_flat", epochs=1)
+    assert len(history.epochs) == 1
+    for i, index in enumerate(trainer.indexes):
+        np.testing.assert_array_equal(
+            index.index.state_dict()["item_gcode"],
+            archive.arrays[f"aux.index{i}.item_gcode"],
+        )
+
+
+def test_flat_checkpoint_trains_one_more_epoch(tmp_path):
+    _, history = resume(tmp_path, "alsh_flat", epochs=2)
+    assert len(history.epochs) == 2
+    assert np.isfinite(history.epochs[1].loss)
+
+
+def test_dict_checkpoint_is_refused_clearly(tmp_path):
+    with pytest.raises(ValueError, match="removed dict bucket layout") as err:
+        resume(tmp_path, "alsh_dict", epochs=2)
+    assert "\n" not in str(err.value)

@@ -87,12 +87,11 @@ class TestKillResumeEquality:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"backend": "dict"},
             {"hash_family": "dwta"},
             {"batch_mode": "union"},
             {"drift_threshold": 0.05},
         ],
-        ids=["dict-backend", "dwta", "union-batch", "drift-tracker"],
+        ids=["dwta", "union-batch", "drift-tracker"],
     )
     def test_alsh_variants(self, data, tmp_path, kwargs):
         """Every ALSH aux-state path (tables, drift refs) survives resume."""

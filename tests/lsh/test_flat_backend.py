@@ -1,25 +1,29 @@
-"""Equivalence and unit tests for the flat (vectorized CSR) LSH backend.
+"""Oracle and unit tests for the flat (vectorized CSR) LSH tables.
 
-The dict backend is the reference oracle: for identical seeds the flat
-backend must return byte-identical candidate sets through any sequence of
-build / update / query operations.  These tests drive both backends with
-the same randomized op sequences and assert exact agreement.
+The ``BucketOracle`` in ``conftest.py`` is the reference: for identical
+seeds :class:`~repro.lsh.tables.LSHIndex` must return byte-identical
+candidate sets through any sequence of build / update / query operations.  These
+tests drive both with the same randomized op sequences and assert exact
+agreement.
 """
 
 import numpy as np
 import pytest
 
-from repro.lsh.flat import FlatHashTables, make_fused_bank
+from repro.lsh.flat import MAX_BUCKET_BITS, FlatHashTables, make_fused_bank
 from repro.lsh.srp import SignedRandomProjection
 from repro.lsh.tables import LSHIndex
 
 
-def make_pair(family, seed, dim=24, n_bits=5, n_tables=4):
-    kwargs = dict(n_bits=n_bits, n_tables=n_tables, family=family, seed=seed)
-    return (
-        LSHIndex(dim, backend="dict", **kwargs),
-        LSHIndex(dim, backend="flat", **kwargs),
-    )
+@pytest.fixture
+def make_pair(bucket_oracle):
+    """``(oracle, index)`` built from the same seed and shape."""
+
+    def make(family, seed, dim=24, n_bits=5, n_tables=4):
+        kwargs = dict(n_bits=n_bits, n_tables=n_tables, family=family, seed=seed)
+        return bucket_oracle(dim, **kwargs), LSHIndex(dim, **kwargs)
+
+    return make
 
 
 def draw_vectors(rng, n, dim, family):
@@ -30,84 +34,117 @@ def draw_vectors(rng, n, dim, family):
     return vecs
 
 
-def assert_same_answers(d, f, rng, dim, n_queries=6):
+def assert_same_answers(oracle, index, rng, dim, n_queries=6):
     queries = rng.normal(size=(n_queries, dim))
-    for a, b in zip(d.query_batch(queries), f.query_batch(queries)):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(d.query(queries[0]), f.query(queries[0]))
+    for q, got in zip(queries, index.query_batch(queries)):
+        np.testing.assert_array_equal(got, oracle.query(q))
+    np.testing.assert_array_equal(index.query(queries[0]), oracle.query(queries[0]))
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("family", ["srp", "dwta"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_randomized_op_sequences(self, family, seed):
+    def test_randomized_op_sequences(self, make_pair, family, seed):
         """build → (update → query)* gives identical candidates throughout."""
         dim = 24
-        d, f = make_pair(family, seed, dim=dim)
+        o, f = make_pair(family, seed, dim=dim)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
         data = draw_vectors(rng, 150, dim, family)
-        d.build(data)
+        o.build(data)
         f.build(data)
-        assert_same_answers(d, f, rng, dim)
+        assert_same_answers(o, f, rng, dim)
         for _ in range(10):
-            # Ids beyond the built range force the flat backend to grow.
+            # Ids beyond the built range force the flat tables to grow.
             ids = rng.integers(0, 200, size=rng.integers(1, 40))
             vecs = draw_vectors(rng, ids.size, dim, family)
-            d.update(ids, vecs)
+            o.update(ids, vecs)
             f.update(ids, vecs)
-            assert_same_answers(d, f, rng, dim)
-        assert len(d) == len(f)
+            assert_same_answers(o, f, rng, dim)
+        assert len(o) == len(f)
 
-    def test_duplicate_ids_last_wins(self, rng):
-        """Repeated ids in one update call keep the last vector, like the
-        dict backend's sequential inserts."""
-        d, f = make_pair("srp", seed=4)
+    def test_duplicate_ids_last_wins(self, make_pair, rng):
+        """Repeated ids in one update call keep the last vector."""
+        o, f = make_pair("srp", seed=4)
         data = rng.normal(size=(50, 24))
-        d.build(data)
+        o.build(data)
         f.build(data)
         ids = np.array([3, 7, 3, 9, 3])
         vecs = rng.normal(size=(5, 24))
-        d.update(ids, vecs)
+        o.update(ids, vecs)
         f.update(ids, vecs)
-        assert_same_answers(d, f, rng, 24)
+        assert_same_answers(o, f, rng, 24)
 
-    def test_compaction_preserves_answers(self, rng):
+    def test_compaction_preserves_answers(self, make_pair, rng):
         """Force many compactions and check candidates never drift."""
-        d, f = make_pair("srp", seed=5, dim=16)
+        o, f = make_pair("srp", seed=5, dim=16)
         f.flat.compact_garbage_frac = 0.05
         data = rng.normal(size=(64, 16))
-        d.build(data)
+        o.build(data)
         f.build(data)
         for _ in range(15):
             ids = rng.integers(0, 64, size=20)
             vecs = rng.normal(size=(20, 16))
-            d.update(ids, vecs)
+            o.update(ids, vecs)
             f.update(ids, vecs)
-            assert_same_answers(d, f, rng, 16)
+            assert_same_answers(o, f, rng, 16)
         assert f.flat.compactions > f.flat.n_tables  # beyond the build ones
 
-    def test_rebuild_after_updates(self, rng):
-        """build() discards update history on both backends identically."""
-        d, f = make_pair("srp", seed=6)
+    def test_rebuild_after_updates(self, make_pair, rng):
+        """build() discards the update history."""
+        o, f = make_pair("srp", seed=6)
         data = rng.normal(size=(80, 24))
-        d.build(data)
         f.build(data)
         ids = np.arange(30)
-        vecs = rng.normal(size=(30, 24))
-        d.update(ids, vecs)
-        f.update(ids, vecs)
-        d.build(data)
+        f.update(ids, rng.normal(size=(30, 24)))
+        o.build(data)
         f.build(data)
-        assert_same_answers(d, f, rng, 24)
+        assert_same_answers(o, f, rng, 24)
 
-    def test_bucket_loads_match(self, rng):
-        """Same seed → same tables → identical load multisets per table."""
-        d, f = make_pair("srp", seed=7)
+    def test_bucket_loads_match(self, make_pair, rng):
+        """Same seed → same tables → identical load multisets per table,
+        before and after items move (no emptied bucket is reported)."""
+        o, f = make_pair("srp", seed=7)
         data = rng.normal(size=(120, 24))
-        d.build(data)
+        o.build(data)
         f.build(data)
-        for ld, lf in zip(d.bucket_loads(), f.bucket_loads()):
-            np.testing.assert_array_equal(np.sort(ld), np.sort(lf))
+        for _ in range(2):
+            for lo, lf in zip(o.bucket_loads(), f.bucket_loads()):
+                np.testing.assert_array_equal(np.sort(lo), np.sort(lf))
+            ids = rng.integers(0, 120, size=40)
+            vecs = rng.normal(size=(40, 24))
+            o.update(ids, vecs)
+            f.update(ids, vecs)
+
+    @pytest.mark.parametrize("family", ["srp", "dwta"])
+    def test_state_dict_round_trip(self, make_pair, family, rng):
+        """A fresh same-seed index restored from state answers like the
+        oracle, garbage and all."""
+        o, f = make_pair(family, seed=8)
+        data = draw_vectors(rng, 60, 24, family)
+        o.build(data)
+        f.build(data)
+        ids = rng.integers(0, 80, size=30)
+        vecs = draw_vectors(rng, 30, 24, family)
+        o.update(ids, vecs)
+        f.update(ids, vecs)
+        restored = LSHIndex(24, n_bits=5, n_tables=4, family=family, seed=8)
+        restored.load_state_dict(f.state_dict())
+        assert restored.garbage_fraction() == 0.0
+        assert_same_answers(o, restored, rng, 24)
+
+
+class TestWidthBound:
+    """The dense per-table bucket directory caps the table width."""
+
+    def test_widest_table_builds_and_queries(self, rng):
+        index = LSHIndex(8, n_bits=MAX_BUCKET_BITS, n_tables=1, seed=0)
+        data = rng.normal(size=(20, 8))
+        index.build(data)
+        assert 3 in index.query(data[3])
+
+    def test_one_bit_wider_is_rejected(self):
+        with pytest.raises(ValueError, match=f"n_bits={MAX_BUCKET_BITS + 1} "):
+            LSHIndex(8, n_bits=MAX_BUCKET_BITS + 1, n_tables=1, seed=0)
 
 
 class TestFlatHashTables:

@@ -89,25 +89,25 @@ class TestMIPSIndex:
         index.update(np.empty(0, dtype=int), np.empty((0, 16)))
         assert len(index) == 100
 
-    @pytest.mark.parametrize("backend", ["dict", "flat"])
-    def test_flat_backend_matches_dict(self, data, rng, backend):
-        """Same seed → identical candidates regardless of bucket storage."""
-        ref = MIPSIndex(16, seed=5, backend="dict")
-        alt = MIPSIndex(16, seed=5, backend=backend)
-        ref.build(data)
-        alt.build(data)
+    def test_matches_bucket_oracle(self, data, rng, bucket_oracle):
+        """Candidates equal the oracle's over the same transformed data."""
+        index = MIPSIndex(16, seed=5)
+        index.build(data)
+        lsh = index.index
+        oracle = bucket_oracle(lsh.dim, lsh.n_bits, lsh.n_tables, seed=5)
+        oracle.build(index.transform.transform_data(data)[0])
         queries = rng.normal(size=(8, 16))
-        for a, b in zip(ref.query_batch(queries), alt.query_batch(queries)):
-            np.testing.assert_array_equal(a, b)
+        for q, got in zip(queries, index.query_batch(queries)):
+            expected = oracle.query(index.transform.transform_query_one(q))
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestUpdateScaling:
     """update() must reuse the global P-transform scale fitted at build().
 
-    Refitting on the update subset (the old behaviour, kept behind
-    ``refit_subset_scale=True``) rescales the *whole* asymmetric transform
-    from whatever subset happens to be updated, so re-inserting unchanged
-    vectors could move them to different buckets.
+    Refitting on the update subset would rescale the *whole* asymmetric
+    transform from whatever subset happens to be updated, so re-inserting
+    unchanged vectors could move them to different buckets.
     """
 
     @pytest.fixture
@@ -196,19 +196,3 @@ class TestUpdateScaling:
                 recalled += 1
         assert hits > 10  # the giant really dominates brute-force MIPS
         assert recalled / hits >= 0.8
-
-    def test_refit_subset_scale_restores_old_behaviour(self, data, rng):
-        """The ablation flag refits on the subset and (for skewed subsets)
-        moves unchanged items — exactly the bug the cache fixes."""
-        index = MIPSIndex(12, n_bits=8, n_tables=5, seed=3,
-                          refit_subset_scale=True)
-        index.build(data)
-        queries = rng.normal(size=(30, 12))
-        before = index.query_batch(queries)
-        ids = np.arange(5)
-        index.update(ids, data[ids])
-        after = index.query_batch(queries)
-        moved = any(
-            not np.array_equal(a, b) for a, b in zip(before, after)
-        )
-        assert moved

@@ -1,57 +1,14 @@
-"""Unit tests for repro.lsh.tables — hash tables and the multi-table index."""
+"""Unit tests for repro.lsh.tables — the multi-table index."""
 
 import numpy as np
 import pytest
 
-from repro.lsh.tables import HashTable, LSHIndex
+from repro.lsh.tables import LSHIndex
 
 
 @pytest.fixture
 def vectors(rng):
     return rng.normal(size=(50, 12))
-
-
-class TestHashTable:
-    def test_insert_and_query_self(self, rng, vectors):
-        table = HashTable(12, 6, rng)
-        table.insert(np.arange(50), vectors)
-        for i in [0, 17, 49]:
-            assert i in table.query(vectors[i])
-
-    def test_len(self, rng, vectors):
-        table = HashTable(12, 6, rng)
-        table.insert(np.arange(50), vectors)
-        assert len(table) == 50
-
-    def test_reinsert_moves_item(self, rng, vectors):
-        table = HashTable(12, 8, rng)
-        table.insert(np.array([0]), vectors[:1])
-        # Move item 0 to the antipodal point: must leave the old bucket.
-        table.insert(np.array([0]), -vectors[:1])
-        assert 0 not in table.query(vectors[0])
-        assert 0 in table.query(-vectors[0])
-
-    def test_clear(self, rng, vectors):
-        table = HashTable(12, 6, rng)
-        table.insert(np.arange(50), vectors)
-        table.clear()
-        assert len(table) == 0
-        assert table.query(vectors[0]) == set()
-
-    def test_query_batch_matches_single(self, rng, vectors):
-        table = HashTable(12, 6, rng)
-        table.insert(np.arange(50), vectors)
-        batch = table.query_batch(vectors[:5])
-        for i in range(5):
-            assert batch[i] == table.query(vectors[i])
-
-    def test_empty_bucket_removed_on_move(self, rng):
-        table = HashTable(4, 10, rng)
-        v = rng.normal(size=(1, 4))
-        table.insert(np.array([0]), v)
-        table.insert(np.array([0]), -v)
-        # The original bucket should be gone entirely (no empty sets kept).
-        assert all(bucket for bucket in table.buckets.values())
 
 
 class TestLSHIndex:
