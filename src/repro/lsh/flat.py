@@ -12,8 +12,11 @@ serves whole query batches with a handful of NumPy calls:
   all L tables at once, addressed by *global* bucket ids
   ``t·2^K + code`` and storing *global* member ids ``t·n + item``, so a
   whole (batch × tables) probe is a single range-gather;
-* the across-table candidate union is one sort + flag-dedup over fused
-  ``(query, item)`` keys instead of Python ``set.union`` per query.
+* the across-table candidate union marks each query's live candidates
+  in a ``(queries × n_slots)`` bool hit map, and one ``np.nonzero``
+  reads every row back sorted and unique — no sort, no ``set.union``
+  per query.  The tombstone filter runs only while some table holds
+  tombstones.
 
 Storage layout
 --------------
@@ -347,7 +350,11 @@ class FlatHashTables:
     # queries
     # ------------------------------------------------------------------
     def query_batch(self, vectors: np.ndarray) -> List[np.ndarray]:
-        """Sorted-unique candidate union across tables, one per query."""
+        """Sorted-unique candidate union across tables, one per query.
+
+        Builds a ``(queries × n_slots)`` bool hit map, one byte per
+        query and item slot.
+        """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
         n_queries = vectors.shape[0]
         n = self.n_slots
@@ -359,41 +366,35 @@ class FlatHashTables:
         offsets, members_g = self._fused()
         starts = offsets[probes]
         counts = offsets[probes + 1] - starts
-        probe_qid = np.repeat(
-            np.arange(n_queries, dtype=np.int64), self.n_tables
-        )
-        item_parts: List[np.ndarray] = []
-        qid_parts: List[np.ndarray] = []
+        # Probe (q, t) finds global ids t·n + item; adding (q − t)·n moves
+        # each to q·n + item, its cell in the row-major hit map.
+        shift = (
+            np.arange(n_queries, dtype=np.int64)[:, None]
+            - np.arange(self.n_tables, dtype=np.int64)[None, :]
+        ).ravel() * n
+        # Without tombstones every stored entry is live: the CSR members
+        # never moved, and each extra was appended for a fresh item.
+        filter_stale = any(self._stale)
+        hit = np.zeros((n_queries, n), dtype=bool)
         if counts.any():
             gathered = members_g[_gather_ranges(starts, counts)]
-            live = gcode_flat[gathered] == np.repeat(probes, counts)
-            item_parts.append(gathered[live])
-            qid_parts.append(np.repeat(probe_qid, counts)[live])
+            cells = gathered + np.repeat(shift, counts)
+            if filter_stale:
+                cells = cells[gcode_flat[gathered] == np.repeat(probes, counts)]
+            hit.reshape(-1)[cells] = True
         e_items, e_gcodes = self._all_extras()
         if e_items.size:
             p_idx, e_idx = np.nonzero(probes[:, None] == e_gcodes[None, :])
             hits = e_items[e_idx]
-            live = gcode_flat[hits] == e_gcodes[e_idx]
-            item_parts.append(hits[live])
-            qid_parts.append(probe_qid[p_idx[live]])
-        items = (
-            np.concatenate(item_parts) if item_parts else np.empty(0, np.int64)
-        )
-        if items.size == 0:
-            return [np.empty(0, dtype=np.int64) for _ in range(n_queries)]
-        qids = np.concatenate(qid_parts)
-        # Across-table union: global member ids collapse to local with one
-        # mod, then one sort + flag-dedup over fused (query, item) keys
-        # replaces L set unions per query.
-        keys = _dedup_sorted(np.sort(qids * n + items % n))
-        out_qids = keys // n
-        out_items = keys - out_qids * n
-        bounds = np.searchsorted(
-            out_qids, np.arange(n_queries + 1, dtype=np.int64)
-        )
-        return [
-            out_items[bounds[b] : bounds[b + 1]] for b in range(n_queries)
-        ]
+            cells = hits + shift[p_idx]
+            if filter_stale:
+                cells = cells[gcode_flat[hits] == e_gcodes[e_idx]]
+            hit.reshape(-1)[cells] = True
+        # Across-table union: marking a cell twice is a no-op, and one
+        # nonzero reads every row back sorted and unique.
+        qids, items = np.nonzero(hit)
+        bounds = np.searchsorted(qids, np.arange(n_queries + 1, dtype=np.int64))
+        return [items[bounds[b] : bounds[b + 1]] for b in range(n_queries)]
 
     def query(self, vector: np.ndarray) -> np.ndarray:
         """Candidate ids for a single query (sorted, unique).

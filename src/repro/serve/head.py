@@ -13,10 +13,17 @@ The bias is folded into the index by augmenting each column with its
 bias entry and each query with a trailing 1, so candidate ranking uses
 the true logits ``h·w_j + b_j``, not just the inner products.
 
+Candidates are scored from that augmented snapshot, taken at
+construction, not from the live layer: it holds one contiguous
+``(w_j, b_j)`` row per class, so handing ``matmul_cols`` its class-major
+view gathers a row's candidates as whole rows rather than strided
+columns of the row-major ``layer.W``.  The kernel and its FLOPs are
+unchanged; only the gather gets cheaper.
+
 Guarantees and escape hatches:
 
 * ``exact=True`` (or a candidate set smaller than ``k``) falls back to
-  the full GEMM — always correct, never fast.
+  the full GEMM over the live layer — always correct, never fast.
 * Whenever the true top-k all appear in the candidate set, the head's
   answer equals brute-force MIPS exactly (property-tested).
 * Recall@k against :func:`~repro.lsh.mips.exact_mips_batch` is measured
@@ -160,6 +167,10 @@ class ALSHTopKHead:
         self, h: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         backend = active_backend()
+        # Class-major view of the snapshot: a candidate gather copies
+        # contiguous class rows, not strided columns of layer.W.
+        w = self._aug_cols[:, :-1].T
+        b = self._aug_cols[:, -1]
         candidate_sets = self.candidates(h)
         m = h.shape[0]
         ids = np.empty((m, k), dtype=np.int64)
@@ -173,9 +184,7 @@ class ALSHTopKHead:
             self.obs.add(SERVE_HEAD_CANDIDATES, int(cand.size))
             # Score only the candidate columns: O(n_hidden * |cand|)
             # instead of the full O(n_hidden * n_classes) GEMM row.
-            scores = backend.matmul_cols(
-                h[i : i + 1], self.layer.W, self.layer.b, cand
-            )[0]
+            scores = backend.matmul_cols(h[i : i + 1], w, b, cand)[0]
             top = np.argpartition(-scores, k - 1)[:k]
             order = np.argsort(-scores[top])
             ids[i] = cand[top[order]]

@@ -34,9 +34,12 @@ def draw_vectors(rng, n, dim, family):
     return vecs
 
 
-def assert_same_answers(oracle, index, rng, dim, n_queries=6):
-    queries = rng.normal(size=(n_queries, dim))
+def assert_same_answers(oracle, index, rng, dim, n_queries=6, queries=None):
+    if queries is None:
+        queries = rng.normal(size=(n_queries, dim))
     for q, got in zip(queries, index.query_batch(queries)):
+        # assert_array_equal ignores dtype; the ids must stay int64.
+        assert got.dtype == np.int64
         np.testing.assert_array_equal(got, oracle.query(q))
     np.testing.assert_array_equal(index.query(queries[0]), oracle.query(queries[0]))
 
@@ -61,6 +64,29 @@ class TestEquivalence:
             f.update(ids, vecs)
             assert_same_answers(o, f, rng, dim)
         assert len(o) == len(f)
+
+    def test_new_ids_only_skip_the_tombstone_filter(self, make_pair, rng):
+        """Extras without tombstones: every stored entry is live.
+
+        Updates that only add unseen ids leave no tombstone, so
+        ``query_batch`` skips its liveness filter.  Twelve items in 32
+        buckets per table leave most buckets empty, so some queries
+        find nothing.
+        """
+        o, f = make_pair("srp", seed=9)
+        data = rng.normal(size=(12, 24))
+        o.build(data)
+        f.build(data)
+        for ids in ([12, 13, 17], [20, 14]):
+            vecs = rng.normal(size=(len(ids), 24))
+            o.update(ids, vecs)
+            f.update(ids, vecs)
+        assert sum(f.flat._stale) == 0 and sum(f.flat._extra_len) > 0
+        queries = rng.normal(size=(24, 24))
+        answers = [o.query(q) for q in queries]
+        assert any(a.size == 0 for a in answers)
+        assert any(a.size > 0 for a in answers)
+        assert_same_answers(o, f, rng, 24, queries=queries)
 
     def test_duplicate_ids_last_wins(self, make_pair, rng):
         """Repeated ids in one update call keep the last vector."""

@@ -7,7 +7,10 @@ The acceptance tests for the serving head:
 * on the seeded bench-shape golden model the head reaches >= 0.95
   recall@10 with its serving defaults;
 * the FLOP counters prove the full output GEMM never ran on the
-  candidate path.
+  candidate path;
+* at the serve shape, and on NaN, inf and undersized rows, the head
+  answers exactly as a plain per-row scoring rule over the same
+  candidate sets.
 """
 
 import numpy as np
@@ -31,6 +34,28 @@ from repro.serve.head import ALSHTopKHead, HeadRecallProbe, head_recall
 
 def _layer(n_in, n_out, seed):
     return MLP([n_in, n_out], seed=seed).layers[0]
+
+
+def _per_row_topk(head, h, k):
+    """Reference rule, one row at a time, on the live layer.
+
+    Row ``i`` scores its candidate columns as ``h[i] @ W[:, cand] +
+    b[cand]`` and keeps the top ``k`` by ``argpartition`` then
+    ``argsort``; a row with fewer than ``k`` candidates scores every
+    class instead (the exact fallback).
+    """
+    layer = head.layer
+    ids = np.empty((h.shape[0], k), dtype=np.int64)
+    logits = np.empty((h.shape[0], k))
+    for i, cand in enumerate(head.candidates(h, record=False)):
+        if cand.size < k:
+            cand = np.arange(head.n_classes)
+        scores = h[i] @ layer.W[:, cand] + layer.b[cand]
+        top = np.argpartition(-scores, k - 1)[:k]
+        order = np.argsort(-scores[top])
+        ids[i] = cand[top[order]]
+        logits[i] = scores[top[order]]
+    return ids, logits
 
 
 class TestEquivalenceProperty:
@@ -139,8 +164,14 @@ class TestSkippedGEMM:
         assert "kernel.flops.matmul_add_bias" not in counters, (
             "the full output GEMM ran on the candidate path"
         )
+        # One product per row over that row's own candidates: scoring the
+        # union of the batch's candidate sets would cost more.
+        scored = sum(c.size for c in head.candidates(h, record=False))
+        assert counters["kernel.flops.matmul_cols"] == gemm_flops(
+            1, layer.W.shape[0], scored
+        )
         full_gemm = gemm_flops(h.shape[0], layer.W.shape[0], layer.W.shape[1])
-        assert 0 < counters["kernel.flops.matmul_cols"] < full_gemm
+        assert counters["kernel.flops.matmul_cols"] < full_gemm
 
     def test_candidate_counters_recorded(self):
         recorder = InMemoryRecorder()
@@ -159,6 +190,61 @@ class TestSkippedGEMM:
             head.topk(np.random.default_rng(6).normal(size=(4, 8)), exact=True)
         counters = recorder.snapshot()["counters"]
         assert counters["kernel.flops.matmul_add_bias"] == gemm_flops(4, 8, 16)
+
+
+class TestPerRowReference:
+    @pytest.mark.parametrize("rows", [1, 7, 32])
+    def test_serve_shape_matches_per_row_rule(self, golden_model, rows):
+        head = ALSHTopKHead(golden_model.output_layer(), k=10, seed=0)
+        rng = np.random.default_rng(rows)
+        h = golden_model.trunk_forward(
+            rng.normal(size=(rows, golden_model.input_dim))
+        )
+        ids, logits = head.topk(h)
+        ref_ids, ref_logits = _per_row_topk(head, h, 10)
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_allclose(logits, ref_logits, rtol=1e-12)
+
+
+class TestAdversarialRows:
+    def test_nan_inf_and_undersized_rows_in_one_batch(self, golden_model):
+        """Each row answers as the per-row rule would, NaN logits included.
+
+        Two tables of 64 buckets: the bucket NaN queries hash to holds
+        more than k classes, while some trunk rows get fewer than k.  The
+        ordinary row has the most candidates, so a selection padded to
+        the batch's widest row would pad the NaN row.
+        """
+        k = 10
+        head = ALSHTopKHead(
+            golden_model.output_layer(), k=k, n_bits=6, n_tables=2, seed=9
+        )
+        pool = golden_model.trunk_forward(
+            np.random.default_rng(13).normal(size=(32, golden_model.input_dim))
+        )
+        sizes = np.array([c.size for c in head.candidates(pool, record=False)])
+        ordinary = pool[np.argmax(sizes)]
+        undersized = pool[np.argmax(sizes < k)]
+        inf_row = ordinary.copy()
+        inf_row[0] = np.inf
+        h = np.vstack([np.full_like(ordinary, np.nan), inf_row, ordinary, undersized])
+        with np.errstate(invalid="ignore"):
+            sizes = [c.size for c in head.candidates(h, record=False)]
+            ids, logits = head.topk(h)
+            ref_ids, ref_logits = _per_row_topk(head, h, k)
+        assert sizes[2] > sizes[0] >= k > sizes[3], sizes
+        assert sizes[1] >= k, sizes
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_allclose(logits, ref_logits, rtol=1e-12)
+        assert np.isnan(logits[0]).all()
+        assert np.isposinf(logits[1]).all()
+        assert all(np.unique(row).size == k for row in ids)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_empty_batch(self, golden_model, exact):
+        head = ALSHTopKHead(golden_model.output_layer(), k=10, seed=0)
+        ids, logits = head.topk(np.empty((0, head.layer.n_in)), exact=exact)
+        assert ids.shape == logits.shape == (0, 10)
 
 
 class TestHeadRecallProbe:
