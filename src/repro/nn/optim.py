@@ -4,7 +4,16 @@ ALSH-approx (§5.2) only back-propagates through the active nodes of each
 layer, so its weight-gradient updates touch a small subset of the columns of
 ``W``.  To keep that sparsity profitable, every optimiser here supports an
 ``index`` argument that restricts the update — including its internal state
-(moments, accumulators, step counts) — to the selected columns.
+(moments, accumulators, step counts) — to the selected columns.  ``index``
+must hold sorted, unique column ids; every trainer passes such sets.
+
+Per-element slots of a 2-D parameter (Momentum ``v``, Adagrad ``g2``, Adam
+``m``/``v``) are column-major in the parameter's logical ``(n_in, n_out)``
+shape, so a lazy update copies whole contiguous columns of state.  The rules
+run in place on that layout (a lazy update writes its column blocks back,
+then reuses them as scratch) in the textbook operation order, so results
+are bitwise those of the whole-array rules (``tests/nn/test_optim_oracle.py``)
+and checkpointed slots keep their names, shapes and values.
 
 The paper uses SGD for most methods and Adam for ALSH-approx (§8.4, noting
 the reference implementation works better with Adam than the original
@@ -20,11 +29,17 @@ import numpy as np
 __all__ = ["Optimizer", "SGD", "Momentum", "Adagrad", "Adam", "get_optimizer"]
 
 
-def _slice(arr: np.ndarray, index: Optional[np.ndarray]):
-    """View of ``arr`` restricted to output-node columns.
+def _slot(param: np.ndarray) -> np.ndarray:
+    """A zeroed per-element state slot: float64, column-major, ``param``'s shape."""
+    return np.zeros(param.shape, order="F")
 
-    For 2-D parameters (weight matrices, ``n_in × n_out``) the index selects
-    columns; for 1-D parameters (biases) it selects entries.
+
+def _slice(arr: np.ndarray, index: Optional[np.ndarray]) -> np.ndarray:
+    """The part of a slot an update works on: ``arr`` itself when dense.
+
+    With an index, a copy of the selected output-node columns (2-D weight
+    matrices, ``n_in × n_out``) or entries (1-D biases); the copy of a
+    column-major slot is column-major too.
     """
     if index is None:
         return arr
@@ -33,14 +48,22 @@ def _slice(arr: np.ndarray, index: Optional[np.ndarray]):
     return arr[index]
 
 
-def _assign(arr: np.ndarray, index: Optional[np.ndarray], value: np.ndarray):
-    """Write ``value`` into the column slice of ``arr`` selected by index."""
-    if index is None:
-        arr[...] = value
-    elif arr.ndim == 2:
+def _assign(arr: np.ndarray, index: np.ndarray, value: np.ndarray) -> None:
+    """Write a lazily updated block back into the columns of ``arr``."""
+    if arr.ndim == 2:
         arr[:, index] = value
     else:
         arr[index] = value
+
+
+def _subtract(param: np.ndarray, index: Optional[np.ndarray], step) -> None:
+    """``param -= step``, restricted to the ``index`` columns or entries."""
+    if index is None:
+        param -= step
+    elif param.ndim == 2:
+        param[:, index] -= step
+    else:
+        param[index] -= step
 
 
 class Optimizer:
@@ -119,7 +142,8 @@ class Optimizer:
         """Apply one optimisation step in place.
 
         ``grad`` must already be restricted to the ``index`` columns when an
-        index is given (that is exactly what the sparse trainers produce).
+        index is given (that is exactly what the sparse trainers produce),
+        and ``index`` must be sorted and unique.
         """
         raise NotImplementedError
 
@@ -157,7 +181,10 @@ class Optimizer:
         return meta, arrays
 
     def load_state_dict(self, meta, arrays) -> None:
-        """Restore state captured by :meth:`state_dict` (exact copy)."""
+        """Restore state captured by :meth:`state_dict` (exact copy).
+
+        Slots come back column-major whatever layout the archive stored.
+        """
         name = getattr(self, "name", type(self).__name__.lower())
         if meta.get("name") != name:
             raise ValueError(
@@ -168,10 +195,16 @@ class Optimizer:
         self._state.clear()
         for j, entry in enumerate(meta["keys"]):
             key = tuple(entry["key"]) if entry["tuple"] else entry["key"]
-            self._state[key] = {
-                slot: np.array(arrays[f"opt.{j}.{slot}"])
-                for slot in entry["slots"]
-            }
+            state = {}
+            for slot in entry["slots"]:
+                name = f"opt.{j}.{slot}"
+                if name not in arrays:
+                    raise ValueError(
+                        f"checkpoint lacks optimiser slot {slot!r} of "
+                        f"parameter {key!r} (array {name!r})"
+                    )
+                state[slot] = np.array(arrays[name], order="F")
+            self._state[key] = state
 
 
 class SGD(Optimizer):
@@ -181,13 +214,7 @@ class SGD(Optimizer):
 
     def update(self, key, param, grad, index=None):
         self._apply_weight_decay(param, index)
-        grad = self._clip(grad)
-        if index is None:
-            param -= self.lr * grad
-        elif param.ndim == 2:
-            param[:, index] -= self.lr * grad
-        else:
-            param[index] -= self.lr * grad
+        _subtract(param, index, self.lr * self._clip(grad))
 
 
 class Momentum(Optimizer):
@@ -203,21 +230,22 @@ class Momentum(Optimizer):
         self.beta = float(beta)
 
     def _init_state(self, param):
-        return {"v": np.zeros_like(param, dtype=float)}
+        return {"v": _slot(param)}
 
     def update(self, key, param, grad, index=None):
         self._apply_weight_decay(param, index)
-        grad = self._clip(grad)
-        state = self._get_state(key, param)
-        v = _slice(state["v"], index)
-        v_new = self.beta * v + grad
-        _assign(state["v"], index, v_new)
+        grad = np.asfortranarray(self._clip(grad), dtype=float)
+        slot = self._get_state(key, param)["v"]
+        # v ← β·v + g;  p ← p − lr·v
+        v = _slice(slot, index)
+        v *= self.beta
+        v += grad
         if index is None:
-            param -= self.lr * v_new
-        elif param.ndim == 2:
-            param[:, index] -= self.lr * v_new
+            step = v * self.lr
         else:
-            param[index] -= self.lr * v_new
+            _assign(slot, index, v)
+            step = np.multiply(v, self.lr, out=v)
+        _subtract(param, index, step)
 
 
 class Adagrad(Optimizer):
@@ -231,21 +259,25 @@ class Adagrad(Optimizer):
         self.eps = float(eps)
 
     def _init_state(self, param):
-        return {"g2": np.zeros_like(param, dtype=float)}
+        return {"g2": _slot(param)}
 
     def update(self, key, param, grad, index=None):
         self._apply_weight_decay(param, index)
-        grad = self._clip(grad)
-        state = self._get_state(key, param)
-        g2 = _slice(state["g2"], index) + grad * grad
-        _assign(state["g2"], index, g2)
-        step = self.lr * grad / (np.sqrt(g2) + self.eps)
+        grad = np.asfortranarray(self._clip(grad), dtype=float)
+        slot = self._get_state(key, param)["g2"]
+        # g2 ← g2 + g·g;  p ← p − (lr·g) / (√g2 + ε)
+        g2 = _slice(slot, index)
+        step = grad * grad
+        g2 += step
         if index is None:
-            param -= step
-        elif param.ndim == 2:
-            param[:, index] -= step
+            den = np.sqrt(g2)
         else:
-            param[index] -= step
+            _assign(slot, index, g2)
+            den = np.sqrt(g2, out=g2)
+        den += self.eps
+        np.multiply(grad, self.lr, out=step)
+        step /= den
+        _subtract(param, index, step)
 
 
 class Adam(Optimizer):
@@ -277,35 +309,44 @@ class Adam(Optimizer):
     def _init_state(self, param):
         n_cols = param.shape[-1] if param.ndim == 2 else param.shape[0]
         return {
-            "m": np.zeros_like(param, dtype=float),
-            "v": np.zeros_like(param, dtype=float),
+            "m": _slot(param),
+            "v": _slot(param),
             "t": np.zeros(n_cols, dtype=np.int64),
         }
 
     def update(self, key, param, grad, index=None):
         self._apply_weight_decay(param, index)
-        grad = self._clip(grad)
+        grad = np.asfortranarray(self._clip(grad), dtype=float)
         state = self._get_state(key, param)
         col_idx = slice(None) if index is None else index
         state["t"][col_idx] += 1
         t = state["t"][col_idx]
-
-        m = self.beta1 * _slice(state["m"], index) + (1 - self.beta1) * grad
-        v = self.beta2 * _slice(state["v"], index) + (1 - self.beta2) * grad * grad
-        _assign(state["m"], index, m)
-        _assign(state["v"], index, v)
-
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        m_hat = m / bc1
-        v_hat = v / bc2
-        step = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+        # m ← β1·m + (1−β1)·g;  v ← β2·v + ((1−β2)·g)·g
+        m = _slice(state["m"], index)
+        v = _slice(state["v"], index)
+        step = np.multiply(grad, 1 - self.beta1)
+        m *= self.beta1
+        m += step
+        np.multiply(grad, 1 - self.beta2, out=step)
+        step *= grad
+        v *= self.beta2
+        v += step
+        # p ← p − (lr·(m/bc1)) / (√(v/bc2) + ε)
         if index is None:
-            param -= step
-        elif param.ndim == 2:
-            param[:, index] -= step
+            den = v / bc2
         else:
-            param[index] -= step
+            _assign(state["m"], index, m)
+            _assign(state["v"], index, v)
+            den = np.divide(v, bc2, out=v)
+        np.divide(m, bc1, out=step)
+        step *= self.lr
+        np.sqrt(den, out=den)
+        den += self.eps
+        step /= den
+        _subtract(param, index, step)
 
 
 _REGISTRY = {cls.name: cls for cls in (SGD, Momentum, Adagrad, Adam)}

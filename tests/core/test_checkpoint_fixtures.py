@@ -13,6 +13,9 @@ still offered two LSH bucket storages, with::
 must still resume.  ``alsh_dict.ckpt.npz`` used ``backend="dict"``, whose
 per-table ``t<i>.items`` / ``t<i>.codes`` arrays must be refused with a
 clear error instead of a bare ``KeyError``.
+
+``alsh_flat.ckpt.npz`` also holds Adam state written while optimiser
+slots were row-major; it must resume unchanged onto column-major slots.
 """
 
 import shutil
@@ -24,6 +27,7 @@ import pytest
 from repro.core.alsh_approx import ALSHApproxTrainer
 from repro.nn.checkpoint import load_checkpoint
 from repro.nn.network import MLP
+from repro.nn.serialize import atomic_savez, read_archive
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,6 +35,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def resume(tmp_path, tag, epochs):
     """Fit a same-config trainer to ``epochs``, resuming from the fixture."""
     shutil.copy(FIXTURES / f"{tag}.ckpt.npz", tmp_path / f"{tag}.ckpt.npz")
+    return fit(tmp_path, tag, epochs)
+
+
+def fit(tmp_path, tag, epochs):
+    """Fit to ``epochs``, resuming from ``tmp_path / f"{tag}.ckpt.npz"``."""
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(40, 8)), rng.integers(0, 3, size=40)
     trainer = ALSHApproxTrainer(MLP([8, 16, 16, 3], seed=0), seed=1)
@@ -51,6 +60,32 @@ def test_flat_checkpoint_restores_index_state(tmp_path):
             index.index.state_dict()["item_gcode"],
             archive.arrays[f"aux.index{i}.item_gcode"],
         )
+
+
+def test_flat_checkpoint_restores_optimizer_slots(tmp_path):
+    archive = load_checkpoint(FIXTURES / "alsh_flat.ckpt.npz")
+    expected = {k: v for k, v in archive.arrays.items() if k.startswith("opt.")}
+    trainer, _ = resume(tmp_path, "alsh_flat", epochs=1)
+    meta, arrays = trainer.optimizer.state_dict()
+    assert meta == archive.payload["optimizer"]
+    assert sorted(arrays) == sorted(expected)
+    for name, arr in arrays.items():
+        assert arr.shape == expected[name].shape, name
+        assert arr.dtype == expected[name].dtype, name
+        np.testing.assert_array_equal(arr, expected[name])
+        if arr.ndim == 2:
+            assert expected[name].flags.c_contiguous, name
+            assert arr.flags.f_contiguous, name
+
+
+def test_missing_optimizer_slot_is_refused_clearly(tmp_path):
+    arrays = read_archive(FIXTURES / "alsh_flat.ckpt.npz")
+    del arrays["opt.0.m"]
+    atomic_savez(tmp_path / "alsh_flat.ckpt.npz", arrays)
+    with pytest.raises(ValueError, match=r"slot 'm' of parameter \('W', 2\)") as err:
+        fit(tmp_path, "alsh_flat", epochs=2)
+    assert "opt.0.m" in str(err.value)
+    assert "\n" not in str(err.value)
 
 
 def test_flat_checkpoint_trains_one_more_epoch(tmp_path):
