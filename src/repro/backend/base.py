@@ -9,12 +9,11 @@ these methods; :mod:`repro.backend` dispatches between registered
 implementations (``reference``, ``fast``).
 
 :class:`ComputeBackend` is both the interface and the canonical
-implementation: every method body below is the *exact* NumPy expression
-the call sites used before the backend layer existed, so a subclass that
-overrides nothing is bitwise-identical to the historical code at float64
-(the property the no-op digest tests pin down).  Subclasses override
-individual kernels and must either preserve bitwise equality (the
-``reference`` backend, and ``fast`` at ``precision="float64"``) or document their tolerance (``fast`` at
+implementation: every method body below is the plain NumPy expression
+for its product, and the no-op digest tests pin its float64 results.
+Subclasses override individual kernels and must either preserve bitwise
+equality (the ``reference`` backend, and ``fast`` at
+``precision="float64"``) or document their tolerance (``fast`` at
 float32, see :data:`repro.backend.fast.FAST_RTOL`).
 
 Conventions
@@ -24,6 +23,10 @@ Conventions
 * Returned arrays are always freshly allocated — callers hold on to
   results across batches (activation caches), so kernels must never
   return their scratch buffers.
+* The weight-gradient products (:meth:`~ComputeBackend.grad_cols`, and
+  :meth:`~ComputeBackend.sampled_matmul`, which yields MC's) come back
+  column-major, the layout trainers keep ``W`` in, so an optimiser step
+  never mixes layouts.
 * Scratch buffers (:class:`ScratchPool`) are only used for operand
   staging and are keyed by a call-site slot name so two buffers of the
   same shape never alias within one kernel invocation.
@@ -163,10 +166,14 @@ class ComputeBackend:
         return delta @ w[:, cols].T
 
     def grad_cols(self, a_prev: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Weight-gradient product ``a_prev.T @ delta`` (outer for 1-D)."""
+        """Weight-gradient product ``a_prev.T @ delta`` (outer for 1-D).
+
+        Returned column-major, the layout trainers keep ``W`` in, as the
+        transpose of the row-major product ``delta.T @ a_prev``.
+        """
         if a_prev.ndim == 1:
-            return np.outer(a_prev, delta)
-        return a_prev.T @ delta
+            return np.multiply.outer(delta, a_prev).T
+        return (delta.T @ a_prev).T
 
     # ------------------------------------------------------------------
     # scaled sampled-GEMM (MC column-row estimator)
@@ -178,10 +185,15 @@ class ComputeBackend:
         idx: np.ndarray,
         scales: np.ndarray,
     ) -> np.ndarray:
-        """Bernoulli column–row estimate ``(a[:, idx] * scales) @ b[idx, :]``."""
+        """Bernoulli column–row estimate ``(a[:, idx] * scales) @ b[idx, :]``.
+
+        Returned column-major, like :meth:`grad_cols` (MC's weight
+        gradients come from here), as the transpose of the row-major
+        product of the transposed operands.
+        """
         if idx.size == 0:
-            return np.zeros((a.shape[0], b.shape[1]))
-        return (a[:, idx] * scales) @ b[idx, :]
+            return np.zeros((a.shape[0], b.shape[1]), order="F")
+        return (b[idx, :].T @ (a[:, idx] * scales).T).T
 
     # ------------------------------------------------------------------
     # gathers and elementwise

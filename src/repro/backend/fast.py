@@ -156,20 +156,20 @@ class FastBackend(ReferenceBackend):
         ):
             return super().grad_cols(a_prev, delta)
         return self._product(
-            self._stage("gw.a", a_prev).T, self._stage("gw.delta", delta)
-        )
+            self._stage("gw.delta", delta).T, self._stage("gw.a", a_prev)
+        ).T
 
     # ------------------------------------------------------------------
     # scaled sampled-GEMM — the fused float32 path
     # ------------------------------------------------------------------
     def sampled_matmul(self, a, b, idx, scales):
-        if idx.size == 0:
-            return np.zeros((a.shape[0], b.shape[1]))
-        if not self._eligible(a.shape[0] * idx.size * b.shape[1], a, b):
+        if idx.size == 0 or not self._eligible(
+            a.shape[0] * idx.size * b.shape[1], a, b
+        ):
             return super().sampled_matmul(a, b, idx, scales)
         ga = self.scratch.get("sampled.a32", (a.shape[0], idx.size), np.float32)
         ga[...] = a[:, idx]
         np.multiply(ga, scales.astype(np.float32), out=ga)
         gb = self.scratch.get("sampled.b32", (idx.size, b.shape[1]), np.float32)
         gb[...] = b[idx, :]
-        return self._product(ga, gb)
+        return self._product(gb.T, ga.T).T

@@ -32,11 +32,9 @@ class ReferenceBackend(ComputeBackend):
     name = "reference"
 
     def sampled_matmul(self, a, b, idx, scales):
-        if idx.size == 0:
-            return np.zeros((a.shape[0], b.shape[1]))
-        if a.dtype != np.float64 or scales.dtype != np.float64:
+        if idx.size == 0 or a.dtype != np.float64 or scales.dtype != np.float64:
             return super().sampled_matmul(a, b, idx, scales)
         ga = self.scratch.get("sampled.a", (a.shape[0], idx.size))
         np.take(a, idx, axis=1, out=ga)
         np.multiply(ga, scales, out=ga)
-        return ga @ b[idx, :]
+        return (b[idx, :].T @ ga.T).T

@@ -135,6 +135,10 @@ class Trainer:
     ----------
     network:
         The :class:`~repro.nn.network.MLP` to train (modified in place).
+        Its weight matrices are converted to column-major once, here, so
+        every node's fan-in is one contiguous column; weights frozen
+        read-only (a :class:`~repro.serve.ServableModel`'s) are refused
+        with ``ValueError`` before anything is converted.
     lr:
         Learning rate (paper: 1e-3, or 1e-4 for MC-approx stochastic).
     optimizer:
@@ -169,6 +173,14 @@ class Trainer:
         recorder: Optional[Recorder] = None,
         compute_backend: Union[str, ComputeBackend, None] = None,
     ):
+        for i, layer in enumerate(network.layers):
+            if not (layer.W.flags.writeable and layer.b.flags.writeable):
+                raise ValueError(
+                    f"layer {i} of the network is read-only (frozen for "
+                    "serving?); train a fresh or reloaded copy instead"
+                )
+        for layer in network.layers:
+            layer.W = np.asfortranarray(layer.W)
         self.net = network
         self.optimizer: Optimizer = get_optimizer(optimizer, lr)
         self.loss_fn = NLLLoss()
@@ -360,6 +372,37 @@ class Trainer:
     ) -> None:
         """Restore the state captured by :meth:`checkpoint_state`."""
 
+    def _network_arrays(self) -> Dict[str, np.ndarray]:
+        """The network's ``net.W{i}``/``net.b{i}`` checkpoint arrays.
+
+        Archives keep each array's logical shape (``W`` is ``n_in ×
+        n_out`` in either layout), so a checkpoint loads whichever
+        layout wrote it.
+        """
+        arrays: Dict[str, np.ndarray] = {}
+        for i, layer in enumerate(self.net.layers):
+            arrays[f"net.W{i}"] = layer.W
+            arrays[f"net.b{i}"] = layer.b
+        return arrays
+
+    def _load_network(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Copy checkpointed weights in, ``W`` column-major like training's."""
+        for i, layer in enumerate(self.net.layers):
+            try:
+                w = arrays[f"net.W{i}"]
+                b = arrays[f"net.b{i}"]
+            except KeyError:
+                raise ValueError(
+                    f"checkpoint is missing arrays for layer {i}"
+                ) from None
+            if w.shape != layer.W.shape or b.shape != layer.b.shape:
+                raise ValueError(
+                    f"layer {i} shape mismatch: checkpoint {w.shape} vs "
+                    f"network {layer.W.shape}"
+                )
+            layer.W = np.array(w, order="F")
+            layer.b = b.copy()
+
     def _capture_checkpoint(
         self,
         loader: BatchLoader,
@@ -370,10 +413,7 @@ class Trainer:
         stopped_early: bool,
     ) -> TrainerCheckpoint:
         """Everything :meth:`fit` needs to continue bitwise-identically."""
-        arrays: Dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.net.layers):
-            arrays[f"net.W{i}"] = layer.W
-            arrays[f"net.b{i}"] = layer.b
+        arrays = self._network_arrays()
         opt_meta, opt_arrays = self.optimizer.state_dict()
         arrays.update(opt_arrays)
         aux_meta, aux_arrays = self.checkpoint_state()
@@ -424,21 +464,7 @@ class Trainer:
                 f"checkpoint holds {ckpt.method!r} trainer state, "
                 f"this trainer is {self.name!r}"
             )
-        for i, layer in enumerate(self.net.layers):
-            try:
-                w = ckpt.arrays[f"net.W{i}"]
-                b = ckpt.arrays[f"net.b{i}"]
-            except KeyError:
-                raise ValueError(
-                    f"checkpoint is missing arrays for layer {i}"
-                ) from None
-            if w.shape != layer.W.shape or b.shape != layer.b.shape:
-                raise ValueError(
-                    f"layer {i} shape mismatch: checkpoint {w.shape} vs "
-                    f"network {layer.W.shape}"
-                )
-            layer.W = w.copy()
-            layer.b = b.copy()
+        self._load_network(ckpt.arrays)
         payload = ckpt.payload
         self.optimizer.load_state_dict(payload["optimizer"], ckpt.arrays)
         self.rng.bit_generator.state = payload["rng_state"]

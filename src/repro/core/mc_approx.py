@@ -135,7 +135,7 @@ class MCApproxTrainer(Trainer):
                 8 * int(idx.size) * (int(a.shape[0]) + int(b.shape[1])),
             )
         if idx.size == 0:
-            return np.zeros((a.shape[0], b.shape[1]))
+            return np.zeros((a.shape[0], b.shape[1]), order="F")
         return self._backend().sampled_matmul(a, b, idx, scales)
 
     def _node_budget(self, inner: int) -> int:

@@ -28,8 +28,9 @@ class ColumnDriftTracker:
     Parameters
     ----------
     weights:
-        The layer's weight matrix (n_in × n_out); a snapshot is taken at
-        construction.
+        The layer's weight matrix (n_in × n_out); a snapshot in the same
+        memory layout is taken at construction, so its column reads are
+        as contiguous as the weights' own.
     rel_threshold:
         Relative-drift threshold for :meth:`drifted`; 0 selects every
         queried column (the paper's re-hash-all-touched behaviour).
@@ -43,7 +44,7 @@ class ColumnDriftTracker:
                 f"rel_threshold must be non-negative, got {rel_threshold}"
             )
         self.rel_threshold = float(rel_threshold)
-        self._reference = weights.copy()
+        self._reference = weights.copy(order="K")
 
     def drift(self, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Relative drift ‖w − w_ref‖/‖w_ref‖ for the given columns.
@@ -84,11 +85,16 @@ class ColumnDriftTracker:
         return self._reference
 
     def restore_reference(self, reference: np.ndarray) -> None:
-        """Replace the reference snapshot with a checkpointed copy."""
+        """Replace the reference snapshot with a checkpointed copy.
+
+        The copy keeps the current snapshot's layout, whichever layout
+        the checkpoint stored.
+        """
         reference = np.asarray(reference, dtype=float)
         if reference.shape != self._reference.shape:
             raise ValueError(
                 f"reference shape {reference.shape} does not match "
                 f"{self._reference.shape}"
             )
-        self._reference = reference.copy()
+        self._reference = np.empty_like(self._reference)
+        self._reference[...] = reference

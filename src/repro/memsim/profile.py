@@ -16,8 +16,13 @@ activations, gradients) but with very different *access patterns*:
 * ALSH-APPROX gathers scattered weight *columns* (one cache line per
   element in a row-major layout) plus randomly scattered hash-table probes;
 * DROPOUT_SLICED is the idealised column-sliced dropout of the paper's
-  taxonomy (what :mod:`repro.core.dropout` actually implements): fewer
-  bytes, but gather-pattern locality.
+  taxonomy, the scheme :mod:`repro.core.dropout` follows: fewer bytes,
+  but gather-pattern locality.
+
+Every model keeps the row-major weight layout that the paper's §9.4
+argument assumes.  The trainers themselves now hold ``W`` column-major,
+so their node gathers read contiguous columns; the models describe the
+paper's setting, not this layout.
 
 Replaying these traces through :class:`~repro.memsim.cache.CacheHierarchy`
 reproduces the paper's relative cache-miss ordering (Dropout and

@@ -3,7 +3,12 @@
 Layers here deliberately stay *thin*: a :class:`DenseLayer` owns its weight
 matrix ``W`` (shape ``n_in × n_out`` — column *j* is the fan-in of node *j*,
 exactly the orientation used in the paper's Figure 2) and bias ``b``, plus
-the handful of primitive products the sampling-based trainers need:
+the handful of primitive products the sampling-based trainers need.  The
+logical shape is fixed but the memory layout is not: a new layer holds
+``W`` row-major, every :class:`~repro.core.base.Trainer` converts it to
+column-major (node-major, so a node's fan-in is contiguous) and a
+:class:`~repro.serve.ServableModel` freezes it row-major.  Every product
+below accepts either layout.  The products are:
 
 * exact forward (``a_prev @ W + b``),
 * column-restricted forward — "sampling from the current layer" (§5),
@@ -32,6 +37,10 @@ __all__ = ["DenseLayer"]
 
 class DenseLayer:
     """A dense layer ``z = a_prev @ W + b``.
+
+    ``W`` is created row-major; trainers swap in a column-major copy (see
+    the module docstring), so hold on to ``layer.W`` itself, not to an
+    array fetched before a trainer was built.
 
     Parameters
     ----------

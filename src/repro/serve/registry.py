@@ -5,7 +5,10 @@ serving needs the inverse with stronger guarantees:
 
 * **Immutability.**  A loaded model's parameter arrays are frozen
   (``writeable=False``), so no handler, probe or head can silently
-  perturb the weights a thousand in-flight requests share.
+  perturb the weights a thousand in-flight requests share.  Dense
+  weights are frozen row-major: trainers keep ``W`` column-major for
+  their node gathers, but a forward-only trunk at serving's small
+  micro-batches runs faster row-major.
 * **Version pins.**  Every load computes a content digest of the
   parameter arrays; a registry entry can pin the expected digest so a
   deploy that picks up the wrong checkpoint fails at load time, not in
@@ -65,7 +68,8 @@ class ServableModel:
     model:
         A trained :class:`~repro.nn.network.MLP` or
         :class:`~repro.nn.conv.ConvClassifier`.  Its parameter arrays
-        are frozen in place.
+        are frozen in place, after any column-major dense ``W`` is
+        replaced by a row-major copy.
     name, version:
         Registry identity; ``version`` defaults to the content digest.
     """
@@ -74,20 +78,24 @@ class ServableModel:
         if isinstance(model, MLP):
             self.kind = "mlp"
             self._mlp = model
-            params = [a for layer in model.layers for a in (layer.W, layer.b)]
+            dense, params = model.layers, []
         elif isinstance(model, ConvClassifier):
             self.kind = "conv_classifier"
             self._mlp = None
+            dense = model.head.layers
             params = [
                 a
                 for conv, _ in model.extractor.stages
                 for a in (conv.kernels, conv.bias)
-            ] + [a for layer in model.head.layers for a in (layer.W, layer.b)]
+            ]
         else:
             raise TypeError(
                 f"cannot serve a {type(model).__name__}; expected MLP or "
                 "ConvClassifier"
             )
+        for layer in dense:
+            layer.W = np.ascontiguousarray(layer.W)
+            params += [layer.W, layer.b]
         self.model = model
         self.name = str(name)
         for arr in params:

@@ -15,7 +15,8 @@ per-table ``t<i>.items`` / ``t<i>.codes`` arrays must be refused with a
 clear error instead of a bare ``KeyError``.
 
 ``alsh_flat.ckpt.npz`` also holds Adam state written while optimiser
-slots were row-major; it must resume unchanged onto column-major slots.
+slots were row-major, and weights written while trainers kept ``W``
+row-major; both must resume unchanged onto column-major arrays.
 """
 
 import shutil
@@ -76,6 +77,17 @@ def test_flat_checkpoint_restores_optimizer_slots(tmp_path):
         if arr.ndim == 2:
             assert expected[name].flags.c_contiguous, name
             assert arr.flags.f_contiguous, name
+
+
+def test_flat_checkpoint_restores_row_major_weights_column_major(tmp_path):
+    archive = load_checkpoint(FIXTURES / "alsh_flat.ckpt.npz")
+    trainer, _ = resume(tmp_path, "alsh_flat", epochs=1)
+    for i, layer in enumerate(trainer.net.layers):
+        expected = archive.arrays[f"net.W{i}"]
+        assert expected.flags.c_contiguous and not expected.flags.f_contiguous
+        assert layer.W.flags.f_contiguous, i
+        np.testing.assert_array_equal(layer.W, expected)
+        np.testing.assert_array_equal(layer.b, archive.arrays[f"net.b{i}"])
 
 
 def test_missing_optimizer_slot_is_refused_clearly(tmp_path):

@@ -47,6 +47,19 @@ class TestDrift:
         w[:, 0] += 10.0  # mutate in place — tracker must not follow
         assert tracker.drift(w, np.array([0]))[0] > 0
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_snapshot_keeps_the_weights_layout(self, rng, order):
+        w = np.asarray(rng.normal(size=(4, 5)), order=order)
+        tracker = ColumnDriftTracker(w)
+        assert tracker.reference.flags[f"{order}_CONTIGUOUS"]
+        # A checkpoint may store either layout; the snapshot keeps its own.
+        other = "F" if order == "C" else "C"
+        restored = np.asarray(2.0 * w, order=other)
+        tracker.restore_reference(restored)
+        assert tracker.reference.flags[f"{order}_CONTIGUOUS"]
+        np.testing.assert_array_equal(tracker.reference, restored)
+        assert not np.shares_memory(tracker.reference, restored)
+
 
 class TestDrifted:
     def test_threshold_filters(self, rng):

@@ -15,6 +15,7 @@ These tests check, by central differences in float64:
 import numpy as np
 import pytest
 
+from repro.core.registry import make_trainer
 from repro.nn.activations import LogSoftmax
 from repro.nn.conv import Conv2D
 from repro.nn.losses import CrossEntropyLoss, MSELoss, NLLLoss
@@ -34,11 +35,14 @@ def numerical_gradient(f, param):
     """Central-difference gradient of scalar ``f()`` w.r.t. ``param``.
 
     ``param`` is perturbed in place element by element (the nets here are
-    tiny, so the O(size) function evaluations stay cheap).
+    tiny, so the O(size) function evaluations stay cheap), in either
+    memory layout: a trainer keeps ``W`` column-major, and a row-major
+    ``reshape(-1)`` of that would perturb a copy.
     """
     grad = np.zeros_like(param)
-    flat = param.reshape(-1)
-    gflat = grad.reshape(-1)
+    flat = param.reshape(-1, order="A")
+    gflat = grad.reshape(-1, order="A")
+    assert np.shares_memory(flat, param) and np.shares_memory(gflat, grad)
     for i in range(flat.size):
         original = flat[i]
         flat[i] = original + EPS
@@ -80,6 +84,24 @@ class TestMLPBackward:
         for layer, (g_w, _) in zip(net.layers, grads):
             num_w = numerical_gradient(lambda: net.loss(x, y), layer.W)
             assert relative_error(g_w, num_w) < TOL
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_network_converted_by_a_trainer(self, batch):
+        """A trainer's network holds ``W`` column-major; so do its grads."""
+        rng = np.random.default_rng(8)
+        net = MLP([6, 5, 4, 3], seed=2)
+        make_trainer("standard", net, seed=0)
+        x = rng.normal(size=(batch, 6))
+        y = rng.integers(0, 3, size=batch)
+
+        grads = net.backward(net.forward(x), y)
+        for layer, (g_w, g_b) in zip(net.layers, grads):
+            assert layer.W.flags.f_contiguous and not layer.W.flags.c_contiguous
+            assert g_w.flags.f_contiguous
+            num_w = numerical_gradient(lambda: net.loss(x, y), layer.W)
+            num_b = numerical_gradient(lambda: net.loss(x, y), layer.b)
+            assert relative_error(g_w, num_w) < TOL
+            assert relative_error(g_b, num_b) < TOL
 
 
 class TestLossGradients:

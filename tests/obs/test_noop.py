@@ -23,14 +23,20 @@ from .conftest import TRAINER_NAMES
 #: scale on norm overflow (the fixed-seed run's weight columns grow past
 #: the build-time max norm, so the bugfix legitimately changes the
 #: trajectory); the re-pin was validated by the relative checks below
-#: (null == traced == probed bytes) holding across the change.
+#: (null == traced == probed bytes) holding across the change.  The
+#: "standard", "adaptive_dropout", "alsh", "mc" and "topk" digests were
+#: re-pinned when trainers began keeping ``W`` column-major: the
+#: weight-gradient products and batch-1 GEMVs then sum in a different
+#: order, a last-bit change.  That re-pin was validated the same way,
+#: and every counter, gauge, final loss and accuracy of the golden
+#: traces stayed bitwise equal ("dropout" did not move at all).
 PRE_INSTRUMENTATION_DIGESTS = {
-    "standard": "3e6fa6b3a0fb00ee7e28c1d3853f307c24253500c6b1f514575e443b246e8b13",
+    "standard": "e68c2b45a429b4d4b76152b06daf45c3998269fdd84fc655503a02b380282ff2",
     "dropout": "9e02a9390fdfdc2841d3358223140294480e67e3e97fdbac06a4799a787e65c5",
-    "adaptive_dropout": "27fa5392491cd965ef86208f2befad4f5dbfcd79acdc7eae53baae4609ef7d16",
-    "alsh": "bfc3f01081cfac31175e0569e57b5bc55bb1256eaf60d620d7cd4143d0849b41",
-    "mc": "590e0810698e3b9e35a4d1a3455bacb4ceba8475de3fc80b20b50ed411f5959c",
-    "topk": "881f4a23cbd27ea32290f1091b1d6a8753fc84b35d12e807262f5628edecf3a1",
+    "adaptive_dropout": "bd1a48449458e4b930ecf450fc8cd81fad7ec3bf04f4d50ca54815b76fbaf39f",
+    "alsh": "393cf4fe00f70cc488172548ae6b99c7353e40afb30435a0f5dbdf1fbcd57333",
+    "mc": "af4662765e9e2c9856ca378bdf83e1459bf97a20c2948455ad00ddec9d3eae76",
+    "topk": "d198adc821bc9945cb75680274bcd9fee916e250fb9dd210d2fc93f1563bca53",
 }
 
 
