@@ -1,48 +1,30 @@
-"""Microbenchmark: reference vs fast compute backends.
+"""Backend suite of ``python -m repro bench``: reference vs fast backends.
 
 Times the dense and sampled GEMM kernels at the paper's shapes (the
 Table 2 minibatch, the 1000-wide hidden layers of Tables 3-4, and the
-MC column-row sampled product) on every built-in backend, checks the
-fast backend stays within its documented float32 tolerance of the
-reference result, and writes a ``BENCH_backend.json`` perf-trajectory
-file so later PRs can compare against this one.  Two shapes are the
-regression gate: the run fails under ``--check`` if ``fast`` does not
-beat ``reference`` by ``--min-speedup`` on the paper-scale dense GEMM
-and on the batched sampled GEMM.
-
-Runnable three ways:
-
-* ``python benchmarks/bench_backend.py [--quick]`` (CI uses
-  ``--quick --check``),
-* ``python -m repro backend-bench``,
-* programmatically via :func:`run_shapes`.
+MC column-row sampled product) on every built-in backend, best of
+``REPEATS`` after one warm-up call, and checks the fast backend stays
+within its documented float32 tolerance of the reference result.  The
+records go to ``BENCH_backend.json``.  Two shapes are the regression
+gate: it fails if ``fast`` does not beat ``reference`` by
+``--min-speedup`` (default ``MIN_SPEEDUP``) on the paper-scale dense
+GEMM and on the batched sampled GEMM.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
 from .fast import FAST_RTOL, FastBackend
 from .reference import ReferenceBackend
 
-__all__ = [
-    "default_shapes",
-    "shape_key",
-    "bench_shape",
-    "run_shapes",
-    "check_speedups",
-    "write_bench_json",
-    "add_arguments",
-    "run_cli",
-    "main",
-]
+HEADER = {"bench": "compute_backend"}
+MIN_SPEEDUP = 1.0
+REPEATS = 5  # timed calls per backend; the best one counts
+SEED = 0
 
 #: Absolute slack for the fast-vs-reference closeness check.  float32
 #: accumulation over a k=1000 inner dimension on unit-normal data keeps
@@ -51,7 +33,7 @@ __all__ = [
 _CHECK_ATOL = 1e-3
 
 
-def default_shapes(quick: bool = False) -> List[Dict]:
+def configs(quick: bool) -> List[Dict]:
     """The benchmark shapes: a quick CI slice or the full sweep.
 
     Both include the two gated shapes — the paper-scale dense GEMM
@@ -112,18 +94,18 @@ def _make_call(shape: Dict, rng: np.random.Generator):
     raise ValueError(f"unknown shape kind {shape['kind']!r}")
 
 
-def _best_of(call, backend, repeats: int) -> float:
-    """Minimum wall-clock over ``repeats`` calls (one warm-up first)."""
+def _best_of(call, backend) -> float:
+    """Minimum wall-clock over ``REPEATS`` calls (one warm-up first)."""
     call(backend)  # warm up scratch buffers and BLAS threads
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         call(backend)
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def bench_shape(shape: Dict, repeats: int = 5, seed: int = 0) -> Dict:
+def bench_shape(shape: Dict) -> Dict:
     """Time one shape on every built-in backend and compute speedups.
 
     Operands are derived from a per-shape :class:`~numpy.random.
@@ -131,14 +113,14 @@ def bench_shape(shape: Dict, repeats: int = 5, seed: int = 0) -> Dict:
     sweep order.
     """
     ss = np.random.SeedSequence(
-        [seed, shape["m"], shape["k"], shape["n"], shape.get("keep", 0)]
+        [SEED, shape["m"], shape["k"], shape["n"], shape.get("keep", 0)]
     )
     call = _make_call(shape, np.random.default_rng(ss))
     backends = {"reference": ReferenceBackend(), "fast": FastBackend()}
     record: Dict = dict(shape)
     outputs = {}
     for name, backend in backends.items():
-        record[name] = _best_of(call, backend, repeats)
+        record[name] = _best_of(call, backend)
         outputs[name] = call(backend)
     record["speedup"] = {
         "fast": record["reference"] / max(record["fast"], 1e-12)
@@ -150,29 +132,23 @@ def bench_shape(shape: Dict, repeats: int = 5, seed: int = 0) -> Dict:
     return record
 
 
-def run_shapes(
-    shapes: Sequence[Dict],
-    repeats: int = 5,
-    seed: int = 0,
-    verbose: bool = True,
-) -> List[Dict]:
-    """Benchmark every shape; returns one record per shape."""
-    records = []
-    for i, shape in enumerate(shapes):
-        record = bench_shape(shape, repeats=repeats, seed=seed)
-        records.append(record)
-        if verbose:
-            print(
-                f"  [{i + 1}/{len(shapes)}] {shape_key(shape)}: "
-                f"ref {record['reference'] * 1e3:.3f}ms, "
-                f"fast {record['speedup']['fast']:.2f}x"
-                f"{' [gate]' if shape.get('gate') else ''}"
-                f"{'' if record['fast_close'] else ' (fast DIVERGES)'}"
-            )
-    return records
+def run(shapes: Sequence[Dict]) -> Iterator[Dict]:
+    """Benchmark every shape; yields one record per shape."""
+    for shape in shapes:
+        yield bench_shape(shape)
 
 
-def check_speedups(records: Sequence[Dict], min_speedup: float = 1.0) -> List[str]:
+def summary(record: Dict) -> str:
+    return (
+        f"{shape_key(record)}: ref {record['reference'] * 1e3:.3f}ms, "
+        f"fast {record['speedup']['fast']:.2f}x"
+        f"{'' if record['fast_close'] else ' (fast DIVERGES)'}"
+    )
+
+
+def gate(
+    records: Sequence[Dict], quick: bool, min_speedup: float = MIN_SPEEDUP
+) -> List[str]:
     """Regression gate: failures at the gated paper shapes.
 
     Every record's fast output must be within the documented float32
@@ -192,60 +168,3 @@ def check_speedups(records: Sequence[Dict], min_speedup: float = 1.0) -> List[st
                 f"(need >= {min_speedup:.2f}x)"
             )
     return failures
-
-
-def write_bench_json(records: Sequence[Dict], path, quick: bool = False) -> Path:
-    """Write the perf-trajectory file consumed by later PRs' benches."""
-    path = Path(path)
-    payload = {
-        "bench": "compute_backend",
-        "quick": bool(quick),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "records": list(records),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """CLI flags shared by the script and the ``backend-bench`` subcommand."""
-    parser.add_argument("--quick", action="store_true",
-                        help="gated shapes only, for CI (seconds)")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timing repeats per backend (best-of)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_backend.json",
-                        help="perf-trajectory JSON output path")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero if fast loses at a gated shape")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="required fast/reference ratio at gated shapes")
-
-
-def run_cli(args: argparse.Namespace) -> int:
-    """Run the shapes per parsed args; returns the process exit code."""
-    shapes = default_shapes(quick=args.quick)
-    print(
-        f"backend-bench: {len(shapes)} shapes "
-        f"({'quick' if args.quick else 'full'} sweep), "
-        f"best-of-{args.repeats} timings"
-    )
-    records = run_shapes(shapes, repeats=args.repeats, seed=args.seed)
-    out = write_bench_json(records, args.out, quick=args.quick)
-    print(f"wrote {out}")
-    failures = check_speedups(records, min_speedup=args.min_speedup)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if args.check and failures:
-        return 1
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``benchmarks/bench_backend.py``)."""
-    parser = argparse.ArgumentParser(
-        description="reference vs fast compute backend microbenchmark"
-    )
-    add_arguments(parser)
-    return run_cli(parser.parse_args(argv))

@@ -19,28 +19,23 @@ Commands
     Print the analytical per-step FLOP table for an architecture.
 ``datasets``
     List the available benchmarks and their paper split sizes.
-``backend-bench``
-    Benchmark the reference vs fast compute backends on the
-    paper's dense and sampled GEMM shapes and write the
-    ``BENCH_backend.json`` perf-trajectory file (``--quick``,
-    ``--check``).
+``bench``
+    Run one gated perf suite and write its ``BENCH_<suite>.json``
+    perf-trajectory file: ``backend`` (reference vs fast compute
+    backends at the paper's GEMM shapes), ``serve`` (micro-batched vs
+    batch-1 serving, exact vs ALSH head), ``stream`` (drift-triggered
+    vs count-based rebuilds on a drifting stream) or ``obs``
+    (telemetry overhead); ``--quick``, ``--check``, ``--store``,
+    ``--min-speedup``.
 ``serve``
     Fire a request stream through the micro-batched inference server
     (``--topk`` answers through the ALSH head, ``--smoke`` runs the CI
     serve smoke: nominal load sheds nothing, overload sheds and counts).
-``serve-bench``
-    Benchmark micro-batched vs batch-1 serving with the exact and ALSH
-    heads at the paper shape and write the ``BENCH_serve.json``
-    perf-trajectory file (``--quick``, ``--check``, ``--store``).
 ``stream``
     Train continually on an infinite drifting stream with drift-triggered
     ALSH rebuilds, gauge-driven compaction and continuous checkpointing
     (``--smoke`` runs the CI stream smoke: a killed-and-resumed session
     must be bitwise identical to an uninterrupted one).
-``stream-bench``
-    Benchmark the drift-triggered vs fixed count-based rebuild policies
-    on a drifting stream and write the ``BENCH_stream.json``
-    perf-trajectory file (``--quick``, ``--check``, ``--store``).
 ``trace-report``
     Train one configuration with the observability recorder attached and
     print the span tree, the counter catalogue rollup and the measured
@@ -82,6 +77,8 @@ from .backend import available_backends
 from .data.benchmarks import BENCHMARKS, benchmark_names
 from .harness.config import ExperimentConfig
 from .harness.experiment import run_experiment
+from .harness.bench import add_arguments as _add_bench_arguments
+from .harness.bench import run_cli as _cmd_bench
 from .harness.flops import flops_table
 from .harness.reporting import format_table, render_confusion
 from .theory.error_propagation import depth_at_error_ratio, error_ratio_table
@@ -272,12 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluate against a live exporter's base URL "
                              "(fetches <url>/metrics.json)")
 
-    from .backend import bench as backend_bench
-
-    bb = sub.add_parser(
-        "backend-bench", help="benchmark reference vs fast backends"
-    )
-    backend_bench.add_arguments(bb)
+    _add_bench_arguments(sub.add_parser(
+        "bench", help="run a gated perf suite and write BENCH_<suite>.json"
+    ))
 
     serve = sub.add_parser(
         "serve", help="fire requests through the micro-batched inference server"
@@ -311,14 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --metrics-port: evaluate this SLO spec "
                             "per scrape and expose live slo.burn.* gauges")
 
-    from .serve import bench as serve_bench
-
-    sb = sub.add_parser(
-        "serve-bench",
-        help="benchmark micro-batched vs batch-1 serving, exact vs ALSH head",
-    )
-    serve_bench.add_arguments(sb)
-
     stream = sub.add_parser(
         "stream", help="train continually on an infinite drifting stream"
     )
@@ -349,15 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--store", default=None, metavar="PATH",
                         help="append the stream trace snapshot to this "
                              "JSONL file when the run finishes")
-
-    from .stream import bench as stream_bench
-
-    stb = sub.add_parser(
-        "stream-bench",
-        help="benchmark drift-triggered vs count-based rebuilds on a "
-             "drifting stream",
-    )
-    stream_bench.add_arguments(stb)
     return parser
 
 
@@ -822,12 +799,6 @@ def _cmd_datasets(args) -> int:
     return 0
 
 
-def _cmd_backend_bench(args) -> int:
-    from .backend import bench as backend_bench
-
-    return backend_bench.run_cli(args)
-
-
 def _cmd_serve(args) -> int:
     import time
 
@@ -916,12 +887,6 @@ def _cmd_serve(args) -> int:
         print(f"latency p50 {stats['latency_p50'] * 1e3:.2f}ms, "
               f"p99 {stats['latency_p99'] * 1e3:.2f}ms")
     return 0 if outcome["failed"] == 0 else 1
-
-
-def _cmd_serve_bench(args) -> int:
-    from .serve import bench as serve_bench
-
-    return serve_bench.run_cli(args)
 
 
 def _cmd_stream(args) -> int:
@@ -1017,12 +982,6 @@ def _cmd_slo_check(args) -> int:
     return 1 if any(not r.ok for r in results) else 0
 
 
-def _cmd_stream_bench(args) -> int:
-    from .stream import bench as stream_bench
-
-    return stream_bench.run_cli(args)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1033,11 +992,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "theory": _cmd_theory,
         "flops": _cmd_flops,
         "datasets": _cmd_datasets,
-        "backend-bench": _cmd_backend_bench,
+        "bench": _cmd_bench,
         "serve": _cmd_serve,
-        "serve-bench": _cmd_serve_bench,
         "stream": _cmd_stream,
-        "stream-bench": _cmd_stream_bench,
         "trace-report": _cmd_trace_report,
         "report": _cmd_report,
         "monitor": _cmd_monitor,

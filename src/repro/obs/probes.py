@@ -73,8 +73,8 @@ __all__ = [
 ]
 
 #: default cadence — probe once every N batches.  Chosen so the default
-#: configuration stays under the ≤5 % overhead gate in
-#: ``benchmarks/bench_obs_overhead.py`` at paper-shape networks.
+#: configuration stays under the ≤5 % overhead gate of
+#: ``python -m repro bench obs`` at paper-shape networks.
 DEFAULT_PROBE_EVERY = 50
 
 #: default per-invocation wall-clock budget (seconds).  ``None`` in

@@ -16,8 +16,8 @@ serves the checkpoints the trainers produce:
   LRU-evicted by the :mod:`repro.memsim` cache model.
 * :mod:`~repro.serve.server` — the :class:`InferenceServer`
   composition, plus the CI smoke.
-* :mod:`~repro.serve.bench` — qps / tail-latency benchmark behind
-  ``python -m repro serve-bench`` and ``BENCH_serve.json``.
+* :mod:`~repro.serve.bench` — the qps / tail-latency suite behind
+  ``python -m repro bench serve`` and ``BENCH_serve.json``.
 
 Everything reports through :mod:`repro.obs` (queue-depth gauge,
 batch-size series, shed counters, p50/p99 latency gauges, head recall

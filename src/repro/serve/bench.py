@@ -1,51 +1,32 @@
-"""Serving benchmark: sustained qps and tail latency at the paper shape.
+"""Serve suite of ``python -m repro bench``: qps and tail latency at the paper shape.
 
 Four configurations on one seeded paper-shape model (784 in, three
 1000-wide hidden layers, a wide prototype output layer): exact vs ALSH
 top-k head, each served batch-1 and micro-batched.  Every configuration
 fires the same request stream through a live :class:`~repro.serve.
-server.InferenceServer` from a windowed client loop and records
-sustained queries/sec, p50/p99 latency, mean batch size — and for the
-ALSH head, recall@k against brute-force MIPS.
+server.InferenceServer` from a windowed client loop, timed once, and
+records sustained queries/sec, p50/p99 latency, mean batch size — and
+for the ALSH head, recall@k against brute-force MIPS.
 
-``BENCH_serve.json`` is the perf-trajectory file; under ``--check`` the
-run fails when micro-batching does not beat batch-1 serving by
-``--min-speedup`` for either head (CI passes a slack factor so noisy
-runners only fail on real regressions) or when the ALSH head's recall
-drops below ``--min-recall``.  ``--store`` appends the merged
-observability snapshot as a trace record, so ``python -m repro report``
-renders the serving section from real bench traffic.
-
-Runnable three ways: ``python benchmarks/bench_serve.py``,
-``python -m repro serve-bench``, or :func:`run_configs`.
+The records go to ``BENCH_serve.json``.  The gate fails when
+micro-batching does not beat batch-1 serving by ``--min-speedup``
+(default ``MIN_SPEEDUP``; CI passes a slack factor so noisy runners
+only fail on real regressions) for either head, when the ALSH head's
+recall drops below ``MIN_RECALL``, or when a request is shed or fails.
+Each record carries its obs snapshot, so ``--store`` lets ``python -m
+repro report`` render the serving section from real bench traffic.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
-from ..obs import InMemoryRecorder, merge_snapshots
+from ..obs import InMemoryRecorder
 from .head import head_recall
 from .server import InferenceServer, _fire, seeded_servable
-
-__all__ = [
-    "default_configs",
-    "config_key",
-    "bench_config",
-    "run_configs",
-    "check_records",
-    "write_bench_json",
-    "add_arguments",
-    "run_cli",
-    "main",
-]
 
 #: paper-shape model served by every configuration: the paper trunk
 #: (three 1000-wide hidden layers) into a narrow embedding and a wide
@@ -62,14 +43,21 @@ MODEL_SHAPE = {
 
 MICRO_BATCH = 32
 
+HEADER = {"model": dict(MODEL_SHAPE)}
+TRACE_KEY = "serve-bench"
+MIN_SPEEDUP = 2.0
+MIN_RECALL = 0.9  # ALSH head recall@k floor
+K = 10  # top-k answer size for both heads
+SEED = 0
 
-def default_configs(quick: bool = False) -> List[Dict]:
+
+def configs(quick: bool) -> List[Dict]:
     """The four benchmark configurations; ``quick`` shrinks the stream."""
     requests = 400 if quick else 1600
-    configs = []
+    grid = []
     for head in ("exact", "alsh"):
         for batching in ("batch1", "micro"):
-            configs.append({
+            grid.append({
                 "head": head,
                 "batching": batching,
                 "requests": requests,
@@ -77,26 +65,20 @@ def default_configs(quick: bool = False) -> List[Dict]:
                 # The micro/batch1 qps ratio per head is the gate.
                 "gate": batching == "micro",
             })
-    return configs
+    return grid
 
 
 def config_key(config: Dict) -> str:
     return f"serve-bench:{config['head']}:{config['batching']}"
 
 
-def bench_config(
-    config: Dict,
-    model,
-    xs: np.ndarray,
-    k: int = 10,
-    window: int = 128,
-) -> Dict:
+def bench_config(config: Dict, model, xs: np.ndarray, window: int = 128) -> Dict:
     """Serve the request stream under one configuration; returns a record."""
     recorder = InMemoryRecorder()
     server = InferenceServer(
         model,
         mode="topk",
-        k=k,
+        k=K,
         exact=config["head"] == "exact",
         max_batch=config["max_batch"],
         max_wait=0.002,
@@ -111,7 +93,7 @@ def bench_config(
     snapshot = recorder.snapshot()
     record = dict(config)
     record.update({
-        "k": k,
+        "k": K,
         "served": outcome["ok"],
         "shed": outcome["shed"],
         "failed": outcome["failed"],
@@ -123,48 +105,37 @@ def bench_config(
     })
     if config["head"] == "alsh":
         sample = model.trunk_forward(xs[: min(64, len(xs))])
-        record["recall_at_k"] = head_recall(server.head, sample, k)
+        record["recall_at_k"] = head_recall(server.head, sample, K)
     record["_snapshot"] = snapshot
     return record
 
 
-def run_configs(
-    configs: Sequence[Dict],
-    seed: int = 0,
-    k: int = 10,
-    verbose: bool = True,
-) -> List[Dict]:
+def run(configs: Sequence[Dict]) -> Iterator[Dict]:
     """Benchmark every configuration on one shared model and stream."""
-    model = seeded_servable(seed=seed, name="serve-bench", **MODEL_SHAPE)
-    rng = np.random.default_rng(seed + 1)
+    model = seeded_servable(seed=SEED, name="serve-bench", **MODEL_SHAPE)
+    rng = np.random.default_rng(SEED + 1)
     # One request stream shared by every configuration, so qps ratios
     # and the two ALSH recall figures compare like for like.
     n_requests = max(c["requests"] for c in configs)
     stream = rng.normal(size=(n_requests, MODEL_SHAPE["input_dim"]))
-    records = []
-    for i, config in enumerate(configs):
-        xs = stream[: config["requests"]]
-        record = bench_config(config, model, xs, k=k)
-        records.append(record)
-        if verbose:
-            recall = (
-                f", recall@{k} {record['recall_at_k']:.3f}"
-                if "recall_at_k" in record else ""
-            )
-            print(
-                f"  [{i + 1}/{len(configs)}] {config_key(config)}: "
-                f"{record['qps']:.0f} qps, "
-                f"p99 {record['latency_p99_ms']:.2f}ms, "
-                f"{record['batches']} batches{recall}"
-                f"{' [gate]' if config.get('gate') else ''}"
-            )
-    return records
+    for config in configs:
+        yield bench_config(config, model, stream[: config["requests"]])
 
 
-def check_records(
-    records: Sequence[Dict],
-    min_speedup: float = 2.0,
-    min_recall: float = 0.9,
+def summary(record: Dict) -> str:
+    recall = (
+        f", recall@{record['k']} {record['recall_at_k']:.3f}"
+        if "recall_at_k" in record else ""
+    )
+    return (
+        f"{config_key(record)}: {record['qps']:.0f} qps, "
+        f"p99 {record['latency_p99_ms']:.2f}ms, "
+        f"{record['batches']} batches{recall}"
+    )
+
+
+def gate(
+    records: Sequence[Dict], quick: bool, min_speedup: float = MIN_SPEEDUP
 ) -> List[str]:
     """Regression gate: micro-batching qps ratio and ALSH head recall."""
     failures = []
@@ -182,10 +153,10 @@ def check_records(
             )
     for record in records:
         recall = record.get("recall_at_k")
-        if recall is not None and recall < min_recall:
+        if recall is not None and recall < MIN_RECALL:
             failures.append(
                 f"{config_key(record)}: recall@{record['k']} {recall:.3f} "
-                f"below {min_recall:.2f}"
+                f"below {MIN_RECALL:.2f}"
             )
         if record.get("shed") or record.get("failed"):
             failures.append(
@@ -193,80 +164,3 @@ def check_records(
                 f"{record['failed']} failed under nominal bench load"
             )
     return failures
-
-
-def write_bench_json(records: Sequence[Dict], path, quick: bool = False) -> Path:
-    """Write the perf-trajectory file (snapshots stripped)."""
-    path = Path(path)
-    payload = {
-        "bench": "serve",
-        "quick": bool(quick),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "numpy": np.__version__,
-        "model": dict(MODEL_SHAPE),
-        "records": [
-            {k: v for k, v in record.items() if not k.startswith("_")}
-            for record in records
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """CLI flags shared by the script and the ``serve-bench`` subcommand."""
-    parser.add_argument("--quick", action="store_true",
-                        help="short request streams, for CI (seconds)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--k", type=int, default=10,
-                        help="top-k answer size for both heads")
-    parser.add_argument("--out", default="BENCH_serve.json",
-                        help="perf-trajectory JSON output path")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero on a gate failure")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required micro/batch1 qps ratio per head")
-    parser.add_argument("--min-recall", type=float, default=0.9,
-                        help="required ALSH head recall@k")
-    parser.add_argument("--store", default=None,
-                        help="append the merged obs snapshot as a trace "
-                             "record to this JSONL (for `repro report`)")
-
-
-def run_cli(args: argparse.Namespace) -> int:
-    """Run the configurations per parsed args; returns the exit code."""
-    configs = default_configs(quick=args.quick)
-    print(
-        f"serve-bench: {len(configs)} configurations at the paper shape "
-        f"({'quick' if args.quick else 'full'} streams, "
-        f"micro-batch {MICRO_BATCH})"
-    )
-    records = run_configs(configs, seed=args.seed, k=args.k)
-    if args.store:
-        from ..obs import trace_record, write_trace
-
-        merged = merge_snapshots([r["_snapshot"] for r in records])
-        write_trace(
-            args.store,
-            trace_record(merged, label="serve-bench", key="serve-bench"),
-        )
-        print(f"trace appended to {args.store}")
-    out = write_bench_json(records, args.out, quick=args.quick)
-    print(f"wrote {out}")
-    failures = check_records(
-        records, min_speedup=args.min_speedup, min_recall=args.min_recall
-    )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if args.check and failures:
-        return 1
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``benchmarks/bench_serve.py``)."""
-    parser = argparse.ArgumentParser(
-        description="micro-batched LSH serving benchmark at the paper shape"
-    )
-    add_arguments(parser)
-    return run_cli(parser.parse_args(argv))

@@ -1,10 +1,10 @@
-"""CLI surface of the backend layer: --backend flags and backend-bench."""
+"""CLI surface of the backend layer: --backend flags and the backend bench."""
 
 import json
 
 import pytest
 
-from repro.backend.bench import check_speedups, default_shapes, shape_key
+from repro.backend.bench import configs, gate, shape_key
 from repro.cli import main
 
 
@@ -54,9 +54,7 @@ def test_run_rejects_unknown_backend(capsys):
 
 def test_backend_bench_quick_writes_trajectory(tmp_path, capsys):
     out = tmp_path / "BENCH_backend.json"
-    rc = main(
-        ["backend-bench", "--quick", "--repeats", "1", "--out", str(out)]
-    )
+    rc = main(["bench", "backend", "--quick", "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["bench"] == "compute_backend"
@@ -69,7 +67,7 @@ def test_backend_bench_quick_writes_trajectory(tmp_path, capsys):
 
 
 def test_bench_gate_flags_slow_fast_backend():
-    record = dict(default_shapes(quick=True)[0])
+    record = dict(configs(quick=True)[0])
     record.update(
         {
             "reference": 1.0,
@@ -78,12 +76,12 @@ def test_bench_gate_flags_slow_fast_backend():
             "fast_close": True,
         }
     )
-    failures = check_speedups([record], min_speedup=1.0)
+    failures = gate([record], quick=True, min_speedup=1.0)
     assert len(failures) == 1
     assert shape_key(record) in failures[0]
     # An ungated shape may lose without failing the gate.
     record["gate"] = False
-    assert check_speedups([record], min_speedup=1.0) == []
+    assert gate([record], quick=True, min_speedup=1.0) == []
     # Divergence fails regardless of gating.
     record["fast_close"] = False
-    assert any("tolerance" in f for f in check_speedups([record]))
+    assert any("tolerance" in f for f in gate([record], quick=True))

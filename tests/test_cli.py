@@ -251,9 +251,12 @@ class TestServeCommand:
         assert "(mlp), mode logproba" in capsys.readouterr().out
 
     def test_serve_bench_parser(self):
-        args = build_parser().parse_args(["serve-bench", "--quick", "--check"])
-        assert args.quick and args.check
-        assert args.min_speedup == 2.0
+        from repro.serve import bench as serve_bench
+
+        args = build_parser().parse_args(["bench", "serve", "--quick", "--check"])
+        assert args.suite == "serve" and args.quick and args.check
+        assert args.min_speedup is None
+        assert serve_bench.MIN_SPEEDUP == 2.0
 
 
 class TestStreamCommand:
@@ -280,7 +283,9 @@ class TestStreamCommand:
         assert "stream: 20 batches (10 this session" in out
 
     def test_stream_bench_parser(self):
-        args = build_parser().parse_args(["stream-bench", "--quick", "--check"])
-        assert args.quick and args.check
-        assert args.min_throughput_ratio == 0.8
-        assert args.min_recall == 0.4
+        from repro.stream import bench as stream_bench
+
+        args = build_parser().parse_args(["bench", "stream", "--quick", "--check"])
+        assert args.suite == "stream" and args.quick and args.check
+        assert stream_bench.MIN_THROUGHPUT_RATIO == 0.8
+        assert stream_bench.MIN_RECALL == 0.4
