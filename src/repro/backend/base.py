@@ -5,16 +5,14 @@ Every hot matrix product in the repository — the dense layer products in
 the scaled sampled-GEMM of the MC trainer, the column-subset products of
 the ALSH/top-k/dropout trainers and the fused LSH hashers — routes
 through one of the kernels declared here.  A backend is an object with
-these methods; :mod:`repro.backend` dispatches between registered
-implementations (``reference``, ``fast``).
+these methods; :mod:`repro.backend` dispatches to the active one
+(``reference`` unless a wrapper is in scope).
 
 :class:`ComputeBackend` is both the interface and the canonical
 implementation: every method body below is the plain NumPy expression
 for its product, and the no-op digest tests pin its float64 results.
-Subclasses override individual kernels and must either preserve bitwise
-equality (the ``reference`` backend, and ``fast`` at
-``precision="float64"``) or document their tolerance (``fast`` at
-float32, see :data:`repro.backend.fast.FAST_RTOL`).
+Subclasses override individual kernels and must preserve bitwise
+equality, as the ``reference`` backend does.
 
 Conventions
 -----------

@@ -21,12 +21,10 @@ Commands
     List the available benchmarks and their paper split sizes.
 ``bench``
     Run one gated perf suite and write its ``BENCH_<suite>.json``
-    perf-trajectory file: ``backend`` (reference vs fast compute
-    backends at the paper's GEMM shapes), ``serve`` (micro-batched vs
-    batch-1 serving, exact vs ALSH head), ``stream`` (drift-triggered
-    vs count-based rebuilds on a drifting stream) or ``obs``
-    (telemetry overhead); ``--quick``, ``--check``, ``--store``,
-    ``--min-speedup``.
+    perf-trajectory file: ``serve`` (micro-batched vs batch-1 serving,
+    exact vs ALSH head), ``stream`` (drift-triggered vs count-based
+    rebuilds on a drifting stream) or ``obs`` (telemetry overhead);
+    ``--quick``, ``--check``, ``--store``, ``--min-speedup``.
 ``serve``
     Fire a request stream through the micro-batched inference server
     (``--topk`` answers through the ALSH head, ``--smoke`` runs the CI
@@ -73,7 +71,6 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .backend import available_backends
 from .data.benchmarks import BENCHMARKS, benchmark_names
 from .harness.config import ExperimentConfig
 from .harness.experiment import run_experiment
@@ -106,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lr", type=float, default=1e-3)
     run.add_argument("--optimizer", default="sgd")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--backend", default=None, choices=available_backends(),
-                     help="compute backend for the trainer's GEMM kernels "
-                          "(default: $REPRO_BACKEND or reference)")
     run.add_argument("--paper-defaults", action="store_true",
                      help="apply the §8.4 method defaults before overrides")
     run.add_argument("--store", help="append the result to this JSONL file")
@@ -152,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lr", type=float, default=1e-3)
     sweep.add_argument("--optimizer", default="sgd")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--backend", default=None, choices=available_backends(),
-                       help="compute backend for every task (recorded in "
-                            "each JSONL task record)")
     sweep.add_argument("--paper-defaults", action="store_true",
                        help="apply the §8.4 method defaults per grid point")
     sweep.add_argument("--workers", type=int, default=1,
@@ -215,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--lr", type=float, default=1e-3)
     trace.add_argument("--optimizer", default="sgd")
     trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--backend", default=None, choices=available_backends(),
-                       help="compute backend to trace (per-kernel timings "
-                           "and FLOPs land in the report)")
     trace.add_argument("--paper-defaults", action="store_true",
                        help="apply the §8.4 method defaults before overrides")
     trace.add_argument("--store",
@@ -349,7 +337,6 @@ def _cmd_run(args) -> int:
             hidden_width=args.hidden_width,
             epochs=args.epochs,
             seed=args.seed,
-            backend=args.backend,
         )
     else:
         cfg = ExperimentConfig(
@@ -363,7 +350,6 @@ def _cmd_run(args) -> int:
             lr=args.lr,
             optimizer=args.optimizer,
             seed=args.seed,
-            backend=args.backend,
         )
     result = run_experiment(
         cfg,
@@ -388,12 +374,9 @@ def _cmd_run(args) -> int:
 
         data = load_benchmark(cfg.dataset, scale=cfg.data_scale, seed=cfg.seed)
         net = build_network(cfg, data)
-        extra = dict(cfg.method_kwargs)
-        if cfg.backend is not None:
-            extra["compute_backend"] = cfg.backend
         trainer = make_trainer(
             cfg.method, net, lr=cfg.lr, optimizer=cfg.optimizer,
-            seed=cfg.seed, **extra,
+            seed=cfg.seed, **cfg.method_kwargs,
         )
         trainer.fit(data.x_train, data.y_train, epochs=cfg.epochs,
                     batch_size=cfg.batch_size)
@@ -519,7 +502,6 @@ def _cmd_trace_report(args) -> int:
             hidden_width=args.hidden_width,
             epochs=args.epochs,
             seed=args.seed,
-            backend=args.backend,
         )
     else:
         cfg = ExperimentConfig(
@@ -533,7 +515,6 @@ def _cmd_trace_report(args) -> int:
             lr=args.lr,
             optimizer=args.optimizer,
             seed=args.seed,
-            backend=args.backend,
         )
     data = load_benchmark(cfg.dataset, scale=cfg.data_scale, seed=cfg.seed)
     recorder = InMemoryRecorder()
@@ -654,7 +635,6 @@ def _cmd_sweep(args) -> int:
         lr=args.lr,
         optimizer=args.optimizer,
         seed=args.seed,
-        backend=args.backend,
     )
     sweep = Sweep(
         base,

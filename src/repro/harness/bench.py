@@ -36,7 +36,6 @@ __all__ = ["SUITES", "add_arguments", "run_cli"]
 
 #: suite name -> module, imported only when that suite runs.
 SUITES = {
-    "backend": "repro.backend.bench",
     "serve": "repro.serve.bench",
     "stream": "repro.stream.bench",
     "obs": "repro.harness.obs_bench",
@@ -120,8 +119,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="append the merged obs snapshot as a trace "
                              "record to this JSONL (serve, stream)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="speedup the gate requires (default: backend "
-                             "1.0, serve 2.0)")
+                        help="speedup the gate requires (default: serve 2.0)")
 
 
 def run_cli(args: argparse.Namespace) -> int:

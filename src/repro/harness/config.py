@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["ExperimentConfig"]
 
@@ -22,11 +22,6 @@ class ExperimentConfig:
 
     ``method_kwargs`` are forwarded to the trainer constructor (beyond
     ``lr``/``optimizer``/``seed``, which have their own fields).
-
-    ``backend`` selects the compute backend for the run (``None`` uses
-    the process default, see :mod:`repro.backend`); it is part of the
-    config identity and of every serialised result record, so
-    mixed-backend sweeps stay distinguishable on resume.
     """
 
     method: str = "standard"
@@ -39,7 +34,6 @@ class ExperimentConfig:
     lr: float = 1e-3
     optimizer: str = "sgd"
     seed: int = 0
-    backend: Optional[str] = None
     method_kwargs: Dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -75,6 +69,9 @@ class ExperimentConfig:
         result back to its configuration, so resume works across runs.
         """
         payload = asdict(self)
+        # The removed ``backend`` field stays in the key, so stored sweep
+        # records and checkpoint tags written before its removal still match.
+        payload["backend"] = None
         payload["method_kwargs"] = sorted(payload["method_kwargs"].items())
         return repr(sorted(payload.items()))
 

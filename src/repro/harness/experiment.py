@@ -111,9 +111,6 @@ def run_experiment(
     if dataset is None:
         dataset = load_benchmark(config.dataset, scale=config.data_scale, seed=config.seed)
     net = build_network(config, dataset)
-    trainer_kwargs = dict(config.method_kwargs)
-    if config.backend is not None:
-        trainer_kwargs["compute_backend"] = config.backend
     trainer = make_trainer(
         config.method,
         net,
@@ -121,7 +118,7 @@ def run_experiment(
         optimizer=config.optimizer,
         seed=config.seed,
         recorder=recorder,
-        **trainer_kwargs,
+        **config.method_kwargs,
     )
     if probe_every is not None:
         from ..obs.probes import ProbeManager, default_probes

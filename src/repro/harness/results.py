@@ -42,8 +42,18 @@ def result_to_dict(result: ExperimentResult) -> dict:
 
 
 def result_from_dict(payload: dict) -> ExperimentResult:
-    """Inverse of :func:`result_to_dict`."""
-    config = ExperimentConfig(**payload["config"])
+    """Inverse of :func:`result_to_dict`.
+
+    Records written before the ``backend`` config field was removed load
+    when it is ``null`` or ``"reference"``; any other backend is refused.
+    """
+    fields = dict(payload["config"])
+    backend = fields.pop("backend", None)
+    if backend not in (None, "reference"):
+        raise ValueError(
+            f"stored result ran on the removed {backend!r} compute backend"
+        )
+    config = ExperimentConfig(**fields)
     history = History(
         method=payload["history"]["method"],
         epochs=[EpochStats(**e) for e in payload["history"]["epochs"]],

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend import (
-    FastBackend,
-    InstrumentedBackend,
-    ReferenceBackend,
-)
+from repro.backend import InstrumentedBackend, ReferenceBackend, get_backend
 from repro.core import make_trainer
 from repro.nn.network import MLP
 from repro.obs import InMemoryRecorder
@@ -69,15 +65,15 @@ def test_traced_run_attributes_backend_and_kernels(tiny_dataset):
     recorder = InMemoryRecorder()
     net = MLP([64, 32, 32, 3], seed=123)
     trainer = make_trainer(
-        "mc", net, seed=123, recorder=recorder, compute_backend="fast"
+        "mc", net, seed=123, recorder=recorder, compute_backend="reference"
     )
     trainer.fit(
         tiny_dataset.x_train, tiny_dataset.y_train, epochs=1, batch_size=20
     )
     snap = recorder.snapshot()
-    assert snap["counters"][BACKEND_USED_PREFIX + "fast"] == 1
+    assert snap["counters"][BACKEND_USED_PREFIX + "reference"] == 1
     assert snap["counters"][KERNEL_FLOPS_PREFIX + "sampled_matmul"] > 0
     assert any(k.startswith("kernel.") for k in snap["timings"])
-    # The trainer pinned an instrumented wrapper around the fast backend.
+    # The trainer pinned an instrumented wrapper around the named backend.
     assert isinstance(trainer.compute_backend, InstrumentedBackend)
-    assert isinstance(trainer.compute_backend.inner, FastBackend)
+    assert trainer.compute_backend.inner is get_backend("reference")

@@ -2,7 +2,7 @@
 
 Each gate table starts from a clean synthetic record set that passes,
 then breaks one condition per case and expects exactly that failure,
-limit included.  The backend gate's test lives with the backend tests.
+limit included.
 """
 
 import json
@@ -154,12 +154,20 @@ def test_harness_writes_gates_and_stores(stub_suite, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["bench", "backend", "--store"], ["bench", "obs", "--store"],
-    ["bench", "stream", "--min-speedup"], ["bench", "obs", "--min-speedup"],
+    ["bench", "obs", "--store"], ["bench", "stream", "--min-speedup"],
+    ["bench", "obs", "--min-speedup"],
 ])
 def test_suite_refuses_a_flag_it_cannot_use(argv, tmp_path, capsys):
     value = str(tmp_path / "trace.jsonl") if argv[-1] == "--store" else "1.5"
     assert main(argv + [value, "--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{argv[-1]} does not apply" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_removed_backend_suite_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "backend", "--out", str(tmp_path / "out.json")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'backend'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
