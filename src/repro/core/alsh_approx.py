@@ -370,11 +370,11 @@ class ALSHApproxTrainer(Trainer):
                 cand = active_sets[i]
                 delta_c = da[cand] * act.derivative(z_actives[i])
                 g_w_cols = backend.grad_cols(acts[i], delta_c)
+                if i > 0:
+                    da = backend.backprop_cols(delta_c, layers[i].W, cand)
                 self._update(("W", i), layers[i].W, g_w_cols, index=cand)
                 self._update(("b", i), layers[i].b, delta_c, index=cand)
                 self._touched[i].update(cand.tolist())
-                if i > 0:
-                    da = backend.backprop_cols(delta_c, layers[i].W, cand)
             if self.rebuild.record(1):
                 self._refresh_tables()
         if self.obs.enabled:

@@ -118,10 +118,10 @@ class TopKApproxTrainer(Trainer):
                 cand = active_sets[i]
                 delta_c = da[cand] * act.derivative(z_actives[i])
                 g_w_cols = backend.grad_cols(acts[i], delta_c)
-                self._update(("W", i), layers[i].W, g_w_cols, index=cand)
-                self._update(("b", i), layers[i].b, delta_c, index=cand)
                 if i > 0:
                     da = backend.backprop_cols(delta_c, layers[i].W, cand)
+                self._update(("W", i), layers[i].W, g_w_cols, index=cand)
+                self._update(("b", i), layers[i].b, delta_c, index=cand)
         if self.obs.enabled:
             # The selector itself is exact MIPS (a full product), so
             # flops.actual understates the oracle's true cost — that is the

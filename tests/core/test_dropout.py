@@ -36,21 +36,6 @@ class TestSampling:
 
 
 class TestTraining:
-    def test_keep_prob_one_matches_standard_updates(self, rng):
-        """With keep_prob=1 every node is active: updates must equal the
-        exact trainer's."""
-        from repro.core.standard import StandardTrainer
-
-        x = rng.normal(size=(3, 6))
-        y = rng.integers(0, 3, 3)
-        net_a = MLP([6, 5, 3], seed=0)
-        net_b = MLP([6, 5, 3], seed=0)
-        DropoutTrainer(net_a, lr=0.1, keep_prob=1.0, seed=1).train_batch(x, y)
-        StandardTrainer(net_b, lr=0.1, seed=1).train_batch(x, y)
-        for la, lb in zip(net_a.layers, net_b.layers):
-            np.testing.assert_allclose(la.W, lb.W, atol=1e-10)
-            np.testing.assert_allclose(la.b, lb.b, atol=1e-10)
-
     def test_inactive_columns_untouched(self, rng):
         """Weights of dropped hidden nodes must not change in a step."""
         net = MLP([6, 40, 3], seed=0)
