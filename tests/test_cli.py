@@ -144,6 +144,14 @@ class TestTraceReportCommand:
         assert "probe.mc.rel_bias" in out
         assert "probe.runs" in out
 
+    def test_live_run_prints_backend_and_kernel_counters(self, capsys):
+        code = main(["trace-report", "--method", "mc", "--epochs", "1",
+                     "--data-scale", "0.01"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "backend.used.reference" in out
+        assert "kernel.flops.sampled_matmul" in out
+
     def test_from_store_missing_file_fails_cleanly(self, capsys, tmp_path):
         code = main(["trace-report", "--from-store", str(tmp_path / "no.jsonl")])
         assert code == 2
