@@ -45,7 +45,6 @@ KERNEL_NAMES = (
     "matmul",
     "matmul_add_bias",
     "matmul_cols",
-    "matmul_rows",
     "backprop_cols",
     "grad_cols",
     "sampled_matmul",
@@ -118,7 +117,7 @@ class ComputeBackend:
         return a @ w + bias
 
     # ------------------------------------------------------------------
-    # subset products (sampling from the current / previous layer)
+    # column-subset products (sampling from the current layer)
     # ------------------------------------------------------------------
     def matmul_cols(
         self,
@@ -131,23 +130,6 @@ class ComputeBackend:
         z = a @ w[:, cols]
         if bias is not None:
             z = z + bias[cols]
-        return z
-
-    def matmul_rows(
-        self,
-        a: np.ndarray,
-        w: np.ndarray,
-        bias: Optional[np.ndarray],
-        rows: np.ndarray,
-        scale: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Row-restricted forward: ``(a[:, rows] * scale) @ w[rows, :] + bias``."""
-        a_sub = a[:, rows]
-        if scale is not None:
-            a_sub = a_sub * scale
-        z = a_sub @ w[rows, :]
-        if bias is not None:
-            z = z + bias
         return z
 
     def backprop_cols(

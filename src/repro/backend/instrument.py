@@ -43,10 +43,6 @@ def _flops_matmul_cols(a, w, bias, cols):
     return gemm_flops(_rows(a), a.shape[-1], len(cols))
 
 
-def _flops_matmul_rows(a, w, bias, rows, scale=None):
-    return gemm_flops(_rows(a), len(rows), w.shape[1])
-
-
 def _flops_backprop_cols(delta, w, cols):
     return gemm_flops(_rows(delta), len(cols), w.shape[0])
 
@@ -65,7 +61,6 @@ _FLOP_MODELS = {
     "matmul": _flops_matmul,
     "matmul_add_bias": _flops_matmul_add_bias,
     "matmul_cols": _flops_matmul_cols,
-    "matmul_rows": _flops_matmul_rows,
     "backprop_cols": _flops_backprop_cols,
     "grad_cols": _flops_grad_cols,
     "sampled_matmul": _flops_sampled_matmul,

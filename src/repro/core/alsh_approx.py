@@ -29,7 +29,6 @@ import numpy as np
 from ..lsh.drift import ColumnDriftTracker
 from ..lsh.mips import MIPSIndex
 from ..lsh.rebuild import RebuildScheduler
-from ..nn.activations import LogSoftmax
 from ..nn.network import MLP
 from ..obs import Recorder
 from ..obs.counters import (
@@ -38,12 +37,12 @@ from ..obs.counters import (
     LSH_REBUILDS,
     LSH_REHASHED_COLUMNS,
 )
-from .base import Trainer
+from .columns import ColumnSamplingTrainer
 
 __all__ = ["ALSHApproxTrainer"]
 
 
-class ALSHApproxTrainer(Trainer):
+class ALSHApproxTrainer(ColumnSamplingTrainer):
     """ALSH-approx with per-layer MIPS indexes and sparse updates.
 
     Parameters
@@ -156,76 +155,41 @@ class ALSHApproxTrainer(Trainer):
         hi = max(lo, int(round(self.max_active_frac * n_out)))
         return lo, hi
 
-    def _select_active(self, layer_idx: int, a_prev: np.ndarray) -> np.ndarray:
-        """Query the layer's index and clamp the candidate set size."""
-        layer = self.net.layers[layer_idx]
-        candidates = self.indexes[layer_idx].query(a_prev)
-        lo, hi = self._bounds(layer.n_out)
-        if candidates.size > hi:
-            candidates = self.rng.choice(candidates, size=hi, replace=False)
-            candidates.sort()
-        elif candidates.size < lo:
-            pool = np.setdiff1d(
-                np.arange(layer.n_out), candidates, assume_unique=False
-            )
-            extra = self.rng.choice(pool, size=lo - candidates.size, replace=False)
-            candidates = np.union1d(candidates, extra)
-        if self.obs.enabled:
-            self.obs.add(LSH_ACTIVE_NODES, int(candidates.size))
-            self.obs.add(LSH_ACTIVE_POOL, int(layer.n_out))
-        return candidates
+    def _select_active(self, layer_idx, a_prev, rng=None, record=True):
+        """Query the layer's index and clamp the candidate set size.
 
-    def _probe_select_active(
-        self, layer_idx: int, a_prev: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Read-only twin of :meth:`_select_active` for quality probes.
-
-        Same query-and-clamp logic, but the clamping randomness comes
-        from the caller's ``rng`` (the probe stream, never
-        ``self.rng``), the lookup goes through the counters-off
-        ``record=False`` path, and no diagnostics are updated — so a
-        probe never perturbs training.
+        A batch (2-D ``a_prev``, "union" mode) takes the union of its
+        samples' candidate sets.  ``record=False`` (probes) goes through
+        the index's counters-off lookup and updates no diagnostics.
         """
-        layer = self.net.layers[layer_idx]
-        candidates = self.indexes[layer_idx].query(a_prev, record=False)
-        lo, hi = self._bounds(layer.n_out)
+        rng = self.rng if rng is None else rng
+        n_out = self.net.layers[layer_idx].n_out
+        index = self.indexes[layer_idx]
+        if a_prev.ndim == 1:
+            candidates = index.query(a_prev, record=record)
+        else:
+            union: Set[int] = set()
+            for cand in index.query_batch(a_prev, record=record):
+                union.update(cand.tolist())
+            candidates = np.fromiter(
+                sorted(union), dtype=np.int64, count=len(union)
+            )
+        lo, hi = self._bounds(n_out)
         if candidates.size > hi:
             candidates = rng.choice(candidates, size=hi, replace=False)
             candidates.sort()
         elif candidates.size < lo:
-            pool = np.setdiff1d(
-                np.arange(layer.n_out), candidates, assume_unique=False
-            )
+            pool = np.setdiff1d(np.arange(n_out), candidates)
             extra = rng.choice(pool, size=lo - candidates.size, replace=False)
             candidates = np.union1d(candidates, extra)
+        if record:
+            self._active_sum[layer_idx] += candidates.size / n_out
+            if layer_idx == 0:  # one forward pass per first-layer selection
+                self._active_count += 1
+            if self.obs.enabled:
+                self.obs.add(LSH_ACTIVE_NODES, int(candidates.size))
+                self.obs.add(LSH_ACTIVE_POOL, int(n_out))
         return candidates
-
-    def probe_approx_forward(self, x, rng):
-        """Per-sample ALSH forward (training's selection rule), read-only.
-
-        Layout matches :meth:`Trainer.probe_exact_forward`; unlike
-        :meth:`predict` it mutates neither the active-fraction
-        diagnostics nor the LSH work counters.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        layers = self.net.layers
-        act = self.net.hidden_activation
-        hidden = [
-            np.zeros((x.shape[0], layers[i].n_out))
-            for i in range(self.n_hidden)
-        ]
-        logits = np.zeros((x.shape[0], layers[-1].n_out))
-        for s in range(x.shape[0]):
-            a_prev = x[s]
-            for i in range(self.n_hidden):
-                cand = self._probe_select_active(i, a_prev, rng)
-                z_c = a_prev @ layers[i].W[:, cand] + layers[i].b[cand]
-                a_full = np.zeros(layers[i].n_out)
-                a_full[cand] = act.forward(z_c)
-                hidden[i][s] = a_full
-                a_prev = a_full
-            logits[s] = a_prev @ layers[-1].W + layers[-1].b
-        return hidden + [logits]
 
     def average_active_fraction(self) -> np.ndarray:
         """Mean active fraction per hidden layer since construction."""
@@ -240,148 +204,25 @@ class ALSHApproxTrainer(Trainer):
         """One training step on a batch.
 
         In "per_sample" mode (default) each sample runs its own ALSH step
-        — the algorithm as published.  In "union" mode the batch shares
-        the union of its candidate sets per layer and trains in one
-        vectorised pass.
+        — the algorithm as published.  In "union" mode a batch of more
+        than one sample shares the union of its candidate sets per layer
+        and trains in one vectorised step.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y).reshape(-1)
         if self.batch_mode == "union" and x.shape[0] > 1:
-            return self._train_union(x, y)
-        total = 0.0
-        for xi, yi in zip(x, y):
-            total += self._train_one(xi, int(yi))
-        return total / x.shape[0]
+            return self._step(x, np.asarray(y).reshape(-1))
+        return super().train_batch(x, y)
 
-    def _select_active_union(
-        self, layer_idx: int, a_prev: np.ndarray
-    ) -> np.ndarray:
-        """Union of per-sample candidate sets, clamped to the size caps."""
-        layer = self.net.layers[layer_idx]
-        per_sample = self.indexes[layer_idx].query_batch(a_prev)
-        union: set = set()
-        for cand in per_sample:
-            union.update(cand.tolist())
-        candidates = np.fromiter(sorted(union), dtype=np.int64, count=len(union))
-        lo, hi = self._bounds(layer.n_out)
-        if candidates.size > hi:
-            candidates = self.rng.choice(candidates, size=hi, replace=False)
-            candidates.sort()
-        elif candidates.size < lo:
-            pool = np.setdiff1d(np.arange(layer.n_out), candidates)
-            extra = self.rng.choice(pool, size=lo - candidates.size, replace=False)
-            candidates = np.union1d(candidates, extra)
-        if self.obs.enabled:
-            self.obs.add(LSH_ACTIVE_NODES, int(candidates.size))
-            self.obs.add(LSH_ACTIVE_POOL, int(layer.n_out))
-        return candidates
+    def _after_step(self, active_sets: List[np.ndarray], batch: int) -> None:
+        """Mark the updated columns for re-hashing; refresh on schedule.
 
-    def _train_union(self, x: np.ndarray, y: np.ndarray) -> float:
-        layers = self.net.layers
-        act = self.net.hidden_activation
-        batch = x.shape[0]
-        backend = self._backend()
-
-        with self._time_forward():
-            active_sets: List[np.ndarray] = []
-            z_actives: List[np.ndarray] = []
-            acts: List[np.ndarray] = [x]
-            a_prev = x
-            for i in range(self.n_hidden):
-                cand = self._select_active_union(i, a_prev)
-                active_sets.append(cand)
-                self._active_sum[i] += cand.size / layers[i].n_out
-                z_c = backend.matmul_cols(a_prev, layers[i].W, layers[i].b, cand)
-                z_actives.append(z_c)
-                a_full = np.zeros((batch, layers[i].n_out))
-                a_full[:, cand] = act.forward(z_c)
-                acts.append(a_full)
-                a_prev = a_full
-            self._active_count += 1
-            logits = backend.matmul_add_bias(a_prev, layers[-1].W, layers[-1].b)
-            logp = LogSoftmax().forward(logits)
-            loss = float(-logp[np.arange(batch), y].mean())
-
-        with self._time_backward():
-            delta = np.exp(logp)
-            delta[np.arange(batch), y] -= 1.0
-            delta /= batch
-            # Backpropagate through the pre-update output weights first.
-            da = backend.matmul(delta, layers[-1].W.T)
-            g_w = backend.grad_cols(acts[-1], delta)
-            g_b = delta.sum(axis=0)
-            self._update(("W", self.n_hidden), layers[-1].W, g_w)
-            self._update(("b", self.n_hidden), layers[-1].b, g_b)
-            for i in range(self.n_hidden - 1, -1, -1):
-                cand = active_sets[i]
-                delta_c = da[:, cand] * act.derivative(z_actives[i])
-                g_w_cols = backend.grad_cols(acts[i], delta_c)
-                g_b_cols = delta_c.sum(axis=0)
-                if i > 0:
-                    da = backend.backprop_cols(delta_c, layers[i].W, cand)
-                self._update(("W", i), layers[i].W, g_w_cols, index=cand)
-                self._update(("b", i), layers[i].b, g_b_cols, index=cand)
-                self._touched[i].update(cand.tolist())
-            if self.rebuild.record(batch):
-                self._refresh_tables()
-        if self.obs.enabled:
-            self._record_step_flops(
-                batch,
-                [cand.size for cand in active_sets] + [layers[-1].n_out],
-            )
-        return loss
-
-    def _train_one(self, x: np.ndarray, y: int) -> float:
-        layers = self.net.layers
-        act = self.net.hidden_activation
-        backend = self._backend()
-
-        with self._time_forward():
-            active_sets: List[np.ndarray] = []
-            z_actives: List[np.ndarray] = []
-            acts: List[np.ndarray] = [x]
-            a_prev = x
-            for i in range(self.n_hidden):
-                cand = self._select_active(i, a_prev)
-                active_sets.append(cand)
-                self._active_sum[i] += cand.size / layers[i].n_out
-                z_c = backend.matmul_cols(a_prev, layers[i].W, layers[i].b, cand)
-                z_actives.append(z_c)
-                a_full = np.zeros(layers[i].n_out)
-                a_full[cand] = act.forward(z_c)
-                acts.append(a_full)
-                a_prev = a_full
-            self._active_count += 1
-            logits = backend.matmul_add_bias(a_prev, layers[-1].W, layers[-1].b)
-            logp = LogSoftmax().forward(logits.reshape(1, -1))[0]
-            loss = float(-logp[y])
-
-        with self._time_backward():
-            probs = np.exp(logp)
-            delta = probs
-            delta[y] -= 1.0
-            # Output layer: dense update (every class participates).
-            # Backpropagate through the pre-update weights first.
-            da = backend.matmul(layers[-1].W, delta)
-            g_w = backend.grad_cols(acts[-1], delta)
-            self._update(("W", self.n_hidden), layers[-1].W, g_w)
-            self._update(("b", self.n_hidden), layers[-1].b, delta)
-            for i in range(self.n_hidden - 1, -1, -1):
-                cand = active_sets[i]
-                delta_c = da[cand] * act.derivative(z_actives[i])
-                g_w_cols = backend.grad_cols(acts[i], delta_c)
-                if i > 0:
-                    da = backend.backprop_cols(delta_c, layers[i].W, cand)
-                self._update(("W", i), layers[i].W, g_w_cols, index=cand)
-                self._update(("b", i), layers[i].b, delta_c, index=cand)
-                self._touched[i].update(cand.tolist())
-            if self.rebuild.record(1):
-                self._refresh_tables()
-        if self.obs.enabled:
-            self._record_step_flops(
-                1, [cand.size for cand in active_sets] + [layers[-1].n_out]
-            )
-        return loss
+        Active-set sizes are counted at selection time instead, inference
+        included.
+        """
+        for touched, cols in zip(self._touched, active_sets):
+            touched.update(cols.tolist())
+        if self.rebuild.record(batch):
+            self._refresh_tables()
 
     def _refresh_tables(self) -> None:
         """Re-insert the columns whose weights changed since last refresh.
@@ -461,39 +302,6 @@ class ALSHApproxTrainer(Trainer):
             self._touched[i] = {int(v) for v in arrays[f"touched{i}"]}
             if self._drift is not None:
                 self._drift[i].restore_reference(arrays[f"drift{i}"])
-
-    # ------------------------------------------------------------------
-    # inference
-    # ------------------------------------------------------------------
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Sampled inference — the same active-node selection as training.
-
-        This is the §10.3 setting: "when predicting the label of an input
-        sample, the same set of nodes is activated", which is what produces
-        the predicted-label collapse in deep networks.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        layers = self.net.layers
-        act = self.net.hidden_activation
-        backend = self._backend()
-        out = np.empty(x.shape[0], dtype=int)
-        for s in range(x.shape[0]):
-            a_prev = x[s]
-            for i in range(self.n_hidden):
-                cand = self._select_active(i, a_prev)
-                self._active_sum[i] += cand.size / layers[i].n_out
-                z_c = backend.matmul_cols(a_prev, layers[i].W, layers[i].b, cand)
-                a_full = np.zeros(layers[i].n_out)
-                a_full[cand] = act.forward(z_c)
-                a_prev = a_full
-            self._active_count += 1
-            logits = backend.matmul_add_bias(a_prev, layers[-1].W, layers[-1].b)
-            out[s] = int(np.argmax(logits))
-        return out
-
-    def predict_exact(self, x: np.ndarray) -> np.ndarray:
-        """Exact forward through the ALSH-trained weights (diagnostic)."""
-        return self.net.predict(x)
 
     def index_memory_bytes(self) -> int:
         """Total memory footprint of all per-layer hash tables (§9.4)."""

@@ -1,7 +1,7 @@
 """Pure-NumPy neural network substrate.
 
 Everything the paper's training methods need, implemented from scratch:
-activations, losses, dense layers with exact/column/row-restricted products,
+activations, losses, dense layers with their exact products,
 the :class:`~repro.nn.network.MLP` container, optimisers with sparse-column
 support, classification metrics, and the convolutional front-end for the
 paper's CIFAR-10 setting.

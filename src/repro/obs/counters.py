@@ -178,9 +178,6 @@ COUNTER_CATALOG: Dict[str, str] = {
     KERNEL_FLOPS_PREFIX + "matmul_cols": (
         "GEMM FLOPs executed by the matmul_cols kernel"
     ),
-    KERNEL_FLOPS_PREFIX + "matmul_rows": (
-        "GEMM FLOPs executed by the matmul_rows kernel"
-    ),
     KERNEL_FLOPS_PREFIX + "backprop_cols": (
         "GEMM FLOPs executed by the backprop_cols kernel"
     ),

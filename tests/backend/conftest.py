@@ -72,18 +72,14 @@ def called_kernels(tiny_dataset):
         conv.backward(rng.normal(size=z.shape))
     out["conv"] = conv_backend.called
 
-    # No trainer drives the row-sampled forward or the DWTA gather, so
-    # capture them from their real call sites directly.
+    # No trainer drives the DWTA gather, so capture it from its real call
+    # site directly.
     extras = CapturingBackend()
     with use_backend(extras):
         from repro.lsh.dwta import DensifiedWTA, FusedDWTA
 
         rng = np.random.default_rng(SEED)
-        layer = MLP(LAYER_SIZES, seed=SEED).layers[0]
         a_prev = rng.normal(size=(BATCH_SIZE, LAYER_SIZES[0]))
-        rows = np.sort(rng.choice(LAYER_SIZES[0], size=12, replace=False))
-        layer.forward_rows(a_prev, rows, scale=rng.uniform(1.0, 2.0, 12))
-        layer.forward_rows(a_prev, rows)
         fns = [
             DensifiedWTA(LAYER_SIZES[0], n_bits=4, rng=rng) for _ in range(2)
         ]

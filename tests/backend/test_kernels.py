@@ -1,9 +1,8 @@
 """Kernel tests: the reference backend against the raw NumPy expressions.
 
 The reference kernels are pinned bitwise against the expressions they
-replaced, and real one-epoch runs of all six trainers (plus a conv pass,
-the row-sampled forward and the DWTA gather) must call every kernel in
-``KERNEL_NAMES``.
+replaced, and real one-epoch runs of all six trainers (plus a conv pass
+and the DWTA gather) must call every kernel in ``KERNEL_NAMES``.
 """
 
 import numpy as np
@@ -35,18 +34,12 @@ def test_reference_subset_kernels_bitwise(rng, reference):
     w = rng.normal(size=(64, 32))
     bias = rng.normal(size=32)
     cols = np.array([1, 5, 17, 30])
-    rows = np.array([0, 3, 33, 63])
-    scale = rng.uniform(1.0, 2.0, size=rows.size)
     delta = rng.normal(size=(20, cols.size))
     assert np.array_equal(
         reference.matmul_cols(a, w, bias, cols), a @ w[:, cols] + bias[cols]
     )
     assert np.array_equal(
         reference.matmul_cols(a, w, None, cols), a @ w[:, cols]
-    )
-    assert np.array_equal(
-        reference.matmul_rows(a, w, bias, rows, scale),
-        (a[:, rows] * scale) @ w[rows, :] + bias,
     )
     assert np.array_equal(
         reference.backprop_cols(delta, w, cols), delta @ w[:, cols].T

@@ -20,19 +20,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             DropoutTrainer(net, min_active=0)
 
+    def test_min_active_wider_than_a_hidden_layer(self):
+        """Refused at construction, not by rng.choice mid-training."""
+        with pytest.raises(ValueError, match="3 nodes of hidden layer 0"):
+            DropoutTrainer(MLP([4, 3, 2], seed=0), min_active=5)
+        with pytest.raises(ValueError, match="3 nodes of hidden layer 1"):
+            DropoutTrainer(MLP([4, 6, 3, 2], seed=0), min_active=5)
+        trainer = DropoutTrainer(MLP([4, 6, 3, 2], seed=0), min_active=3)
+        loss = trainer.train_batch(np.ones((2, 4)), np.array([0, 1]))
+        assert np.isfinite(loss)
+
 
 class TestSampling:
     def test_active_set_size_distribution(self):
         net = MLP([4, 100, 2], seed=0)
         trainer = DropoutTrainer(net, keep_prob=0.3, seed=1)
-        sizes = [trainer._sample_active(100).size for _ in range(300)]
+        x = np.zeros(4)
+        sizes = [trainer._select_active(0, x).size for _ in range(300)]
         assert np.mean(sizes) == pytest.approx(30, abs=3)
 
     def test_min_active_enforced(self):
         net = MLP([4, 100, 2], seed=0)
         trainer = DropoutTrainer(net, keep_prob=0.001, min_active=5, seed=1)
         for _ in range(50):
-            assert trainer._sample_active(100).size >= 5
+            assert trainer._select_active(0, np.zeros(4)).size >= 5
 
 
 class TestTraining:
@@ -43,7 +54,7 @@ class TestTraining:
         w_before = net.layers[0].W.copy()
         # Capture the sampled set by seeding the trainer's rng fork.
         probe = DropoutTrainer(net, lr=0.5, keep_prob=0.1, seed=2)
-        cols = probe._sample_active(40)
+        cols = probe._select_active(0, np.zeros(6))
         trainer.train_batch(rng.normal(size=(1, 6)), np.array([0]))
         inactive = np.setdiff1d(np.arange(40), cols)
         np.testing.assert_array_equal(

@@ -33,6 +33,37 @@ class TestSelection:
         np.testing.assert_array_equal(cand, np.arange(12))
 
 
+class TestTies:
+    """An all-zero activation row, as from a dead ReLU layer, gives every
+    column the same score."""
+
+    def test_tied_scores_give_distinct_sorted_ids(self):
+        trainer = TopKApproxTrainer(MLP([6, 10, 3], seed=0), active_frac=0.3)
+        ids = trainer._select_active(0, np.zeros(6))
+        assert ids.size == 3
+        np.testing.assert_array_equal(ids, np.unique(ids))
+
+    def test_step_from_tied_row_updates_only_selected_columns(self, rng):
+        net = MLP([6, 10, 10, 3], seed=0)
+        net.layers[0].b[:] = -1e3  # dead layer: layer 1 sees a zero row
+        net.layers[1].b[:] = 1.0  # so layer 1's kept nodes fire
+        trainer = TopKApproxTrainer(
+            net, lr=0.1, optimizer="sgd", active_frac=0.3, seed=1
+        )
+        ids = trainer._select_active(1, np.zeros(10))
+        tied, out = net.layers[1], net.layers[2]
+        w_before, b_before = tied.W.copy(), tied.b.copy()
+        out_before = out.W.copy()
+        loss = trainer.train_batch(rng.normal(size=(1, 6)), np.array([0]))
+        assert np.isfinite(loss)
+        np.testing.assert_array_equal(np.flatnonzero(tied.b != b_before), ids)
+        dropped = np.setdiff1d(np.arange(10), ids)
+        np.testing.assert_array_equal(tied.W[:, dropped], w_before[:, dropped])
+        # Only the kept nodes feed the output layer.
+        moved = np.flatnonzero((out.W != out_before).any(axis=1))
+        np.testing.assert_array_equal(moved, ids)
+
+
 class TestTraining:
     def test_learns_shallow(self, tiny_dataset):
         net = MLP([tiny_dataset.input_dim, 48, tiny_dataset.n_classes], seed=0)
