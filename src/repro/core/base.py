@@ -402,6 +402,65 @@ class Trainer:
             layer.W = np.array(w, order="F")
             layer.b = b.copy()
 
+    def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+        """This trainer's mutable state as checkpoint ``(payload, arrays)``.
+
+        Network, optimiser slots, RNG and the method's ``aux.*`` state,
+        plus the observability carry: recorded series and histograms and
+        the probe manager's state ride along, so a killed-and-resumed run
+        (same recorder/probe configuration) reproduces the identical
+        series.  :meth:`fit` checkpoints and stream checkpoints add their
+        own loop state on top.
+        """
+        arrays = self._network_arrays()
+        opt_meta, opt_arrays = self.optimizer.state_dict()
+        arrays.update(opt_arrays)
+        aux_meta, aux_arrays = self.checkpoint_state()
+        for name, arr in aux_arrays.items():
+            arrays[f"aux.{name}"] = arr
+        payload = {
+            "optimizer": opt_meta,
+            "rng_state": self.rng.bit_generator.state,
+            "aux": aux_meta,
+        }
+        obs_payload: dict = {}
+        if self.obs.enabled and hasattr(self.obs, "series_snapshot"):
+            obs_payload["series"] = self.obs.series_snapshot()
+            obs_payload["histograms"] = self.obs.histograms_snapshot()
+        if self._probes is not None:
+            obs_payload["probes"] = self._probes.state_dict()
+        if obs_payload:
+            payload["obs"] = obs_payload
+        return payload, arrays
+
+    def _load_state(self, payload: dict, arrays: Dict[str, np.ndarray]) -> None:
+        """Restore the state captured by :meth:`_state`.
+
+        The trainer must have been constructed identically to the one
+        that wrote the checkpoint (same config and seed) — everything the
+        constructor derives deterministically (hash hyperplanes, standout
+        parameters, …) is reproduced from the seed, while everything
+        mutated by training is restored here.
+        """
+        self._load_network(arrays)
+        self.optimizer.load_state_dict(payload["optimizer"], arrays)
+        self.rng.bit_generator.state = payload["rng_state"]
+        prefix = "aux."
+        aux_arrays = {
+            name[len(prefix):]: arr
+            for name, arr in arrays.items()
+            if name.startswith(prefix)
+        }
+        self.restore_checkpoint_state(payload.get("aux", {}), aux_arrays)
+        obs_payload = payload.get("obs", {})
+        if self.obs.enabled and hasattr(self.obs, "load_series"):
+            if "series" in obs_payload:
+                self.obs.load_series(obs_payload["series"])
+            if "histograms" in obs_payload:
+                self.obs.load_histograms(obs_payload["histograms"])
+        if self._probes is not None and "probes" in obs_payload:
+            self._probes.load_state_dict(obs_payload["probes"])
+
     def _capture_checkpoint(
         self,
         loader: BatchLoader,
@@ -412,33 +471,13 @@ class Trainer:
         stopped_early: bool,
     ) -> TrainerCheckpoint:
         """Everything :meth:`fit` needs to continue bitwise-identically."""
-        arrays = self._network_arrays()
-        opt_meta, opt_arrays = self.optimizer.state_dict()
-        arrays.update(opt_arrays)
-        aux_meta, aux_arrays = self.checkpoint_state()
-        for name, arr in aux_arrays.items():
-            arrays[f"aux.{name}"] = arr
-        payload = {
-            "optimizer": opt_meta,
-            "rng_state": self.rng.bit_generator.state,
-            "loader_rng_state": loader.rng.bit_generator.state,
-            "early_stopping": {
-                "best_val": float(best_val),
-                "epochs_since_best": int(epochs_since_best),
-            },
-            "history": history.to_dict(),
-            "aux": aux_meta,
+        payload, arrays = self._state()
+        payload["loader_rng_state"] = loader.rng.bit_generator.state
+        payload["early_stopping"] = {
+            "best_val": float(best_val),
+            "epochs_since_best": int(epochs_since_best),
         }
-        # Observability carry: recorded series and the probe manager's
-        # mutable state ride along so a killed-and-resumed run (same
-        # recorder/probe configuration) reproduces the identical series.
-        obs_payload: dict = {}
-        if self.obs.enabled and hasattr(self.obs, "series_snapshot"):
-            obs_payload["series"] = self.obs.series_snapshot()
-        if self._probes is not None:
-            obs_payload["probes"] = self._probes.state_dict()
-        if obs_payload:
-            payload["obs"] = obs_payload
+        payload["history"] = history.to_dict()
         return TrainerCheckpoint(
             method=self.name,
             epoch=epoch,
@@ -450,42 +489,16 @@ class Trainer:
     def _restore_checkpoint(
         self, ckpt: TrainerCheckpoint, loader: BatchLoader, history: History
     ) -> Tuple[int, float, int]:
-        """Apply a checkpoint; returns (start_epoch, best_val, since_best).
-
-        The trainer must have been constructed identically to the one
-        that wrote the checkpoint (same config and seed) — everything the
-        constructor derives deterministically (hash hyperplanes, standout
-        parameters, …) is reproduced from the seed, while everything
-        mutated by training is restored here.
-        """
+        """Apply a checkpoint; returns (start_epoch, best_val, since_best)."""
         if ckpt.method != self.name:
             raise ValueError(
                 f"checkpoint holds {ckpt.method!r} trainer state, "
                 f"this trainer is {self.name!r}"
             )
-        self._load_network(ckpt.arrays)
         payload = ckpt.payload
-        self.optimizer.load_state_dict(payload["optimizer"], ckpt.arrays)
-        self.rng.bit_generator.state = payload["rng_state"]
+        self._load_state(payload, ckpt.arrays)
         loader.rng.bit_generator.state = payload["loader_rng_state"]
-        restored = History.from_dict(payload["history"])
-        history.epochs[:] = restored.epochs
-        prefix = "aux."
-        aux_arrays = {
-            name[len(prefix):]: arr
-            for name, arr in ckpt.arrays.items()
-            if name.startswith(prefix)
-        }
-        self.restore_checkpoint_state(payload.get("aux", {}), aux_arrays)
-        obs_payload = payload.get("obs", {})
-        if (
-            self.obs.enabled
-            and hasattr(self.obs, "load_series")
-            and "series" in obs_payload
-        ):
-            self.obs.load_series(obs_payload["series"])
-        if self._probes is not None and "probes" in obs_payload:
-            self._probes.load_state_dict(obs_payload["probes"])
+        history.epochs[:] = History.from_dict(payload["history"]).epochs
         es = payload["early_stopping"]
         return int(ckpt.epoch), float(es["best_val"]), int(es["epochs_since_best"])
 

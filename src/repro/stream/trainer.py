@@ -137,6 +137,8 @@ class StreamTrainer:
     probe_manager:
         Optional read-only :class:`~repro.obs.probes.ProbeManager` fired
         after every batch (its own cadence gates actual probe work).
+        It is attached to the inner trainer, whose state capture
+        carries it through checkpoints.
     """
 
     def __init__(
@@ -195,7 +197,8 @@ class StreamTrainer:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_tag = checkpoint_tag
-        self._probes = probe_manager
+        if probe_manager is not None:
+            trainer.attach_probes(probe_manager)
         self.obs: Recorder = trainer.obs
 
         self._trackers: Optional[List[ColumnDriftTracker]] = None
@@ -299,6 +302,7 @@ class StreamTrainer:
             ckpt_file = checkpoint_path(directory, tag)
             if resume and ckpt_file.exists():
                 self._restore(load_checkpoint(ckpt_file))
+        probes = self.trainer._probes
         start = self.batches_done
         t0 = time.perf_counter()
         for _ in range(start, int(n_batches)):
@@ -314,8 +318,8 @@ class StreamTrainer:
                 self.obs.add(STREAM_SAMPLES, int(x.shape[0]))
                 self.obs.series(SERIES_STREAM_LOSS, self.batches_done, float(loss))
                 self.obs.histogram(HIST_STREAM_BATCH_SECONDS, batch_seconds)
-            if self._probes is not None:
-                self._probes.on_batch(self.trainer, x, y)
+            if probes is not None:
+                probes.on_batch(self.trainer, x, y)
             if (
                 self._trackers is not None
                 and self.batches_done % self.drift_check_every == 0
@@ -382,42 +386,22 @@ class StreamTrainer:
 
     def _capture(self) -> TrainerCheckpoint:
         """Everything :meth:`run` needs to continue bitwise-identically."""
-        tr = self.trainer
-        arrays = tr._network_arrays()
-        opt_meta, opt_arrays = tr.optimizer.state_dict()
-        arrays.update(opt_arrays)
-        aux_meta, aux_arrays = tr.checkpoint_state()
-        for name, arr in aux_arrays.items():
-            arrays[f"aux.{name}"] = arr
+        payload, arrays = self.trainer._state()
         stream_meta, stream_arrays = self.stream.state_dict()
         for name, arr in stream_arrays.items():
             arrays[f"stream.{name}"] = arr
         if self._trackers is not None:
             for i, tracker in enumerate(self._trackers):
                 arrays[f"streamdrift{i}"] = tracker.reference
-        payload = {
-            "optimizer": opt_meta,
-            "rng_state": tr.rng.bit_generator.state,
-            "aux": aux_meta,
-            "stream": {
-                "state": stream_meta,
-                "batches_done": int(self.batches_done),
-                "samples_done": int(self.samples_done),
-                "rebuilds": int(self.rebuilds),
-                "compactions": int(self.compactions),
-                "last_loss": self.last_loss,
-                "eval_history": [list(p) for p in self.eval_history],
-            },
+        payload["stream"] = {
+            "state": stream_meta,
+            "batches_done": int(self.batches_done),
+            "samples_done": int(self.samples_done),
+            "rebuilds": int(self.rebuilds),
+            "compactions": int(self.compactions),
+            "last_loss": self.last_loss,
+            "eval_history": [list(p) for p in self.eval_history],
         }
-        obs_payload: dict = {}
-        if self.obs.enabled and hasattr(self.obs, "series_snapshot"):
-            obs_payload["series"] = self.obs.series_snapshot()
-        if self.obs.enabled and hasattr(self.obs, "histograms_snapshot"):
-            obs_payload["histograms"] = self.obs.histograms_snapshot()
-        if self._probes is not None:
-            obs_payload["probes"] = self._probes.state_dict()
-        if obs_payload:
-            payload["obs"] = obs_payload
         return TrainerCheckpoint(
             method=self._method,
             epoch=self.batches_done,
@@ -442,23 +426,13 @@ class StreamTrainer:
         scheduler) is reproduced, everything mutated by streaming is
         restored here.
         """
-        tr = self.trainer
         if ckpt.method != self._method:
             raise ValueError(
                 f"checkpoint holds {ckpt.method!r} state, "
                 f"this stream trainer is {self._method!r}"
             )
-        tr._load_network(ckpt.arrays)
         payload = ckpt.payload
-        tr.optimizer.load_state_dict(payload["optimizer"], ckpt.arrays)
-        tr.rng.bit_generator.state = payload["rng_state"]
-        prefix = "aux."
-        aux_arrays = {
-            name[len(prefix):]: arr
-            for name, arr in ckpt.arrays.items()
-            if name.startswith(prefix)
-        }
-        tr.restore_checkpoint_state(payload.get("aux", {}), aux_arrays)
+        self.trainer._load_state(payload, ckpt.arrays)
         sp = payload["stream"]
         self.stream.load_state_dict(
             sp["state"],
@@ -476,21 +450,6 @@ class StreamTrainer:
         self.compactions = int(sp["compactions"])
         self.last_loss = sp.get("last_loss")
         self.eval_history = [list(p) for p in sp.get("eval_history", [])]
-        obs_payload = payload.get("obs", {})
-        if (
-            self.obs.enabled
-            and hasattr(self.obs, "load_series")
-            and "series" in obs_payload
-        ):
-            self.obs.load_series(obs_payload["series"])
-        if (
-            self.obs.enabled
-            and hasattr(self.obs, "load_histograms")
-            and "histograms" in obs_payload
-        ):
-            self.obs.load_histograms(obs_payload["histograms"])
-        if self._probes is not None and "probes" in obs_payload:
-            self._probes.load_state_dict(obs_payload["probes"])
 
 
 def make_stream_trainer(

@@ -171,3 +171,10 @@ class TestKillResumeSeriesIdentity:
         assert [i for i, _ in full[SERIES_EPOCH_TIME]] == [
             i for i, _ in resumed[SERIES_EPOCH_TIME]
         ]
+        # Histograms ride the checkpoint too: the resumed counts cover
+        # the pre-kill epochs, not only the epochs the resumed run trained.
+        def counts(trainer):
+            hists = trainer.obs.snapshot()["histograms"]
+            return {name: h["count"] for name, h in hists.items()}
+
+        assert counts(t_full) and counts(t_resumed) == counts(t_full)

@@ -19,6 +19,9 @@ restarted process would build it — runs to the full horizon with
 ``resume=True`` picking the checkpoint up mid-stream.
 """
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from repro.obs import InMemoryRecorder
 from repro.obs.probes import LSHRecallProbe, ProbeManager
 from repro.stream.trainer import make_stream_trainer, run_smoke
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TOTAL = 60
 KILL_AT = 33  # deliberately off every cadence multiple
 
@@ -239,6 +243,42 @@ class TestKillResumeEquality:
         other = build(tmp_path=tmp_path, checkpoint_tag="shared", width=24)
         with pytest.raises(ValueError, match="shape mismatch"):
             other.run(20, resume=True)
+
+
+class TestCheckpointFixture:
+    """A mid-stream checkpoint written before stream checkpoints shared
+    the inner trainer's state capture.
+
+    ``tests/fixtures/stream_probed.ckpt.npz`` was written by the last
+    version whose stream trainer captured trainer state itself, with::
+
+        st = build(tmp_path=out, recorder=InMemoryRecorder(), probes=True,
+                   checkpoint_tag="stream_probed")
+        st.run(KILL_AT, resume=False)
+
+    (``build`` as above, checkpointing every 10 batches).  Batch 33 is a
+    multiple of no cadence, so the file is the trailing partial-period
+    checkpoint.  Resuming from it must reproduce the uninterrupted run.
+    """
+
+    def test_resumes_bitwise(self, tmp_path):
+        shutil.copy(FIXTURES / "stream_probed.ckpt.npz", tmp_path)
+        rec_full = InMemoryRecorder()
+        full = build(recorder=rec_full, probes=True)
+        full.run(TOTAL, resume=False)
+        rec_resumed = InMemoryRecorder()
+        resumed = build(tmp_path=tmp_path, recorder=rec_resumed, probes=True,
+                        checkpoint_tag="stream_probed")
+        summary = resumed.run(TOTAL, resume=True)
+
+        assert summary["trained_batches"] == TOTAL - KILL_AT
+        assert_streams_identical(full, resumed)
+        a = rec_full.snapshot()["series"]
+        b = rec_resumed.snapshot()["series"]
+        assert a.keys() == b.keys()
+        assert any(name.startswith("probe.lsh.recall") for name in a)
+        for name in a.keys() - {"stream.garbage_frac"}:
+            assert a[name] == b[name], f"series {name} diverged"
 
 
 class TestSmoke:
