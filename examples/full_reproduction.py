@@ -16,7 +16,6 @@ import sys
 from repro.data import load_benchmark
 from repro.harness import (
     ExperimentConfig,
-    ResultStore,
     Sweep,
     format_markdown_table,
     recommend_method,
@@ -29,7 +28,6 @@ STORE_PATH = sys.argv[1] if len(sys.argv) > 1 else "full_reproduction.jsonl"
 def main():
     data = load_benchmark("mnist", scale=0.01, seed=0)
     print(f"dataset: {data.describe()}")
-    store = ResultStore(STORE_PATH)
 
     base = ExperimentConfig(
         dataset="mnist",
@@ -50,7 +48,7 @@ def main():
     print(f"running {len(sweep)} configurations (resumable via {STORE_PATH})")
     fresh = []
     results = sweep.run(
-        store=store,
+        store=STORE_PATH,
         dataset=data,
         callback=lambda r: (fresh.append(r), print("  " + r.summary()))[0],
     )

@@ -3,8 +3,9 @@
 Commands
 --------
 ``run``
-    Train one configuration and print the result (optionally append it to
-    a JSON-lines result store and/or save the trained model).
+    Train one configuration and print the result (optionally append its
+    ``ok`` outcome record to a JSONL sink that ``sweep --resume`` and
+    ``Sweep.run`` resume from, and/or save the trained model).
 ``compare``
     Train several methods on one dataset and print a Table 2-style
     comparison.
@@ -83,6 +84,17 @@ from .theory.error_propagation import depth_at_error_ratio, error_ratio_table
 __all__ = ["build_parser", "main"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and cadences: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -105,11 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--paper-defaults", action="store_true",
                      help="apply the §8.4 method defaults before overrides")
-    run.add_argument("--store", help="append the result to this JSONL file")
+    run.add_argument("--store", help="append the result's outcome record to "
+                                       "this JSONL sink")
     run.add_argument("--checkpoint-dir",
                      help="write crash-safe trainer checkpoints here and "
                           "resume from them when re-invoked")
-    run.add_argument("--checkpoint-every", type=int, default=None,
+    run.add_argument("--checkpoint-every", type=_positive_int, default=None,
                      help="epochs between checkpoints (default 1; "
                           "requires --checkpoint-dir)")
     run.add_argument("--save-model", help="save the trained weights (.npz)")
@@ -158,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpoint every task's trainer here; retried "
                             "or resumed tasks continue from the last "
                             "checkpoint instead of epoch 0")
-    sweep.add_argument("--checkpoint-every", type=int, default=1,
-                       help="epochs between checkpoints (with "
-                            "--checkpoint-dir; default 1)")
+    sweep.add_argument("--checkpoint-every", type=_positive_int, default=None,
+                       help="epochs between checkpoints (default 1; "
+                            "requires --checkpoint-dir)")
     sweep.add_argument("--retry-timeouts", action="store_true",
                        help="retry timed-out tasks too (pairs with "
                             "--checkpoint-dir so attempts make progress)")
@@ -173,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trace", action="store_true",
                        help="trace every task and print the merged "
                             "counter rollup (aggregate appended to --store)")
-    sweep.add_argument("--probe-every", type=int, default=None,
+    sweep.add_argument("--probe-every", type=_positive_int, default=None,
                        help="attach read-only quality probes every N "
                             "batches (requires --trace)")
     sweep.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -210,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply the §8.4 method defaults before overrides")
     trace.add_argument("--store",
                        help="append the trace record to this JSONL file")
-    trace.add_argument("--probe-every", type=int, default=None,
+    trace.add_argument("--probe-every", type=_positive_int, default=None,
                        help="attach read-only quality probes every N batches")
     trace.add_argument("--from-store", metavar="PATH",
                        help="render the traces already stored in this "
@@ -309,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                         help="checkpoint continuously into DIR and resume "
                              "from it if a checkpoint exists")
-    stream.add_argument("--checkpoint-every", type=int, default=100,
+    stream.add_argument("--checkpoint-every", type=_positive_int, default=100,
                         help="batches between checkpoints (default 100)")
     stream.add_argument("--seed", type=int, default=0)
     stream.add_argument("--smoke", action="store_true",
@@ -326,61 +339,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _config_from_args(args) -> ExperimentConfig:
+    """The one config of ``run`` and ``trace-report``."""
+    shared = dict(
+        dataset=args.dataset,
+        data_scale=args.data_scale,
+        hidden_layers=args.hidden_layers,
+        hidden_width=args.hidden_width,
+        epochs=args.epochs,
+        seed=args.seed,
+    )
     if args.paper_defaults:
-        cfg = ExperimentConfig.paper_default(
-            args.method,
-            batch_size=args.batch_size,
-            dataset=args.dataset,
-            data_scale=args.data_scale,
-            hidden_layers=args.hidden_layers,
-            hidden_width=args.hidden_width,
-            epochs=args.epochs,
-            seed=args.seed,
+        return ExperimentConfig.paper_default(
+            args.method, batch_size=args.batch_size, **shared
         )
-    else:
-        cfg = ExperimentConfig(
-            method=args.method,
-            dataset=args.dataset,
-            data_scale=args.data_scale,
-            hidden_layers=args.hidden_layers,
-            hidden_width=args.hidden_width,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            lr=args.lr,
-            optimizer=args.optimizer,
-            seed=args.seed,
-        )
+    return ExperimentConfig(
+        method=args.method,
+        batch_size=args.batch_size,
+        lr=args.lr,
+        optimizer=args.optimizer,
+        **shared,
+    )
+
+
+def _cmd_run(args) -> int:
+    from .data.benchmarks import load_benchmark
+    from .harness.experiment import build_network
+
+    if args.checkpoint_every is not None and not args.checkpoint_dir:
+        print("error: --checkpoint-every requires --checkpoint-dir",
+              file=sys.stderr)
+        return 2
+    cfg = _config_from_args(args)
+    data = load_benchmark(cfg.dataset, scale=cfg.data_scale, seed=cfg.seed)
+    network = build_network(cfg, data)
     result = run_experiment(
         cfg,
+        dataset=data,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
+        network=network,
     )
     print(result.summary())
     if args.confusion:
         print(render_confusion(result.confusion))
     if args.store:
-        from .harness.results import ResultStore
+        from .harness.executor import JsonlSink, TaskOutcome
 
-        ResultStore(args.store).append(result)
+        JsonlSink(args.store).append_outcome(
+            TaskOutcome(index=0, key=cfg.key(), status="ok", result=result,
+                        attempts=1, duration=result.train_time)
+        )
         print(f"appended to {args.store}")
     if args.save_model:
-        # run_experiment does not expose the trainer, so rebuild and refit
-        # deterministically (same seeds) to capture the trained weights.
-        from .core.registry import make_trainer
-        from .data.benchmarks import load_benchmark
-        from .harness.experiment import build_network
         from .nn.serialize import save_mlp
 
-        data = load_benchmark(cfg.dataset, scale=cfg.data_scale, seed=cfg.seed)
-        net = build_network(cfg, data)
-        trainer = make_trainer(
-            cfg.method, net, lr=cfg.lr, optimizer=cfg.optimizer,
-            seed=cfg.seed, **cfg.method_kwargs,
-        )
-        trainer.fit(data.x_train, data.y_train, epochs=cfg.epochs,
-                    batch_size=cfg.batch_size)
-        path = save_mlp(net, args.save_model)
+        path = save_mlp(network, args.save_model)
         print(f"model saved to {path}")
     return 0
 
@@ -492,30 +506,7 @@ def _cmd_trace_report(args) -> int:
         )
         return 0
 
-    if args.paper_defaults:
-        cfg = ExperimentConfig.paper_default(
-            args.method,
-            batch_size=args.batch_size,
-            dataset=args.dataset,
-            data_scale=args.data_scale,
-            hidden_layers=args.hidden_layers,
-            hidden_width=args.hidden_width,
-            epochs=args.epochs,
-            seed=args.seed,
-        )
-    else:
-        cfg = ExperimentConfig(
-            method=args.method,
-            dataset=args.dataset,
-            data_scale=args.data_scale,
-            hidden_layers=args.hidden_layers,
-            hidden_width=args.hidden_width,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            lr=args.lr,
-            optimizer=args.optimizer,
-            seed=args.seed,
-        )
+    cfg = _config_from_args(args)
     data = load_benchmark(cfg.dataset, scale=cfg.data_scale, seed=cfg.seed)
     recorder = InMemoryRecorder()
     result = run_experiment(
@@ -623,8 +614,17 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .harness.executor import ExperimentExecutor
+    from .harness.executor import ExperimentExecutor, ExperimentTask
     from .harness.sweeps import Sweep
+
+    if args.checkpoint_every is not None and not args.checkpoint_dir:
+        print("error: --checkpoint-every requires --checkpoint-dir",
+              file=sys.stderr)
+        return 2
+    if args.probe_every is not None and not args.trace:
+        print("error: --probe-every requires --trace (probes only do "
+              "work with a recorder attached)", file=sys.stderr)
+        return 2
 
     base = ExperimentConfig(
         dataset=args.dataset,
@@ -659,32 +659,18 @@ def _cmd_sweep(args) -> int:
                 f"after {outcome.attempts} attempt(s): {reason}"
             )
 
-    from .harness.executor import (
-        CheckpointedExperimentTask,
-        TracedExperimentTask,
-        run_experiment_task,
-    )
-
-    if args.probe_every is not None and not args.trace:
-        print("error: --probe-every requires --trace (probes only do "
-              "work with a recorder attached)", file=sys.stderr)
-        return 2
-    if args.checkpoint_dir:
-        task_fn = CheckpointedExperimentTask(
-            args.checkpoint_dir, every=args.checkpoint_every,
-            traced=args.trace, probe_every=args.probe_every,
-        )
-    elif args.trace:
-        task_fn = TracedExperimentTask(probe_every=args.probe_every)
-    else:
-        task_fn = run_experiment_task
     executor = ExperimentExecutor(
         max_workers=args.workers,
         timeout=args.timeout,
         retries=args.retries,
         retry_timeouts=args.retry_timeouts,
         sink=args.store,
-        task_fn=task_fn,
+        task_fn=ExperimentTask(
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            traced=args.trace,
+            probe_every=args.probe_every,
+        ),
         metrics_path=args.metrics_out,
     )
     outcomes = executor.run(

@@ -4,9 +4,9 @@ reporting, analytical FLOP/energy models and result persistence."""
 from .config import ExperimentConfig
 from .energy import EnergyEstimate, EnergyModel, estimate_training_energy
 from .executor import (
-    CheckpointedExperimentTask,
     ExecutorError,
     ExperimentExecutor,
+    ExperimentTask,
     JsonlSink,
     TaskOutcome,
     derive_task_seeds,
@@ -29,7 +29,7 @@ from .reporting import (
     render_confusion,
 )
 from .roofline import RooflineMachine, RooflinePoint, method_roofline, roofline_table
-from .results import ResultStore, result_from_dict, result_to_dict
+from .results import result_from_dict, result_to_dict
 from .sweeps import Sweep
 
 __all__ = [
@@ -56,13 +56,12 @@ __all__ = [
     "measured_vs_projected",
     "ExperimentExecutor",
     "ExecutorError",
-    "CheckpointedExperimentTask",
+    "ExperimentTask",
     "JsonlSink",
     "TaskOutcome",
     "derive_task_seeds",
     "Recommendation",
     "recommend_method",
-    "ResultStore",
     "result_to_dict",
     "result_from_dict",
     "Sweep",

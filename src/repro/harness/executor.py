@@ -24,7 +24,9 @@ with the fault tolerance a long unattended run needs:
 * **Incremental JSONL sink.**  Terminal outcomes (and intermediate retry
   records) stream to an append-only JSONL file; a crashed run re-invoked
   with ``resume=True`` skips every task whose ``ok`` record is already on
-  disk, re-running only failures and never-started work.
+  disk, re-running only failures and never-started work.  It is the one
+  store of finished experiments: ``Sweep.run`` and ``run --store`` write
+  the same records.
 """
 
 from __future__ import annotations
@@ -59,12 +61,9 @@ __all__ = [
     "JsonlSink",
     "ExperimentExecutor",
     "ExecutorError",
-    "CheckpointedExperimentTask",
+    "ExperimentTask",
     "derive_task_seeds",
     "task_key",
-    "run_experiment_task",
-    "run_experiment_traced",
-    "TracedExperimentTask",
     "aggregate_traces",
 ]
 
@@ -98,78 +97,63 @@ def task_key(task: Any) -> str:
     return json.dumps(task, sort_keys=True, default=repr)
 
 
-def run_experiment_task(config: ExperimentConfig, dataset: Optional[Dataset]):
-    """Default task function: one full :func:`run_experiment` call."""
-    return run_experiment(config, dataset=dataset)
+class ExperimentTask:
+    """Picklable task function: one :func:`run_experiment` call per config.
 
+    The default instance is the executor's default ``task_fn``.
 
-class TracedExperimentTask:
-    """Picklable task function that traces every run it executes.
-
-    Each worker process gets its own :class:`~repro.obs.InMemoryRecorder`,
-    so no cross-process synchronisation is needed; the snapshot rides back
-    to the parent inside ``ExperimentResult.trace`` (and therefore through
-    the JSONL sink), where :func:`aggregate_traces` can merge the sweep.
-    ``probe_every`` additionally attaches the default quality probes at
-    that batch cadence (see :func:`repro.harness.experiment.run_experiment`).
-    """
-
-    def __init__(self, probe_every: Optional[int] = None):
-        if probe_every is not None and probe_every < 1:
-            raise ValueError(f"probe_every must be >= 1, got {probe_every}")
-        self.probe_every = probe_every
-
-    def __call__(self, config: ExperimentConfig, dataset: Optional[Dataset]):
-        return run_experiment(
-            config,
-            dataset=dataset,
-            recorder=InMemoryRecorder(),
-            probe_every=self.probe_every,
-        )
-
-
-def run_experiment_traced(config: ExperimentConfig, dataset: Optional[Dataset]):
-    """Module-level traced task function (no probes) — kept picklable."""
-    return TracedExperimentTask()(config, dataset)
-
-
-class CheckpointedExperimentTask:
-    """Picklable task function that checkpoints every run it executes.
-
-    Each config trains with ``checkpoint_dir`` set, under its
-    :meth:`~repro.harness.config.ExperimentConfig.checkpoint_tag` — so a
-    task killed by the per-task timeout (or a worker crash) resumes from
-    its last completed checkpoint on the next attempt instead of starting
-    over from epoch 0.  Combined with ``retry_timeouts=True`` this turns
-    the timeout budget into forward progress: a task only needs to fit
-    ``checkpoint_every`` epochs per attempt to eventually finish.
+    * ``checkpoint_dir`` checkpoints every run's trainer there, every
+      ``checkpoint_every`` epochs (default 1), under its config's
+      :meth:`~repro.harness.config.ExperimentConfig.checkpoint_tag` — so
+      a task killed by the per-task timeout (or a worker crash) resumes
+      from its last completed checkpoint on the next attempt instead of
+      starting over from epoch 0.  Combined with ``retry_timeouts=True``
+      this turns the timeout budget into forward progress: a task only
+      needs to fit ``checkpoint_every`` epochs per attempt to finish.
+    * ``traced`` gives every run its own :class:`~repro.obs.InMemoryRecorder`,
+      so no cross-process synchronisation is needed; the snapshot rides
+      back inside ``ExperimentResult.trace`` (and therefore through the
+      JSONL sink), where :func:`aggregate_traces` can merge the sweep.
+    * ``probe_every`` (requires ``traced``) attaches the default quality
+      probes at that batch cadence (see
+      :func:`repro.harness.experiment.run_experiment`).
     """
 
     def __init__(
         self,
-        directory: Union[str, Path],
-        every: int = 1,
+        checkpoint_dir: Optional[Union[str, Path]] = None,
+        checkpoint_every: Optional[int] = None,
         traced: bool = False,
         probe_every: Optional[int] = None,
     ):
-        if every <= 0:
-            raise ValueError(f"every must be positive, got {every}")
-        if probe_every is not None and probe_every < 1:
-            raise ValueError(f"probe_every must be >= 1, got {probe_every}")
-        self.directory = str(directory)
-        self.every = int(every)
+        if checkpoint_every is not None:
+            if checkpoint_dir is None:
+                raise ValueError("checkpoint_every requires checkpoint_dir")
+            if checkpoint_every < 1:
+                raise ValueError(
+                    f"checkpoint_every must be positive, got {checkpoint_every}"
+                )
+        if probe_every is not None:
+            if not traced:
+                raise ValueError(
+                    "probe_every requires traced=True (probes only do work "
+                    "with a recorder attached)"
+                )
+            if probe_every < 1:
+                raise ValueError(f"probe_every must be >= 1, got {probe_every}")
+        self.checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
+        self.checkpoint_every = checkpoint_every
         self.traced = bool(traced)
         self.probe_every = probe_every
 
     def __call__(self, config: ExperimentConfig, dataset: Optional[Dataset]):
-        recorder = InMemoryRecorder() if self.traced else None
         return run_experiment(
             config,
             dataset=dataset,
-            recorder=recorder,
-            checkpoint_every=self.every,
-            checkpoint_dir=self.directory,
-            probe_every=self.probe_every if self.traced else None,
+            recorder=InMemoryRecorder() if self.traced else None,
+            checkpoint_every=self.checkpoint_every,
+            checkpoint_dir=self.checkpoint_dir,
+            probe_every=self.probe_every,
         )
 
 
@@ -239,9 +223,12 @@ def _decode_result(encoded: Any) -> Any:
 class JsonlSink:
     """Append-only JSONL log of task outcomes — successes *and* failures.
 
-    One record per line; a crash mid-write loses at most the final line
-    (:meth:`load` skips a truncated trailing record), so a sweep can always
-    resume from what reached disk.
+    The one store of finished experiments: the executor, :class:`Sweep
+    <repro.harness.sweeps.Sweep>` and ``run --store`` all write
+    :meth:`append_outcome` records, so each resumes from the others'
+    files.  One record per line; a crash mid-write loses at most the
+    final line (:meth:`load` skips a truncated trailing record), so a
+    sweep can always resume from what reached disk.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -250,6 +237,20 @@ class JsonlSink:
     def append(self, record: Dict[str, Any]) -> None:
         """Append one JSON-safe record."""
         write_trace(self.path, record)
+
+    def append_outcome(self, outcome: TaskOutcome) -> None:
+        """Append the record of one terminal outcome."""
+        self.append(
+            {
+                "key": outcome.key,
+                "index": outcome.index,
+                "status": outcome.status,
+                "attempts": outcome.attempts,
+                "duration": outcome.duration,
+                "error": outcome.error,
+                "result": _encode_result(outcome.result),
+            }
+        )
 
     def load(self) -> List[Dict[str, Any]]:
         """All intact records (empty if the file does not exist)."""
@@ -261,9 +262,30 @@ class JsonlSink:
         """Latest ``ok`` record per task key (what resume can skip)."""
         done = {}
         for record in self.load():
-            if record.get("status") == "ok":
+            if "status" not in record and "config" in record:
+                record = _legacy_outcome(record)
+            if record is not None and record.get("status") == "ok":
                 done[record["key"]] = record
         return done
+
+
+def _legacy_outcome(payload: dict) -> Optional[Dict[str, Any]]:
+    """The ``ok`` record for a bare result line of the removed ``ResultStore``.
+
+    Such lines were written by ``run --store`` and ``Sweep.run`` before
+    both moved onto this sink.  A line whose config ran on the removed
+    ``fast`` backend matches no config (None), like the sink's own
+    records of such runs.
+    """
+    try:
+        config = result_from_dict(payload).config
+    except ValueError:
+        return None
+    return {
+        "key": config.key(),
+        "status": "ok",
+        "result": {"kind": "experiment", "payload": payload},
+    }
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +360,7 @@ class ExperimentExecutor:
     retry_timeouts:
         When True, a task whose in-worker (``SIGALRM``) timeout fired is
         retried like an error, consuming the same ``retries`` budget.
-        Pair with :class:`CheckpointedExperimentTask` so each attempt
+        Pair with a checkpointing :class:`ExperimentTask` so each attempt
         resumes from the last checkpoint rather than repeating the same
         doomed run.  Parent-side deadline expiries (worker unresponsive)
         stay terminal either way — the worker may be stuck in native code
@@ -347,9 +369,8 @@ class ExperimentExecutor:
         Path or :class:`JsonlSink` receiving incremental outcome records.
     task_fn:
         ``task_fn(task, dataset) -> result``; must be picklable (a
-        module-level function or an instance of a module-level class, e.g.
-        :class:`CheckpointedExperimentTask`).  Defaults to
-        :func:`run_experiment_task`.
+        module-level function or an instance of a module-level class such
+        as :class:`ExperimentTask`).  Defaults to ``ExperimentTask()``.
     metrics_path:
         File-based Prometheus exposition: after every terminal outcome
         (and once more when the sweep drains) the merged trace snapshot
@@ -371,7 +392,7 @@ class ExperimentExecutor:
         backoff: float = 0.1,
         retry_timeouts: bool = False,
         sink: Optional[Union[str, Path, JsonlSink]] = None,
-        task_fn: Callable[[Any, Any], Any] = run_experiment_task,
+        task_fn: Callable[[Any, Any], Any] = ExperimentTask(),
         metrics_path: Optional[Union[str, Path]] = None,
     ):
         if max_workers < 1:
@@ -472,17 +493,7 @@ class ExperimentExecutor:
             )
             outcomes[i] = outcome
             if self.sink is not None:
-                self.sink.append(
-                    {
-                        "key": outcome.key,
-                        "index": i,
-                        "status": status,
-                        "attempts": attempts,
-                        "duration": duration,
-                        "error": outcome.error,
-                        "result": _encode_result(outcome.result),
-                    }
-                )
+                self.sink.append_outcome(outcome)
             if callback is not None:
                 callback(outcome)
             export_metrics()

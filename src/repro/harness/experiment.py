@@ -81,12 +81,17 @@ def run_experiment(
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     probe_every: Optional[int] = None,
+    network: Optional[MLP] = None,
 ) -> ExperimentResult:
     """Train per the config and evaluate on the test split.
 
     ``dataset`` may be passed in to share one generated dataset across many
     configs (the benches do this); otherwise it is generated from the
     config's ``dataset``/``data_scale``/``seed``.
+
+    ``network`` trains a caller-built network in place (``run
+    --save-model`` saves exactly the weights it reports on); it defaults
+    to :func:`build_network` of the config.
 
     ``recorder`` threads an observability sink (:mod:`repro.obs`) through
     the trainer; its snapshot is attached to the result as ``trace``.
@@ -110,10 +115,9 @@ def run_experiment(
     """
     if dataset is None:
         dataset = load_benchmark(config.dataset, scale=config.data_scale, seed=config.seed)
-    net = build_network(config, dataset)
     trainer = make_trainer(
         config.method,
-        net,
+        network if network is not None else build_network(config, dataset),
         lr=config.lr,
         optimizer=config.optimizer,
         seed=config.seed,

@@ -1,12 +1,13 @@
 """Declarative experiment sweeps with resume support.
 
 The paper's evaluation is a grid: methods × datasets × depths × batch
-sizes.  :class:`Sweep` expands such a grid into configs, runs them through
-the fault-tolerant :class:`~repro.harness.executor.ExperimentExecutor`
-(serially by default, across worker processes with ``workers > 1``),
-streams results into a :class:`~repro.harness.results.ResultStore`, and —
-because the grid is hours of compute at full scale — skips configurations
-whose results are already stored, so an interrupted sweep resumes where it
+sizes.  :class:`Sweep` expands such a grid into configs and runs them
+through the fault-tolerant
+:class:`~repro.harness.executor.ExperimentExecutor` (serially by default,
+across worker processes with ``workers > 1``).  Outcomes stream into the
+executor's :class:`~repro.harness.executor.JsonlSink`, and — because the
+grid is hours of compute at full scale — configurations whose results are
+already stored are skipped, so an interrupted sweep resumes where it
 stopped.
 """
 
@@ -14,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict
+from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..data.datasets import Dataset
 from .config import ExperimentConfig
-from .executor import ExecutorError, ExperimentExecutor
+from .executor import ExecutorError, ExperimentExecutor, JsonlSink
 from .experiment import ExperimentResult
-from .results import ResultStore
 
 __all__ = ["Sweep"]
 
@@ -93,7 +94,7 @@ class Sweep:
     # ------------------------------------------------------------------
     def run(
         self,
-        store: Optional[Union[str, ResultStore]] = None,
+        store: Optional[Union[str, Path, JsonlSink]] = None,
         dataset: Optional[Dataset] = None,
         resume: bool = True,
         callback: Optional[Callable[[ExperimentResult], None]] = None,
@@ -103,61 +104,40 @@ class Sweep:
     ) -> List[ExperimentResult]:
         """Run every grid point; returns all results (stored + fresh).
 
-        With ``store`` and ``resume=True``, configurations whose exact
-        config already appears in the store are skipped and the stored
-        result is returned in their place.  ``workers``, ``timeout`` and
-        ``retries`` are forwarded to the
-        :class:`~repro.harness.executor.ExperimentExecutor` that runs the
-        fresh configurations; result order is the grid order regardless of
-        worker scheduling.  Raises :class:`ExecutorError` if any
-        configuration still fails after its retries.
+        The grid runs through an
+        :class:`~repro.harness.executor.ExperimentExecutor` whose sink is
+        ``store``; with ``resume=True`` configurations that already have
+        an ``ok`` record there are skipped and the stored result is
+        returned in their place.  ``callback`` fires once per fresh
+        result.  ``workers``, ``timeout`` and ``retries`` are forwarded to
+        the executor; result order is the grid order regardless of worker
+        scheduling.  Raises :class:`ExecutorError` if any configuration
+        still fails after its retries.
         """
-        if isinstance(store, str):
-            store = ResultStore(store)
-        done = {}
-        if store is not None and resume:
-            for result in store.load():
-                done[self._key(result.config)] = result
-
         configs = list(self.configs())
-        results: List[Optional[ExperimentResult]] = [None] * len(configs)
-        fresh: List[int] = []
-        for i, cfg in enumerate(configs):
-            stored = done.get(self._key(cfg))
-            if stored is not None:
-                results[i] = stored
-            else:
-                fresh.append(i)
-        if fresh:
-            def on_outcome(outcome):
-                if not outcome.ok:
-                    return
-                if store is not None:
-                    store.append(outcome.result)
-                if callback is not None:
-                    callback(outcome.result)
 
-            executor = ExperimentExecutor(
-                max_workers=workers, timeout=timeout, retries=retries
-            )
-            outcomes = executor.run(
-                [configs[i] for i in fresh], dataset=dataset, callback=on_outcome
-            )
-            failures = [o for o in outcomes if not o.ok]
-            if failures:
-                detail = "; ".join(
-                    f"{configs[fresh[o.index]].label()}: [{o.status}] "
-                    f"{(o.error or '').strip().splitlines()[-1]}"
-                    for o in failures
-                )
-                raise ExecutorError(
-                    f"{len(failures)}/{len(fresh)} sweep configurations "
-                    f"failed: {detail}"
-                )
-            for i, outcome in zip(fresh, outcomes):
-                results[i] = outcome.result
-        return results  # type: ignore[return-value]
+        def on_outcome(outcome):
+            if outcome.ok and callback is not None:
+                callback(outcome.result)
 
-    @staticmethod
-    def _key(cfg: ExperimentConfig) -> str:
-        return cfg.key()
+        executor = ExperimentExecutor(
+            max_workers=workers, timeout=timeout, retries=retries, sink=store
+        )
+        outcomes = executor.run(
+            configs,
+            dataset=dataset,
+            resume=resume and store is not None,
+            callback=on_outcome,
+        )
+        failures = [o for o in outcomes if not o.ok]
+        if failures:
+            detail = "; ".join(
+                f"{configs[o.index].label()}: [{o.status}] "
+                f"{(o.error or '').strip().splitlines()[-1]}"
+                for o in failures
+            )
+            raise ExecutorError(
+                f"{len(failures)}/{len(configs)} sweep configurations "
+                f"failed: {detail}"
+            )
+        return [o.result for o in outcomes]

@@ -18,12 +18,11 @@ import pytest
 from repro.core.registry import make_trainer
 from repro.harness.config import ExperimentConfig
 from repro.harness.executor import (
-    CheckpointedExperimentTask,
     ExecutorError,
     ExperimentExecutor,
+    ExperimentTask,
     JsonlSink,
     derive_task_seeds,
-    run_experiment_traced,
     task_key,
 )
 from repro.harness.experiment import run_experiment
@@ -397,22 +396,35 @@ class TestResumeValidation:
             executor.run([{"value": 1}], resume=True)
 
 
-class TestCheckpointedExperimentTask:
+class TestExperimentTask:
     def test_is_picklable(self, tmp_path):
         import pickle
 
-        task_fn = CheckpointedExperimentTask(tmp_path, every=2)
+        task_fn = ExperimentTask(
+            checkpoint_dir=tmp_path, checkpoint_every=2, traced=True,
+            probe_every=3,
+        )
         clone = pickle.loads(pickle.dumps(task_fn))
-        assert clone.directory == str(tmp_path)
-        assert clone.every == 2
+        assert clone.checkpoint_dir == str(tmp_path)
+        assert clone.checkpoint_every == 2
+        assert clone.traced and clone.probe_every == 3
 
     def test_invalid_every(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
-            CheckpointedExperimentTask(tmp_path, every=0)
+            ExperimentTask(checkpoint_dir=tmp_path, checkpoint_every=0)
+        with pytest.raises(ValueError, match="requires checkpoint_dir"):
+            ExperimentTask(checkpoint_every=2)
+
+    def test_probe_every_requires_traced(self):
+        with pytest.raises(ValueError, match="requires traced"):
+            ExperimentTask(probe_every=5)
+
+    def test_is_the_default_task_fn(self):
+        assert isinstance(ExperimentExecutor().task_fn, ExperimentTask)
 
     def test_checkpoints_under_config_tag(self, tiny_dataset, tmp_path):
         cfg = small_config(epochs=2)
-        task_fn = CheckpointedExperimentTask(tmp_path)
+        task_fn = ExperimentTask(checkpoint_dir=tmp_path)
         first = task_fn(cfg, tiny_dataset)
         ckpt = tmp_path / f"{cfg.checkpoint_tag()}.ckpt.npz"
         assert ckpt.exists()
@@ -426,7 +438,7 @@ class TestCheckpointedExperimentTask:
         executor = ExperimentExecutor(
             max_workers=1,
             sink=tmp_path / "sink.jsonl",
-            task_fn=CheckpointedExperimentTask(tmp_path / "ckpts"),
+            task_fn=ExperimentTask(checkpoint_dir=tmp_path / "ckpts"),
         )
         outcomes = executor.run(configs, dataset=tiny_dataset)
         assert [o.status for o in outcomes] == ["ok", "ok"]
@@ -447,7 +459,7 @@ class TestMetricsExposition:
         configs = [small_config(seed=s) for s in (0, 1)]
         executor = ExperimentExecutor(
             max_workers=1,
-            task_fn=run_experiment_traced,
+            task_fn=ExperimentTask(traced=True),
             metrics_path=prom,
         )
         outcomes = executor.run(configs, dataset=tiny_dataset)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import run_experiment
-from repro.harness.results import ResultStore, result_from_dict, result_to_dict
+from repro.harness.executor import JsonlSink, TaskOutcome
+from repro.harness.results import result_from_dict, result_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -34,37 +35,31 @@ class TestRoundTrip:
 
 
 class TestStore:
+    """Finished results live as ``ok`` records of the executor's sink."""
+
+    def ok(self, result):
+        return TaskOutcome(index=0, key=result.config.key(), status="ok",
+                           result=result, attempts=1)
+
     def test_append_and_load(self, result, tmp_path):
-        store = ResultStore(tmp_path / "runs" / "results.jsonl")
-        store.append(result)
-        store.append(result)
-        loaded = store.load()
-        assert len(loaded) == 2
-        assert loaded[0].test_accuracy == result.test_accuracy
+        sink = JsonlSink(tmp_path / "runs" / "results.jsonl")
+        sink.append_outcome(self.ok(result))
+        sink.append_outcome(self.ok(result))
+        assert len(sink.load()) == 2
+        done = sink.completed()
+        assert list(done) == [result.config.key()]
+        loaded = result_from_dict(done[result.config.key()]["result"]["payload"])
+        assert loaded.test_accuracy == result.test_accuracy
 
     def test_load_missing_is_empty(self, tmp_path):
-        assert ResultStore(tmp_path / "none.jsonl").load() == []
-
-    def test_find_filters(self, result, tmp_path):
-        store = ResultStore(tmp_path / "r.jsonl")
-        store.append(result)
-        assert len(store.find(method="standard")) == 1
-        assert store.find(method="mc") == []
-        assert len(store.find(dataset=result.config.dataset)) == 1
-        assert store.find(hidden_layers=99) == []
-
-    def test_best(self, result, tmp_path):
-        store = ResultStore(tmp_path / "r.jsonl")
-        assert store.best(method="standard") is None
-        store.append(result)
-        best = store.best(method="standard")
-        assert best is not None
-        assert best.test_accuracy == result.test_accuracy
+        assert JsonlSink(tmp_path / "none.jsonl").completed() == {}
 
     def test_partial_lines_ignored(self, result, tmp_path):
         path = tmp_path / "r.jsonl"
-        store = ResultStore(path)
-        store.append(result)
+        sink = JsonlSink(path)
+        sink.append_outcome(self.ok(result))
         with open(path, "a") as f:
             f.write("\n")  # stray blank line
-        assert len(store.load()) == 1
+            f.write('{"key": "half-written')  # crash mid-append
+        assert len(sink.load()) == 1
+        assert list(sink.completed()) == [result.config.key()]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.results import ResultStore
+from repro.harness.executor import JsonlSink
 from repro.harness.sweeps import Sweep
 
 
@@ -58,14 +58,14 @@ class TestExpansion:
 
 class TestRun:
     def test_runs_and_stores(self, base, tiny_dataset, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+        store = JsonlSink(tmp_path / "sweep.jsonl")
         sweep = Sweep(base, {"hidden_layers": [1, 2]})
         results = sweep.run(store=store, dataset=tiny_dataset)
         assert len(results) == 2
         assert len(store.load()) == 2
 
     def test_resume_skips_done(self, base, tiny_dataset, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+        store = JsonlSink(tmp_path / "sweep.jsonl")
         sweep = Sweep(base, {"hidden_layers": [1, 2]})
         sweep.run(store=store, dataset=tiny_dataset)
         ran = []
@@ -77,7 +77,7 @@ class TestRun:
         assert len(store.load()) == 2  # nothing re-appended
 
     def test_partial_resume(self, base, tiny_dataset, tmp_path):
-        store = ResultStore(tmp_path / "sweep.jsonl")
+        store = JsonlSink(tmp_path / "sweep.jsonl")
         Sweep(base, {"hidden_layers": [1]}).run(store=store, dataset=tiny_dataset)
         ran = []
         results = Sweep(base, {"hidden_layers": [1, 2]}).run(
@@ -96,3 +96,33 @@ class TestRun:
     def test_no_store_runs_everything(self, base, tiny_dataset):
         results = Sweep(base, {"hidden_layers": [1]}).run(dataset=tiny_dataset)
         assert len(results) == 1
+
+    def test_truncated_last_line_resumes(self, base, tiny_dataset, tmp_path):
+        """A crash mid-append loses at most that record."""
+        path = str(tmp_path / "sweep.jsonl")
+        sweep = Sweep(base, {"hidden_layers": [1, 2]})
+        first = sweep.run(store=path, dataset=tiny_dataset)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('{"config": {"method": "half-written')
+        ran = []
+        results = sweep.run(store=path, dataset=tiny_dataset, callback=ran.append)
+        assert ran == []
+        assert [r.test_accuracy for r in results] == [
+            r.test_accuracy for r in first
+        ]
+
+    def test_resumes_a_sweep_cli_store(self, tmp_path, capsys):
+        """Sweep.run and ``sweep --store`` write and read one format."""
+        from repro.cli import main
+
+        path = tmp_path / "sweep.jsonl"
+        assert main(["sweep", "--methods", "standard", "mc", "--depths", "1",
+                     "--hidden-width", "12", "--data-scale", "0.003",
+                     "--epochs", "1", "--store", str(path)]) == 0
+        capsys.readouterr()
+        base = ExperimentConfig(hidden_width=12, data_scale=0.003, epochs=1)
+        sweep = Sweep(base, {"method": ["standard", "mc"], "hidden_layers": [1]})
+        ran = []
+        results = sweep.run(store=str(path), callback=ran.append)
+        assert ran == []
+        assert [r.config.method for r in results] == ["standard", "mc"]

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.harness.executor import (
+    ExperimentTask,
     JsonlSink,
     aggregate_traces,
-    run_experiment_traced,
 )
 from repro.harness.config import ExperimentConfig
 from repro.obs import (
@@ -119,7 +119,7 @@ class TestExecutorIntegration:
             batch_size=20,
             seed=0,
         )
-        result = run_experiment_traced(cfg, None)
+        result = ExperimentTask(traced=True)(cfg, None)
         assert result.trace is not None
         assert result.trace["counters"][FLOPS_DENSE] > 0
 
@@ -148,7 +148,7 @@ class TestExecutorIntegration:
             batch_size=20,
             seed=0,
         )
-        result = run_experiment_traced(cfg, None)
+        result = ExperimentTask(traced=True)(cfg, None)
         payload = json.loads(json.dumps(result_to_dict(result)))
         restored = result_from_dict(payload)
         assert restored.trace == result.trace

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestParser:
@@ -71,10 +79,10 @@ class TestRunCommand:
         assert "(predicted)" in out  # confusion matrix rendered
         assert store.exists()
         assert model.exists()
-        # The stored result must load back.
-        from repro.harness.results import ResultStore
+        # The stored outcome record must load back.
+        from repro.harness.executor import JsonlSink
 
-        assert len(ResultStore(store).load()) == 1
+        assert len(JsonlSink(store).completed()) == 1
         # The saved model must load back.
         from repro.nn.serialize import load_mlp
 
@@ -95,6 +103,86 @@ class TestRunCommand:
         )
         assert code == 0
         assert "mc^M" in capsys.readouterr().out
+
+
+    def test_save_model_trains_once_and_saves_the_trained_weights(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """ALSH's sampled ``predict`` draws from the trainer RNG during
+        validation, so a second training run would drift from the one
+        reported."""
+        from repro.core.base import Trainer
+        from repro.nn.serialize import load_mlp
+
+        fit, trained = Trainer.fit, []
+
+        def recording_fit(trainer, *args, **kwargs):
+            history = fit(trainer, *args, **kwargs)
+            trained.append([(layer.W.copy(), layer.b.copy())
+                            for layer in trainer.net.layers])
+            return history
+
+        monkeypatch.setattr(Trainer, "fit", recording_fit)
+        model = tmp_path / "m.npz"
+        assert main(["run", "--method", "alsh", "--paper-defaults",
+                     "--batch-size", "1", "--epochs", "3",
+                     "--hidden-layers", "2", "--hidden-width", "32",
+                     "--data-scale", "0.01", "--save-model", str(model)]) == 0
+        assert len(trained) == 1
+        saved = load_mlp(model)
+        for (W, b), layer in zip(trained[0], saved.layers):
+            np.testing.assert_array_equal(layer.W, W)
+            np.testing.assert_array_equal(layer.b, b)
+
+    STORE_RUN = ["--hidden-layers", "1", "--hidden-width", "12",
+                 "--data-scale", "0.003", "--epochs", "1"]
+
+    def test_sweep_resume_caches_a_run_store_record(self, capsys, tmp_path):
+        store = str(tmp_path / "s.jsonl")
+        assert main(["run", "--store", store] + self.STORE_RUN) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--methods", "standard", "--depths", "1",
+                     "--hidden-width", "12", "--data-scale", "0.003",
+                     "--epochs", "1", "--store", store, "--resume"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("standard^M")]
+        assert [r[2] for r in rows] == ["cached"]
+
+    def test_monitor_prints_a_run_store_record(self, capsys, tmp_path):
+        store = str(tmp_path / "s.jsonl")
+        assert main(["run", "--store", store] + self.STORE_RUN) == 0
+        capsys.readouterr()
+        assert main(["monitor", store]) == 0
+        out = capsys.readouterr().out
+        assert "[ok] " in out
+        assert "(1 record(s)" in out
+
+
+def _usage_errors():
+    ckpt = ["--checkpoint-dir", "ckpts"]
+    return [
+        ["run", "--checkpoint-every", "2"],
+        ["run", "--checkpoint-every", "0"] + ckpt,
+        ["sweep", "--store", "s.jsonl", "--checkpoint-every", "0"] + ckpt,
+        ["sweep", "--store", "s.jsonl", "--checkpoint-every", "5"],
+        ["stream", "--checkpoint-every", "0"],
+        ["trace-report", "--probe-every", "0"],
+        ["sweep", "--store", "s.jsonl", "--trace", "--probe-every", "0"],
+    ]
+
+
+@pytest.mark.parametrize("argv", _usage_errors(), ids=" ".join)
+def test_flag_misuse_exits_2_without_traceback(argv, tmp_path):
+    """A bad flag is one error line and exit 2, before any training."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro"] + argv,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+    assert not (tmp_path / "ckpts").exists()
 
 
 class TestCompareCommand:
