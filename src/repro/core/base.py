@@ -299,8 +299,13 @@ class Trainer:
         return Trainer._PhaseTimer(self, "_t_bwd", "phase.backward")
 
     # ------------------------------------------------------------------
-    # optimiser dispatch (counts dense vs lazy sparse-column updates)
+    # loss head and optimiser dispatch (counts dense vs lazy updates)
     # ------------------------------------------------------------------
+    def _head(self, logits: np.ndarray, y) -> Tuple[float, np.ndarray]:
+        """Fused log-softmax + NLL: the loss and its logit gradient."""
+        loss = self.loss_fn.value(self.net.output_activation.forward(logits), y)
+        return loss, NLLLoss.fused_logit_gradient(logits, y)
+
     def _update(self, key, param, grad, index=None) -> None:
         """Apply an optimiser step, recording dense vs lazy-column hits."""
         if index is None:

@@ -34,7 +34,6 @@ from ..approx.bernoulli import (
     bernoulli_probabilities,
     bernoulli_sample,
 )
-from ..nn.losses import NLLLoss
 from ..nn.network import MLP
 from ..obs import Recorder
 from ..obs.counters import (
@@ -45,12 +44,12 @@ from ..obs.counters import (
     SAMPLER_ROWS_POOL,
     gemm_flops,
 )
-from .base import Trainer
+from .dense import DenseLoopTrainer
 
 __all__ = ["MCApproxTrainer"]
 
 
-class MCApproxTrainer(Trainer):
+class MCApproxTrainer(DenseLoopTrainer):
     """MC-approx training with Bernoulli-sampled backprop products.
 
     Parameters
@@ -142,90 +141,38 @@ class MCApproxTrainer(Trainer):
         budget = max(self.min_node_samples, int(round(self.node_frac * inner)))
         return min(inner, budget)
 
-    def probe_approx_forward(self, x, rng):
-        """Forward under this configuration's approximation, read-only.
-
-        The published method keeps the feedforward pass exact (§10.1),
-        so by default this equals the exact forward and the probe
-        measures zero drift — the MC estimator probe covers the
-        backward-product quality instead.  With
-        ``approximate_forward=True`` the hidden products are
-        Bernoulli-sampled from the caller's ``rng`` (never
-        ``self.rng``), with no counters recorded.
+    def _hidden_preactivation(self, layer, a, rng, record):
+        """Exact as published (so the forward-error probe reads zero), or
+        Bernoulli-sampled under ``approximate_forward``; a probe's sample
+        (``record=False``) draws from its ``rng`` and records no counters.
         """
         if not self.approximate_forward:
-            return self.probe_exact_forward(x)
-        a = np.atleast_2d(np.asarray(x, dtype=float))
+            return layer.forward(a)
+        budget = self._node_budget(layer.n_in)
+        if record:
+            return self._sampled_matmul(a, layer.W, budget) + layer.b
+        return bernoulli_multiply(a, layer.W, budget, rng) + layer.b
+
+    def _weight_gradients(self, layer, a_prev, delta):
+        # Weight gradient: inner dimension is the batch (§9.3).
+        g_w = self._sampled_matmul(a_prev.T, delta, min(self.k, delta.shape[0]))
+        return g_w, delta.sum(axis=0)
+
+    def _backprop_delta(self, layer, delta):
+        # Delta propagation: inner dimension is this layer's node
+        # count — "sampling from the previous layer".
+        return self._sampled_matmul(
+            delta, layer.W.T, self._node_budget(layer.n_out)
+        )
+
+    def _record_step(self, batch, masks):
+        # Sampled products account for themselves inside
+        # _sampled_matmul; only the exact forward GEMMs remain
+        # (dense == actual — the feedforward pass is never skipped).
         layers = self.net.layers
-        act = self.net.hidden_activation
-        outs = []
         for i, layer in enumerate(layers):
-            if i < len(layers) - 1:
-                z = bernoulli_multiply(
-                    a, layer.W, self._node_budget(layer.n_in), rng
-                ) + layer.b
-                a = act.forward(z)
-                outs.append(a)
-            else:
-                outs.append(layer.forward(a))
-        return outs
-
-    # ------------------------------------------------------------------
-    # training
-    # ------------------------------------------------------------------
-    def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        layers = self.net.layers
-        n_layers = len(layers)
-        act = self.net.hidden_activation
-
-        with self._time_forward():
-            activations = [x]
-            zs = []
-            a = x
-            for i in range(n_layers):
-                layer = layers[i]
-                if self.approximate_forward and i < n_layers - 1:
-                    z = self._sampled_matmul(
-                        a, layer.W, self._node_budget(layer.n_in)
-                    ) + layer.b
-                else:
-                    z = layer.forward(a)
-                zs.append(z)
-                if i < n_layers - 1:
-                    a = act.forward(z)
-                    activations.append(a)
-            logits = zs[-1]
-            loss = self.loss_fn.value(
-                self.net.output_activation.forward(logits), y
-            )
-
-        batch = x.shape[0]
-        with self._time_backward():
-            delta = NLLLoss.fused_logit_gradient(logits, y)
-            for i in range(n_layers - 1, -1, -1):
-                layer = layers[i]
-                a_prev = activations[i]
-                # Weight gradient: inner dimension is the batch (§9.3).
-                g_w = self._sampled_matmul(a_prev.T, delta, min(self.k, batch))
-                g_b = delta.sum(axis=0)
-                if i > 0:
-                    # Delta propagation: inner dimension is this layer's
-                    # node count — "sampling from the previous layer".
-                    da = self._sampled_matmul(
-                        delta, layer.W.T, self._node_budget(layer.n_out)
-                    )
-                    delta = da * act.derivative(zs[i - 1])
-                self._update(("W", i), layer.W, g_w)
-                self._update(("b", i), layer.b, g_b)
-        if self.obs.enabled:
-            # Sampled products account for themselves inside
-            # _sampled_matmul; only the exact forward GEMMs remain
-            # (dense == actual — the feedforward pass is never skipped).
-            for i, layer in enumerate(layers):
-                if self.approximate_forward and i < n_layers - 1:
-                    continue
-                flops = gemm_flops(batch, layer.n_in, layer.n_out)
-                self.obs.add(FLOPS_DENSE, flops)
-                self.obs.add(FLOPS_ACTUAL, flops)
-        return loss
+            if self.approximate_forward and i < len(layers) - 1:
+                continue
+            flops = gemm_flops(batch, layer.n_in, layer.n_out)
+            self.obs.add(FLOPS_DENSE, flops)
+            self.obs.add(FLOPS_ACTUAL, flops)

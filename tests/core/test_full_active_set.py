@@ -2,7 +2,11 @@
 
 Dropout at ``keep_prob=1``, top-k at ``active_frac=1`` and ALSH with
 both active-fraction caps at 1 select every hidden node, so each step
-must apply the same updates as ``standard`` fed the same batches.  Two
+must apply the same updates as ``standard`` fed the same batches.  The
+two methods of the full-width loop degenerate the same way: MC-approx
+with ``k`` above the batch and ``node_frac=1`` keeps every index with a
+nonzero score at p = 1, and standout with ``alpha=0, beta=40`` keeps
+every node, since sigmoid(40) rounds to exactly 1.0.  Two
 hidden layers are needed to see the order of the backward pass: a hidden
 layer's delta must be backpropagated through the weights as they were
 before that layer's update.  The one-sample cases cover the per-sample
@@ -20,6 +24,8 @@ LAYER_SIZES = [8, 12, 12, 3]
 STEPS = {1: 120, 8: 60}
 
 ALSH_ALL = {"min_active_frac": 1.0, "max_active_frac": 1.0}
+MC_ALL = {"k": 100, "node_frac": 1.0}
+STANDOUT_ALL = {"alpha": 0.0, "beta": 40.0}
 
 #: case id -> (method, kwargs that make every node active, batch size)
 FULL_ACTIVE_SET = {
@@ -28,6 +34,10 @@ FULL_ACTIVE_SET = {
     "alsh": ("alsh", ALSH_ALL, 1),
     "dropout-batch8": ("dropout", {"keep_prob": 1.0}, 8),
     "alsh_union-batch8": ("alsh", {**ALSH_ALL, "batch_mode": "union"}, 8),
+    "mc": ("mc", MC_ALL, 1),
+    "mc-batch8": ("mc", MC_ALL, 8),
+    "adaptive_dropout": ("adaptive_dropout", STANDOUT_ALL, 1),
+    "adaptive_dropout-batch8": ("adaptive_dropout", STANDOUT_ALL, 8),
 }
 
 

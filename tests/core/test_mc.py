@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
+from obs.conftest import BATCH_SIZE, EPOCHS, LAYER_SIZES, SEED, weights_digest
 from repro.core.mc_approx import MCApproxTrainer
 from repro.core.standard import StandardTrainer
 from repro.nn.network import MLP
+
+#: sha256 of the weights after the obs suite's fixed-seed two-epoch run
+#: (``tests/obs/conftest.py``) with the §10.1 forward approximation on,
+#: ``node_frac=0.25, min_node_samples=4``.  No golden trace runs this
+#: path; the digest was written before MC-approx moved onto the shared
+#: full-width loop.
+APPROXIMATE_FORWARD_DIGEST = (
+    "9c9f0989287ecd20b13464599f17aa496c345eef5e282a1fac47ff56634776b5"
+)
 
 
 class TestValidation:
@@ -131,3 +141,19 @@ class TestTraining:
         exact = net.loss(x, y)
         losses = [trainer.train_batch(x, y) for _ in range(5)]
         assert any(abs(l - exact) > 1e-9 for l in losses)
+
+    def test_forward_approximation_weights_are_pinned(self, tiny_dataset):
+        net = MLP(LAYER_SIZES, seed=SEED)
+        trainer = MCApproxTrainer(
+            net, approximate_forward=True, node_frac=0.25,
+            min_node_samples=4, seed=SEED,
+        )
+        trainer.fit(
+            tiny_dataset.x_train,
+            tiny_dataset.y_train,
+            epochs=EPOCHS,
+            batch_size=BATCH_SIZE,
+            x_val=tiny_dataset.x_val,
+            y_val=tiny_dataset.y_val,
+        )
+        assert weights_digest(net) == APPROXIMATE_FORWARD_DIGEST
