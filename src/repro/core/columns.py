@@ -169,7 +169,8 @@ class ColumnSamplingTrainer(Trainer):
 
     def predict_exact(self, x: np.ndarray) -> np.ndarray:
         """Exact forward through the trained weights (diagnostic)."""
-        return self.net.predict(x)
+        with self._backend_scope():
+            return self.net.predict(x)
 
     def probe_approx_forward(self, x, rng):
         """The sampled forward of training, read-only.

@@ -9,6 +9,8 @@ from repro.nn.network import MLP
 from repro.obs import InMemoryRecorder
 from repro.obs.counters import BACKEND_USED_PREFIX, KERNEL_FLOPS_PREFIX
 
+from .conftest import BATCH_SIZE, LAYER_SIZES, SEED, TRAINER_NAMES
+
 
 @pytest.fixture
 def instrumented():
@@ -77,3 +79,29 @@ def test_traced_run_attributes_backend_and_kernels(tiny_dataset):
     # The trainer pinned an instrumented wrapper around the named backend.
     assert isinstance(trainer.compute_backend, InstrumentedBackend)
     assert trainer.compute_backend.inner is get_backend("reference")
+
+
+def _kernel_flops(recorder) -> int:
+    counters = recorder.snapshot()["counters"]
+    return sum(v for k, v in counters.items() if k.startswith(KERNEL_FLOPS_PREFIX))
+
+
+@pytest.mark.parametrize("name", TRAINER_NAMES)
+def test_inference_runs_on_the_pinned_backend(name, tiny_dataset):
+    """A traced trainer's post-fit inference goes through its kernels too,
+    whichever ``predict`` the method has (and ``predict_exact``)."""
+    recorder = InMemoryRecorder()
+    trainer = make_trainer(
+        name, MLP(LAYER_SIZES, seed=SEED), seed=SEED, recorder=recorder
+    )
+    trainer.fit(
+        tiny_dataset.x_train, tiny_dataset.y_train, epochs=1,
+        batch_size=BATCH_SIZE,
+    )
+    before = _kernel_flops(recorder)
+    trainer.evaluate(tiny_dataset.x_test, tiny_dataset.y_test)
+    assert _kernel_flops(recorder) > before
+    if hasattr(trainer, "predict_exact"):
+        before = _kernel_flops(recorder)
+        trainer.predict_exact(tiny_dataset.x_test)
+        assert _kernel_flops(recorder) > before
