@@ -95,6 +95,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse type for waits: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite non-negative number, got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -282,15 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: a seeded demo MLP)")
     serve.add_argument("--version", default=None,
                        help="pin the checkpoint's content digest")
-    serve.add_argument("--requests", type=int, default=256,
+    serve.add_argument("--requests", type=_positive_int, default=256,
                        help="number of requests to fire (default 256)")
-    serve.add_argument("--topk", type=int, default=None, metavar="K",
+    serve.add_argument("--topk", type=_positive_int, default=None, metavar="K",
                        help="serve top-k answers through the ALSH head "
                             "instead of full log-probability rows")
     serve.add_argument("--exact", action="store_true",
                        help="with --topk: use the exact full-GEMM head")
-    serve.add_argument("--max-batch", type=int, default=32)
-    serve.add_argument("--max-wait", type=float, default=0.002,
+    serve.add_argument("--max-batch", type=_positive_int, default=32)
+    serve.add_argument("--max-wait", type=_non_negative_float, default=0.002,
                        help="micro-batch collection window in seconds")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--smoke", action="store_true",
@@ -796,19 +809,24 @@ def _cmd_serve(args) -> int:
     mode = "topk" if args.topk is not None else "logproba"
     rng = np.random.default_rng(args.seed)
     xs = rng.normal(size=(args.requests, model.input_dim))
-    metrics = None
     try:
-        with InferenceServer(
+        server = InferenceServer(
             model,
             mode=mode,
-            k=args.topk or 10,
+            k=10 if args.topk is None else args.topk,
             exact=args.exact,
             max_batch=args.max_batch,
             max_wait=args.max_wait,
             max_queue=max(4 * args.requests, 64),
             recorder=recorder,
             tracer=tracer,
-        ) as server:
+        )
+    except ValueError as exc:  # a mode or --topk the model cannot answer
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    metrics = None
+    try:
+        with server:
             snapshot_fn = recorder.snapshot
             if args.slo:
                 from .obs import attach_burn_gauges, load_slo_spec

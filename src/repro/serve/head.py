@@ -89,8 +89,11 @@ class ALSHTopKHead:
         scale: float = 0.83,
         recorder: Recorder = NULL_RECORDER,
     ):
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+        if not 1 <= k <= layer.n_out:
+            raise ValueError(
+                f"k must be in [1, {layer.n_out}] (the output layer's "
+                f"classes), got {k}"
+            )
         self.layer = layer
         self.k = int(k)
         self.n_classes = int(layer.n_out)

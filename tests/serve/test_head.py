@@ -125,6 +125,8 @@ class TestFallbacks:
             head.topk(np.zeros((1, 4)), k=7)
         with pytest.raises(ValueError):
             ALSHTopKHead(_layer(4, 6, 0), k=0)
+        with pytest.raises(ValueError):
+            ALSHTopKHead(_layer(4, 6, 0), k=7)
 
 
 class TestGoldenRecall:

@@ -168,6 +168,12 @@ def _usage_errors():
         ["stream", "--checkpoint-every", "0"],
         ["trace-report", "--probe-every", "0"],
         ["sweep", "--store", "s.jsonl", "--trace", "--probe-every", "0"],
+        ["serve", "--topk", "0"],
+        ["serve", "--topk", "-3"],
+        ["serve", "--topk", "33"],  # the demo model has 32 classes
+        ["serve", "--max-batch", "0"],
+        ["serve", "--max-wait", "-1"],
+        ["serve", "--requests", "-2"],
     ]
 
 
