@@ -6,13 +6,19 @@ They share weight decay, clipping and ``state_dict`` with the classes under
 test.  One seeded sequence of interleaved dense and lazy updates drives
 both; after every step the parameter and every ``state_dict`` array must be
 bitwise equal — the in-place rules promise the same floating-point
-operations in the same order, not merely close results.
+operations in the same order, not merely close results.  A second sequence
+takes each step of the rules under test in column blocks, as single-sample
+training does (``Trainer._update_weights``), against the oracle's one
+whole-array step.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.optim import Adagrad, Adam, Momentum
+from repro.core import make_trainer
+from repro.nn.network import MLP
+from repro.nn.optim import SGD, Adagrad, Adam, Momentum
+from repro.obs import InMemoryRecorder
 
 
 def _slice(arr, index):
@@ -30,6 +36,18 @@ def _assign(arr, index, value):
         arr[:, index] = value
     else:
         arr[index] = value
+
+
+class OracleSGD(SGD):
+    def update(self, key, param, grad, index=None):
+        self._apply_weight_decay(param, index)
+        step = self.lr * self._clip(grad)
+        if index is None:
+            param -= step
+        elif param.ndim == 2:
+            param[:, index] -= step
+        else:
+            param[index] -= step
 
 
 class OracleMomentum(Momentum):
@@ -106,6 +124,7 @@ class OracleAdam(Adam):
 
 
 PAIRS = {
+    "sgd": (SGD, OracleSGD, 0.05),
     "momentum": (Momentum, OracleMomentum, 0.05),
     "adagrad": (Adagrad, OracleAdagrad, 0.05),
     "adam": (Adam, OracleAdam, 0.01),
@@ -194,3 +213,59 @@ def test_matches_whole_array_rules_bitwise(name, shape, regularised):
     resumed.update("p", param, grad, index=index)
     oracle.update("p", oracle_param, grad, index=index)
     _assert_same(resumed, oracle, param, oracle_param)
+
+
+#: Whole-array steps the blocked sequence takes, in order.
+BLOCK_SEQUENCE = ["dense", "subset", "dense", "one", "all", "subset", "dense"]
+
+
+def _blocks(width, n):
+    """Consecutive slices of ``width`` covering ``range(n)``."""
+    return [slice(start, start + width) for start in range(0, n, width)]
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.1], ids=["plain", "wd"])
+@pytest.mark.parametrize(
+    "shape, width",
+    [((300,), 64), ((5, 8), 3), ((1000, 40), 7), ((784, 1000), 32)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_column_blocks_match_whole_array_steps_bitwise(name, shape, width, decay):
+    """Dense steps by slices, lazy steps by consecutive pieces of the ids.
+
+    Every width leaves a last block narrower than the rest.  Clipping
+    is left out: a clipping norm spans the whole gradient, so the
+    trainers never split a step the optimiser clips.
+    """
+    cls, oracle_cls, lr = PAIRS[name]
+    opt = cls(lr, weight_decay=decay)
+    oracle = oracle_cls(lr, weight_decay=decay)
+    rng = np.random.default_rng(sum(shape) + width)
+    param = rng.normal(size=shape)
+    oracle_param = param.copy()
+    n_cols = shape[-1]
+    for step, kind in enumerate(BLOCK_SEQUENCE):
+        index = _index(kind, n_cols, rng)
+        size = n_cols if index is None else index.size
+        grad = _grad(shape[:-1] + (size,), rng, step)
+        before = grad.copy()
+        oracle.update("p", oracle_param, grad, index=index)
+        for block in _blocks(width, size):
+            cols = block if index is None else index[block]
+            opt.update("p", param, grad[..., block], index=cols)
+        assert np.array_equal(grad, before)
+        _assert_same(opt, oracle, param, oracle_param)
+    assert n_cols % width and n_cols > width
+
+
+def test_update_counts_a_slice_by_its_columns():
+    trainer = make_trainer(
+        "standard", MLP([4, 6, 3], seed=0), recorder=InMemoryRecorder()
+    )
+    layer = trainer.net.layers[0]
+    trainer._update(("W", 0), layer.W, np.zeros((4, 4)), index=slice(1, 5))
+    trainer._update(("W", 0), layer.W, np.zeros((4, 2)), index=np.array([0, 5]))
+    counters = trainer.obs.snapshot()["counters"]
+    assert counters["optim.lazy_update_hits"] == 2
+    assert counters["optim.lazy_update_cols"] == 6
