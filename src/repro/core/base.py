@@ -35,7 +35,7 @@ from ..nn.checkpoint import (
 from ..nn.losses import NLLLoss
 from ..nn.metrics import accuracy
 from ..nn.network import MLP
-from ..nn.optim import Optimizer, get_optimizer
+from ..nn.optim import BLOCK_BYTES, Optimizer, get_optimizer
 from ..obs import NULL_RECORDER, Recorder
 from ..obs.counters import (
     BACKEND_USED_PREFIX,
@@ -306,15 +306,54 @@ class Trainer:
         loss = self.loss_fn.value(self.net.output_activation.forward(logits), y)
         return loss, NLLLoss.fused_logit_gradient(logits, y)
 
-    def _update(self, key, param, grad, index=None) -> None:
-        """Apply an optimiser step, recording dense vs lazy-column hits."""
+    def _count_update(self, param, index) -> None:
+        """Record one dense update, or one lazy update of ``index``'s columns."""
         if index is None:
             self.obs.add(OPT_DENSE_UPDATES)
         else:
             self.obs.add(OPT_LAZY_UPDATE_HITS)
             if self.obs.enabled:
-                self.obs.add(OPT_LAZY_UPDATE_COLS, int(np.size(index)))
+                if isinstance(index, slice):
+                    cols = len(range(param.shape[-1])[index])
+                else:
+                    cols = int(np.size(index))
+                self.obs.add(OPT_LAZY_UPDATE_COLS, cols)
+
+    def _update(self, key, param, grad, index=None) -> None:
+        """Apply an optimiser step, recording dense vs lazy-column hits."""
+        self._count_update(param, index)
         self.optimizer.update(key, param, grad, index=index)
+
+    def _update_weights(self, key, param, a_prev, delta, index=None) -> None:
+        """Step ``param`` by its weight gradient ``a_prev.T @ delta``.
+
+        ``index`` names the columns ``delta`` covers, as in :meth:`_update`.
+        A single sample's gradient (1-D or one-row factors) is the outer
+        product ``a ⊗ δ`` and is never built: its columns go to the
+        optimiser in blocks of at most :data:`~repro.nn.optim.BLOCK_BYTES`,
+        each computed by ``grad_cols`` on the 1-D factors.  Every element
+        still gets one multiply and the update arithmetic of the whole
+        array, so the step is bitwise the materialised one; it counts as
+        one update.  A batch's gradient, or one that the optimiser clips by
+        its norm, is built whole.
+        """
+        backend = self._backend()
+        if (a_prev.ndim == 2 and len(a_prev) > 1) or (
+            self.optimizer.max_grad_norm is not None
+        ):
+            self._update(key, param, backend.grad_cols(a_prev, delta), index)
+            return
+        a, delta = a_prev.reshape(-1), delta.reshape(-1)
+        self._count_update(param, index)
+        width = max(1, BLOCK_BYTES // a.nbytes)  # a is one gradient column
+        for start in range(0, delta.size, width):
+            block = slice(start, start + width)
+            self.optimizer.update(
+                key,
+                param,
+                backend.grad_cols(a, delta[block]),
+                index=block if index is None else index[block],
+            )
 
     # ------------------------------------------------------------------
     # measured-FLOP accounting

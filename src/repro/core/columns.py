@@ -113,19 +113,18 @@ class ColumnSamplingTrainer(Trainer):
             # Output layer: dense update.  Every delta is backpropagated
             # through its layer's pre-update weights, as exact training does.
             da = backend.matmul(delta, layers[out].W.T)
-            g_w = backend.grad_cols(acts[out], delta)
-            self._update(("W", out), layers[out].W, g_w)
+            self._update_weights(("W", out), layers[out].W, acts[out], delta)
             self._update(("b", out), layers[out].b, _bias_gradient(delta))
             # Hidden layers: column-sparse updates over the active sets.
             for i in range(out - 1, -1, -1):
                 cols = active_sets[i]
                 delta = da[..., cols] * act.derivative(zs[i])
-                g_w = backend.grad_cols(acts[i], delta)
-                g_b = _bias_gradient(delta)
                 if i > 0:
                     da = backend.backprop_cols(delta, layers[i].W, cols)
-                self._update(("W", i), layers[i].W, g_w, index=cols)
-                self._update(("b", i), layers[i].b, g_b, index=cols)
+                self._update_weights(
+                    ("W", i), layers[i].W, acts[i], delta, index=cols
+                )
+                self._update(("b", i), layers[i].b, _bias_gradient(delta), index=cols)
             self._after_step(active_sets, batch)
         if self.obs.enabled:
             self._record_step_flops(

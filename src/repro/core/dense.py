@@ -1,8 +1,9 @@
-"""Full-width training: the layer loop standout and MC-approx share.
+"""Full-width training: the layer loop standard, standout and MC-approx share.
 
-Both are exact backpropagation with sampling inside the products (§4.2,
-Figure 2): adaptive dropout (standout) only masks a hidden activation,
-and MC-approx only estimates the weight-gradient and delta products.
+Standard is the bare loop (on one-row batches).  The other two are exact
+backpropagation with sampling inside the products (§4.2, Figure 2):
+adaptive dropout (standout) only masks a hidden activation, and MC-approx
+only estimates the weight-gradient and delta products.
 :class:`DenseLoopTrainer` owns the loop; a subclass overrides its hooks.
 """
 
@@ -12,6 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..backend import active_backend
 from .base import Trainer
 
 __all__ = ["DenseLoopTrainer"]
@@ -33,7 +35,15 @@ class DenseLoopTrainer(Trainer):
         return None
 
     def _weight_gradients(self, layer, a_prev, delta):
-        """``(dL/dW, dL/db)`` of ``layer`` given its ``delta``."""
+        """``(dL/dW, dL/db)`` of ``layer`` given its ``delta``.
+
+        In a one-row step dL/dW is the outer product ``a ⊗ δ``; the hook
+        returns its row ``a`` instead (one row, 2-D), and
+        :meth:`~repro.core.base.Trainer._update_weights` applies it
+        without building the product.
+        """
+        if len(a_prev) == 1:
+            return a_prev, delta.sum(axis=0)
         return layer.weight_gradients(a_prev, delta)
 
     def _backprop_delta(self, layer, delta) -> np.ndarray:
@@ -60,7 +70,7 @@ class DenseLoopTrainer(Trainer):
         for layer in layers[:-1]:
             z = self._hidden_preactivation(layer, a, rng, record)
             mask = self._mask(z, rng)
-            a = act.forward(z)
+            a = active_backend().apply_activation(act, z)
             if mask is not None:
                 a = a * mask
             zs.append(z)
@@ -80,6 +90,7 @@ class DenseLoopTrainer(Trainer):
             for i in range(len(layers) - 1, -1, -1):
                 layer = layers[i]
                 g_w, g_b = self._weight_gradients(layer, acts[i], delta)
+                layer_delta = delta
                 if i > 0:
                     da = self._backprop_delta(layer, delta)
                     if masks[i - 1] is not None:
@@ -87,7 +98,10 @@ class DenseLoopTrainer(Trainer):
                         # (standout takes no derivative through π).
                         da = da * masks[i - 1]
                     delta = da * act.derivative(zs[i - 1])
-                self._update(("W", i), layer.W, g_w)
+                if len(x) == 1:
+                    self._update_weights(("W", i), layer.W, g_w, layer_delta)
+                else:
+                    self._update(("W", i), layer.W, g_w)
                 self._update(("b", i), layer.b, g_b)
         if self.obs.enabled:
             self._record_step(x.shape[0], masks)

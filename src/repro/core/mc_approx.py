@@ -111,11 +111,19 @@ class MCApproxTrainer(DenseLoopTrainer):
     # sampled products
     # ------------------------------------------------------------------
     def _sampled_matmul(self, a: np.ndarray, b: np.ndarray, budget: int) -> np.ndarray:
-        """Unbiased Bernoulli estimate of ``a @ b`` with ~budget samples.
+        """Unbiased Bernoulli estimate of ``a @ b`` with ~budget samples."""
+        idx, scales = self._sample(a, b, budget)
+        if idx.size == 0:
+            return np.zeros((a.shape[0], b.shape[1]), order="F")
+        return self._backend().sampled_matmul(a, b, idx, scales)
+
+    def _sample(self, a: np.ndarray, b: np.ndarray, budget: int):
+        """Kept inner indices of ``a @ b`` and their 1/p scales.
 
         Always runs the probability machinery (the pass over the operands
         that §9.3 identifies as MC-approx's fixed overhead), even when the
-        budget covers the whole inner dimension.
+        budget covers the whole inner dimension, and records the
+        product's work as if it were taken.
         """
         inner = a.shape[1]
         budget = min(max(budget, 1), inner)
@@ -133,9 +141,7 @@ class MCApproxTrainer(DenseLoopTrainer):
                 MEM_GATHER_BYTES,
                 8 * int(idx.size) * (int(a.shape[0]) + int(b.shape[1])),
             )
-        if idx.size == 0:
-            return np.zeros((a.shape[0], b.shape[1]), order="F")
-        return self._backend().sampled_matmul(a, b, idx, scales)
+        return idx, scales
 
     def _node_budget(self, inner: int) -> int:
         budget = max(self.min_node_samples, int(round(self.node_frac * inner)))
@@ -155,7 +161,13 @@ class MCApproxTrainer(DenseLoopTrainer):
 
     def _weight_gradients(self, layer, a_prev, delta):
         # Weight gradient: inner dimension is the batch (§9.3).
-        g_w = self._sampled_matmul(a_prev.T, delta, min(self.k, delta.shape[0]))
+        budget = min(self.k, delta.shape[0])
+        if len(a_prev) == 1:
+            # One row: k clips to 1, so p = 1 and the draw keeps the row;
+            # hand over the kept row scaled by its 1/p.
+            _, scales = self._sample(a_prev.T, delta, budget)
+            return a_prev * scales, delta.sum(axis=0)
+        g_w = self._sampled_matmul(a_prev.T, delta, budget)
         return g_w, delta.sum(axis=0)
 
     def _backprop_delta(self, layer, delta):

@@ -9,18 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.losses import NLLLoss
-from .base import Trainer
+from .dense import DenseLoopTrainer
 
 __all__ = ["StandardTrainer"]
 
 
-class StandardTrainer(Trainer):
-    """Plain SGD/minibatch training with exact matrix products."""
+class StandardTrainer(DenseLoopTrainer):
+    """Plain SGD/minibatch training with exact matrix products.
+
+    A one-row batch runs the shared layer loop with no hook overridden, so
+    its weight steps never build a gradient; its probes read the loop's
+    exact forward, so the forward-error probe measures zero drift.  A
+    multi-row batch takes every layer's gradient from :meth:`MLP.backward
+    <repro.nn.network.MLP.backward>` before the first update.
+    """
 
     name = "standard"
 
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if len(x) == 1:
+            return super().train_batch(x, y)
         with self._time_forward():
             cache = self.net.forward(x)
             loss = self.loss_fn.value(cache.output, y)
@@ -31,17 +40,5 @@ class StandardTrainer(Trainer):
                 self._update(("W", i), layer.W, g_w)
                 self._update(("b", i), layer.b, g_b)
         # Exact training: the dense-equivalent work IS the actual work.
-        self._record_step_flops(
-            np.atleast_2d(x).shape[0],
-            [layer.n_out for layer in self.net.layers],
-        )
+        self._record_step_flops(len(x), [layer.n_out for layer in self.net.layers])
         return loss
-
-    def probe_approx_forward(self, x, rng):
-        """STANDARD computes exactly — the probe measures zero drift.
-
-        Kept explicit (rather than inheriting the base default) so the
-        forward-error probe's zero baseline is a documented property of
-        the method, not an accident of inheritance.
-        """
-        return self.probe_exact_forward(x)
