@@ -138,13 +138,16 @@ class InferenceServer:
         self.backend = backend
         self.head: Optional[ALSHTopKHead] = None
         if mode == "topk":
-            if head is not None:
-                self.head = head
-            else:
-                self.head = ALSHTopKHead(
+            if head is None:
+                head = ALSHTopKHead(
                     model.output_layer(), k=self.k,
                     recorder=recorder, **(head_kwargs or {}),
                 )
+            elif not 1 <= self.k <= head.n_classes:
+                raise ValueError(
+                    f"k must be in [1, {head.n_classes}], got {self.k}"
+                )
+            self.head = head
         self._pad_to = int(max_batch) if pad_batches else None
         self._probes: Optional[ProbeManager] = None
         if probe_every is not None:

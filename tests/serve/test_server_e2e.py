@@ -109,6 +109,15 @@ class TestTopKMode:
         with pytest.raises(ValueError, match="unknown serve mode"):
             InferenceServer(small_model, mode="streaming")
 
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_k_beyond_a_prebuilt_head_is_refused(self, small_model, k):
+        """A given head is checked like a built one, before any request."""
+        head = ALSHTopKHead(small_model.output_layer(), k=2, seed=0)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 8\]"):
+            InferenceServer(
+                small_model, mode="topk", k=k, head=head, start_worker=False
+            )
+
 
 class TestServeCatalogueCoverage:
     def test_everything_served_is_catalogued(self, small_model):
