@@ -295,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: a seeded demo MLP)")
     serve.add_argument("--version", default=None,
                        help="pin the checkpoint's content digest")
-    serve.add_argument("--requests", type=_positive_int, default=256,
-                       help="number of requests to fire (default 256)")
+    serve.add_argument("--requests", type=_positive_int, default=None,
+                       help="number of requests to fire (default 256, "
+                            "or 1000 with --smoke)")
     serve.add_argument("--topk", type=_positive_int, default=None, metavar="K",
                        help="serve top-k answers through the ALSH head "
                             "instead of full log-probability rows")
@@ -793,8 +794,10 @@ def _cmd_serve(args) -> int:
     )
     from .serve.server import InferenceServer, _fire, run_smoke, seeded_servable
 
+    if args.requests is None:
+        args.requests = 1000 if args.smoke else 256
     if args.smoke:
-        return run_smoke(requests=args.requests if args.requests != 256 else 1000,
+        return run_smoke(requests=args.requests,
                          seed=args.seed,
                          metrics_port=args.metrics_port,
                          store=args.store)

@@ -328,9 +328,23 @@ class TestSweepProbeFlag:
 class TestServeCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.requests == 256
+        assert args.requests is None  # 256, or 1000 with --smoke
         assert args.topk is None
         assert not args.smoke
+
+    def test_requests_default_and_explicit_value(self, capsys, monkeypatch):
+        """An explicit --requests equal to a default is honoured as given."""
+        from repro.serve import server
+
+        fired = []
+        monkeypatch.setattr(
+            server, "run_smoke", lambda requests, **kw: fired.append(requests) or 0
+        )
+        assert main(["serve", "--smoke", "--requests", "256"]) == 0
+        assert main(["serve", "--smoke"]) == 0
+        assert fired == [256, 1000]
+        assert main(["serve"]) == 0
+        assert "256/256 served" in capsys.readouterr().out
 
     def test_serve_seeded_model(self, capsys):
         assert main(["serve", "--requests", "32"]) == 0
