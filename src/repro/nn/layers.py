@@ -12,8 +12,8 @@ below accepts either layout.
 
 No sampled products live here.  The current-layer samplers (§5) call the
 column-subset kernels from one place,
-:class:`~repro.core.columns.ColumnSamplingTrainer`.  Standout and
-MC-approx (§6) share the full-width loop of
+:class:`~repro.core.columns.ColumnSamplingTrainer`.  Standout,
+MC-approx (§6) and standard's one-row steps share the full-width loop of
 :class:`~repro.core.dense.DenseLoopTrainer`, which takes the exact
 products from here; MC-approx swaps in rows sampled with
 :mod:`repro.approx.bernoulli`.  The products execute on the active
