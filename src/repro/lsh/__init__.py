@@ -1,6 +1,7 @@
 """Locality-sensitive hashing substrate.
 
-Signed-random-projection hashing, multi-table indexes, the Shrivastava–Li
+Signed-random-projection and winner-take-all hashing, the multi-table
+index over flat bucket arrays (:class:`LSHIndex`), the Shrivastava–Li
 asymmetric transforms reducing maximum-inner-product search to
 near-neighbour search, and the rebuild scheduler ALSH-approx uses during
 training.
@@ -13,7 +14,6 @@ from .diagnostics import (
     candidate_size_profile,
     recall_at_k,
 )
-from .flat import FlatHashTables, make_fused_bank
 from .mips import MIPSIndex, exact_mips
 from .rebuild import RebuildScheduler
 from .drift import ColumnDriftTracker
@@ -26,8 +26,6 @@ __all__ = [
     "DensifiedWTA",
     "FusedSRP",
     "FusedDWTA",
-    "FlatHashTables",
-    "make_fused_bank",
     "pack_bits",
     "HASH_FAMILIES",
     "make_hash_function",

@@ -17,7 +17,8 @@ bin always produces a valid hash.
 This module provides :class:`DensifiedWTA` with the same interface as
 :class:`~repro.lsh.srp.SignedRandomProjection`, so the two families are
 drop-in interchangeable in :class:`~repro.lsh.tables.LSHIndex` and the
-ALSH trainer (see the ``hash_family`` option).
+ALSH trainer (see the ``hash_family`` option), and :class:`FusedDWTA`,
+the L-table hasher an index of family ``"dwta"`` builds.
 """
 
 from __future__ import annotations

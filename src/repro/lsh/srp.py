@@ -104,7 +104,8 @@ class FusedSRP:
     Stacking the hyperplanes of all L functions into a single
     ``(dim, L·K)`` operand turns the whole multi-table hash into one
     ``(B, dim) @ (dim, L·K)`` product followed by bit-packing, which is
-    what makes the flat tables' query path a single BLAS call.
+    what makes :class:`~repro.lsh.tables.LSHIndex`'s query path a single
+    BLAS call.
 
     All functions must share ``dim`` and ``n_bits``; per-column results
     are identical to calling each function's :meth:`hash` separately.

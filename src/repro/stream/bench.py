@@ -163,7 +163,7 @@ def bench_config(config: Dict) -> Dict:
         "rehashed_items": snapshot["counters"].get("lsh.rehashed_items", 0),
         "compactions": outcome["compactions"],
         "backend_compactions": sum(
-            ix.index.flat.compactions for ix in st.trainer.indexes
+            ix.index.compactions for ix in st.trainer.indexes
         ),
         "garbage_frac_max": _series_max(snapshot, SERIES_STREAM_GARBAGE) or 0.0,
         "garbage_frac_final": outcome["garbage_frac"],

@@ -1,4 +1,4 @@
-"""Oracle and unit tests for the flat (vectorized CSR) LSH tables.
+"""Oracle and unit tests for the flat (vectorized CSR) tables of LSHIndex.
 
 The ``BucketOracle`` in ``conftest.py`` is the reference: for identical
 seeds :class:`~repro.lsh.tables.LSHIndex` must return byte-identical
@@ -10,9 +10,8 @@ agreement.
 import numpy as np
 import pytest
 
-from repro.lsh.flat import MAX_BUCKET_BITS, FlatHashTables, make_fused_bank
-from repro.lsh.srp import SignedRandomProjection
-from repro.lsh.tables import LSHIndex
+from repro.lsh.srp import FusedSRP, SignedRandomProjection
+from repro.lsh.tables import MAX_BUCKET_BITS, LSHIndex
 
 
 @pytest.fixture
@@ -81,7 +80,7 @@ class TestEquivalence:
             vecs = rng.normal(size=(len(ids), 24))
             o.update(ids, vecs)
             f.update(ids, vecs)
-        assert sum(f.flat._stale) == 0 and sum(f.flat._extra_len) > 0
+        assert sum(f._stale) == 0 and sum(f._extra_len) > 0
         queries = rng.normal(size=(24, 24))
         answers = [o.query(q) for q in queries]
         assert any(a.size == 0 for a in answers)
@@ -103,7 +102,7 @@ class TestEquivalence:
     def test_compaction_preserves_answers(self, make_pair, rng):
         """Force many compactions and check candidates never drift."""
         o, f = make_pair("srp", seed=5, dim=16)
-        f.flat.compact_garbage_frac = 0.05
+        f.compact_garbage_frac = 0.05
         data = rng.normal(size=(64, 16))
         o.build(data)
         f.build(data)
@@ -113,7 +112,7 @@ class TestEquivalence:
             o.update(ids, vecs)
             f.update(ids, vecs)
             assert_same_answers(o, f, rng, 16)
-        assert f.flat.compactions > f.flat.n_tables  # beyond the build ones
+        assert f.compactions > f.n_tables  # beyond the build ones
 
     def test_rebuild_after_updates(self, make_pair, rng):
         """build() discards the update history."""
@@ -174,11 +173,11 @@ class TestWidthBound:
 
 
 class TestFlatHashTables:
+    """Storage edge cases, without the oracle."""
+
     @pytest.fixture
     def flat(self):
-        rng = np.random.default_rng(0)
-        fns = [SignedRandomProjection(8, 4, rng) for _ in range(3)]
-        return FlatHashTables(fns)
+        return LSHIndex(8, n_bits=4, n_tables=3, seed=0)
 
     def test_empty_index_queries(self, flat, rng):
         assert flat.query(rng.normal(size=8)).size == 0
@@ -217,16 +216,6 @@ class TestFlatHashTables:
         with pytest.raises(ValueError):
             flat.update(np.array([-1]), rng.normal(size=(1, 8)))
 
-    def test_invalid_garbage_frac(self):
-        rng = np.random.default_rng(0)
-        fns = [SignedRandomProjection(8, 4, rng)]
-        with pytest.raises(ValueError):
-            FlatHashTables(fns, compact_garbage_frac=0.0)
-
-    def test_no_hash_functions_raises(self):
-        with pytest.raises(ValueError):
-            FlatHashTables([])
-
     def test_tiny_table_garbage_stays_bounded_under_churn(self, rng):
         """The compaction threshold is a pure fraction of live items.
 
@@ -236,9 +225,8 @@ class TestFlatHashTables:
         ``compact_garbage_frac=0.5`` the fraction must stay bounded by
         roughly frac/(1+frac) at every point of a long churn sequence.
         """
-        fns = [SignedRandomProjection(8, 4, np.random.default_rng(7))
-               for _ in range(3)]
-        flat = FlatHashTables(fns, compact_garbage_frac=0.5)
+        flat = LSHIndex(8, n_bits=4, n_tables=3, seed=7)
+        assert flat.compact_garbage_frac == 0.5
         flat.build(rng.normal(size=(8, 8)))
         bound = 0.5 / 1.5 + 0.15  # frac/(1+frac) plus batch-grain slack
         for _ in range(300):
@@ -249,10 +237,8 @@ class TestFlatHashTables:
         assert len(flat) == 8
 
     def test_public_compact_repacks_all_dirty_tables(self, rng):
-        fns = [SignedRandomProjection(8, 4, np.random.default_rng(11))
-               for _ in range(3)]
-        # Huge threshold: nothing compacts on its own.
-        flat = FlatHashTables(fns, compact_garbage_frac=50.0)
+        flat = LSHIndex(8, n_bits=4, n_tables=3, seed=11)
+        flat.compact_garbage_frac = 50.0  # nothing compacts on its own
         flat.build(rng.normal(size=(20, 8)))
         queries = rng.normal(size=(5, 8))
         for _ in range(10):
@@ -268,13 +254,7 @@ class TestFlatHashTables:
 
 
 class TestMakeFusedBank:
-    def test_mixed_families_rejected(self):
-        from repro.lsh.dwta import DensifiedWTA
-
-        rng = np.random.default_rng(0)
-        fns = [SignedRandomProjection(8, 4, rng), DensifiedWTA(8, 4, rng=rng)]
-        with pytest.raises(ValueError):
-            make_fused_bank(fns)
+    """The fused L-table hasher an index builds for its family."""
 
     def test_mismatched_shapes_rejected(self):
         rng = np.random.default_rng(0)
@@ -283,4 +263,4 @@ class TestMakeFusedBank:
             SignedRandomProjection(8, 5, rng),
         ]
         with pytest.raises(ValueError):
-            make_fused_bank(fns)
+            FusedSRP(fns)
