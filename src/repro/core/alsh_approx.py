@@ -210,7 +210,8 @@ class ALSHApproxTrainer(ColumnSamplingTrainer):
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.batch_mode == "union" and x.shape[0] > 1:
-            return self._step(x, np.asarray(y).reshape(-1))
+            with self._backend_scope():
+                return self._step(x, np.asarray(y).reshape(-1))
         return super().train_batch(x, y)
 
     def _after_step(self, active_sets: List[np.ndarray], batch: int) -> None:

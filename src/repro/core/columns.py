@@ -143,12 +143,13 @@ class ColumnSamplingTrainer(Trainer):
         """One step per sample, or one step for the batch when it shares
         its active sets (:attr:`shared_active_set`)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.shared_active_set:
-            return self._step(x, y)
-        y = np.asarray(y).reshape(-1)
-        total = 0.0
-        for xi, yi in zip(x, y):
-            total += self._step(xi, int(yi))
+        with self._backend_scope():
+            if self.shared_active_set:
+                return self._step(x, y)
+            y = np.asarray(y).reshape(-1)
+            total = 0.0
+            for xi, yi in zip(x, y):
+                total += self._step(xi, int(yi))
         return total / x.shape[0]
 
     # ------------------------------------------------------------------
@@ -162,9 +163,10 @@ class ColumnSamplingTrainer(Trainer):
         produces the predicted-label collapse in deep networks.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.array(
-            [int(np.argmax(self._forward(xi)[-1])) for xi in x], dtype=int
-        )
+        with self._backend_scope():
+            return np.array(
+                [int(np.argmax(self._forward(xi)[-1])) for xi in x], dtype=int
+            )
 
     def predict_exact(self, x: np.ndarray) -> np.ndarray:
         """Exact forward through the trained weights (diagnostic)."""

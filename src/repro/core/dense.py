@@ -82,27 +82,28 @@ class DenseLoopTrainer(Trainer):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         layers = self.net.layers
         act = self.net.hidden_activation
-        with self._time_forward():
-            acts, zs, masks, logits = self._forward(x)
-            loss, delta = self._head(logits, y)
+        with self._backend_scope():
+            with self._time_forward():
+                acts, zs, masks, logits = self._forward(x)
+                loss, delta = self._head(logits, y)
 
-        with self._time_backward():
-            for i in range(len(layers) - 1, -1, -1):
-                layer = layers[i]
-                g_w, g_b = self._weight_gradients(layer, acts[i], delta)
-                layer_delta = delta
-                if i > 0:
-                    da = self._backprop_delta(layer, delta)
-                    if masks[i - 1] is not None:
-                        # A sampled mask is a constant of the gradient
-                        # (standout takes no derivative through π).
-                        da = da * masks[i - 1]
-                    delta = da * act.derivative(zs[i - 1])
-                if len(x) == 1:
-                    self._update_weights(("W", i), layer.W, g_w, layer_delta)
-                else:
-                    self._update(("W", i), layer.W, g_w)
-                self._update(("b", i), layer.b, g_b)
+            with self._time_backward():
+                for i in range(len(layers) - 1, -1, -1):
+                    layer = layers[i]
+                    g_w, g_b = self._weight_gradients(layer, acts[i], delta)
+                    layer_delta = delta
+                    if i > 0:
+                        da = self._backprop_delta(layer, delta)
+                        if masks[i - 1] is not None:
+                            # A sampled mask is a constant of the gradient
+                            # (standout takes no derivative through π).
+                            da = da * masks[i - 1]
+                        delta = da * act.derivative(zs[i - 1])
+                    if len(x) == 1:
+                        self._update_weights(("W", i), layer.W, g_w, layer_delta)
+                    else:
+                        self._update(("W", i), layer.W, g_w)
+                    self._update(("b", i), layer.b, g_b)
         if self.obs.enabled:
             self._record_step(x.shape[0], masks)
         return loss

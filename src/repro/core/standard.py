@@ -30,15 +30,16 @@ class StandardTrainer(DenseLoopTrainer):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if len(x) == 1:
             return super().train_batch(x, y)
-        with self._time_forward():
-            cache = self.net.forward(x)
-            loss = self.loss_fn.value(cache.output, y)
-        with self._time_backward():
-            grads = self.net.backward(cache, y)
-            for i, (g_w, g_b) in enumerate(grads):
-                layer = self.net.layers[i]
-                self._update(("W", i), layer.W, g_w)
-                self._update(("b", i), layer.b, g_b)
+        with self._backend_scope():
+            with self._time_forward():
+                cache = self.net.forward(x)
+                loss = self.loss_fn.value(cache.output, y)
+            with self._time_backward():
+                grads = self.net.backward(cache, y)
+                for i, (g_w, g_b) in enumerate(grads):
+                    layer = self.net.layers[i]
+                    self._update(("W", i), layer.W, g_w)
+                    self._update(("b", i), layer.b, g_b)
         # Exact training: the dense-equivalent work IS the actual work.
         self._record_step_flops(len(x), [layer.n_out for layer in self.net.layers])
         return loss

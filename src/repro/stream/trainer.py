@@ -305,49 +305,55 @@ class StreamTrainer:
         probes = self.trainer._probes
         start = self.batches_done
         t0 = time.perf_counter()
-        for _ in range(start, int(n_batches)):
-            x, y = self.stream.next_batch()
-            tb = time.perf_counter()
-            loss = self.trainer.train_batch(x, y)
-            batch_seconds = time.perf_counter() - tb
-            self.batches_done += 1
-            self.samples_done += int(x.shape[0])
-            self.last_loss = float(loss)
-            if self.obs.enabled:
-                self.obs.add(STREAM_BATCHES)
-                self.obs.add(STREAM_SAMPLES, int(x.shape[0]))
-                self.obs.series(SERIES_STREAM_LOSS, self.batches_done, float(loss))
-                self.obs.histogram(HIST_STREAM_BATCH_SECONDS, batch_seconds)
-            if probes is not None:
-                probes.on_batch(self.trainer, x, y)
-            if (
-                self._trackers is not None
-                and self.batches_done % self.drift_check_every == 0
-            ):
-                self._drift_refresh()
-            if self.batches_done % self.compact_check_every == 0:
-                self._check_compaction()
-            if (
-                self.eval_every is not None
-                and self.batches_done % self.eval_every == 0
-            ):
-                xe, ye = self.stream.eval_batch(self.eval_samples)
-                acc = float(self.trainer.evaluate(xe, ye))
-                self.eval_history.append([self.batches_done, acc])
+        with self.trainer._backend_scope():
+            for _ in range(start, int(n_batches)):
+                x, y = self.stream.next_batch()
+                tb = time.perf_counter()
+                loss = self.trainer.train_batch(x, y)
+                batch_seconds = time.perf_counter() - tb
+                self.batches_done += 1
+                self.samples_done += int(x.shape[0])
+                self.last_loss = float(loss)
                 if self.obs.enabled:
-                    self.obs.add(STREAM_EVALS)
-                    self.obs.series(
-                        SERIES_STREAM_ACCURACY, self.batches_done, acc
+                    self.obs.add(STREAM_BATCHES)
+                    self.obs.add(STREAM_SAMPLES, int(x.shape[0]))
+                    self.obs.series(SERIES_STREAM_LOSS, self.batches_done, float(loss))
+                    self.obs.histogram(HIST_STREAM_BATCH_SECONDS, batch_seconds)
+                if probes is not None:
+                    probes.on_batch(self.trainer, x, y)
+                if (
+                    self._trackers is not None
+                    and self.batches_done % self.drift_check_every == 0
+                ):
+                    self._drift_refresh()
+                if self.batches_done % self.compact_check_every == 0:
+                    self._check_compaction()
+                if (
+                    self.eval_every is not None
+                    and self.batches_done % self.eval_every == 0
+                ):
+                    xe, ye = self.stream.eval_batch(self.eval_samples)
+                    acc = float(self.trainer.evaluate(xe, ye))
+                    self.eval_history.append([self.batches_done, acc])
+                    if self.obs.enabled:
+                        self.obs.add(STREAM_EVALS)
+                        self.obs.series(
+                            SERIES_STREAM_ACCURACY, self.batches_done, acc
+                        )
+                if (
+                    ckpt_file is not None
+                    and self.batches_done % self.checkpoint_every == 0
+                ):
+                    self._save(ckpt_file)
+                if verbose and self.batches_done % log_every == 0:
+                    acc = (
+                        self.eval_history[-1][1] if self.eval_history else float("nan")
                     )
-            if ckpt_file is not None and self.batches_done % self.checkpoint_every == 0:
-                self._save(ckpt_file)
-            if verbose and self.batches_done % log_every == 0:
-                acc = self.eval_history[-1][1] if self.eval_history else float("nan")
-                print(
-                    f"  batch {self.batches_done}: loss {loss:.4f}, "
-                    f"acc {acc:.3f}, rebuilds {self.rebuilds}, "
-                    f"compactions {self.compactions}"
-                )
+                    print(
+                        f"  batch {self.batches_done}: loss {loss:.4f}, "
+                        f"acc {acc:.3f}, rebuilds {self.rebuilds}, "
+                        f"compactions {self.compactions}"
+                    )
         elapsed = time.perf_counter() - t0
         trained = self.batches_done - start
         if ckpt_file is not None and trained and self.batches_done % self.checkpoint_every:
