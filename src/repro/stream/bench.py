@@ -159,7 +159,7 @@ def bench_config(config: Dict) -> Dict:
         "recall_at_k": float(np.mean(recalls)) if recalls else None,
         "accuracy": float(np.mean(tail_accs)) if tail_accs else None,
         "rebuilds": outcome["rebuilds"],
-        "rehashed_columns": outcome.get("rehashed_columns", 0),
+        "rehashed_columns": st.trainer.rehashed_columns,
         "rehashed_items": snapshot["counters"].get("lsh.rehashed_items", 0),
         "compactions": outcome["compactions"],
         "backend_compactions": sum(

@@ -7,18 +7,19 @@ forever.  Three maintenance policies replace the offline ``fit`` loop's
 assumptions:
 
 * **Drift-triggered rebuilds** — instead of the paper's count-based
-  100/1000 schedule, a :class:`~repro.lsh.drift.ColumnDriftTracker` per
-  hidden layer is consulted every ``drift_check_every`` batches and only
-  the touched columns that actually drifted past ``drift_threshold`` are
-  re-hashed.  Under never-ending drift the fixed schedule either wastes
-  re-hashes (early phase) or lets tables go stale (late phase); the
-  detector re-hashes exactly when the geometry moved.
-* **Gauge-driven compaction** — the flat backend's tombstone garbage is
-  read through ``MIPSIndex.garbage_fraction()`` (the ``lsh.garbage_frac``
+  100/1000 schedule, the inner ALSH trainer's table refresh runs every
+  ``drift_check_every`` batches, and the trainer, built with a
+  ``drift_threshold``, re-hashes only the touched columns that actually
+  drifted past it.  Under never-ending drift the fixed schedule either
+  wastes re-hashes (early phase) or lets tables go stale (late phase);
+  the detector re-hashes exactly when the geometry moved.
+* **Gauge-driven compaction** — the tables' tombstone garbage is read
+  through ``MIPSIndex.garbage_fraction()`` (the ``lsh.garbage_frac``
   gauge) every ``compact_check_every`` batches and all tables are
   force-compacted when it exceeds ``compact_garbage_frac`` — a global
-  policy on the observed signal rather than the backend's per-table
-  heuristic.
+  policy on the observed signal.  The tables' own per-table threshold
+  keeps the gauge at or below ``LSHIndex.compact_garbage_frac`` (0.5),
+  so this policy fires only when set below that.
 * **Continuous checkpointing** — every ``checkpoint_every`` batches the
   full mutable state (weights, optimizer slots, trainer RNG, hash
   tables, rebuild counters, drift references, the stream's own RNG and
@@ -44,11 +45,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.alsh_approx import ALSHApproxTrainer
 from ..data.streams import DriftingStream
-from ..lsh.drift import ColumnDriftTracker
 from ..lsh.rebuild import RebuildScheduler
 from ..nn.checkpoint import (
     TrainerCheckpoint,
@@ -61,7 +59,6 @@ from ..obs import NULL_RECORDER, Recorder
 from ..obs.counters import (
     HIST_STREAM_BATCH_SECONDS,
     LSH_GARBAGE_FRAC,
-    LSH_REHASHED_COLUMNS,
     STREAM_BATCHES,
     STREAM_CHECKPOINTS,
     STREAM_COMPACTIONS,
@@ -106,24 +103,24 @@ class StreamTrainer:
     ----------
     trainer:
         The inner trainer.  Any :class:`~repro.core.base.Trainer` works
-        for plain online training; drift-triggered rebuilds and
-        gauge-driven compaction require the ALSH trainer (per-layer
-        ``indexes``/``_touched`` machinery).
+        for plain online training; drift-triggered rebuilds need an
+        :class:`~repro.core.alsh_approx.ALSHApproxTrainer` built with a
+        ``drift_threshold``, and gauge-driven compaction its ``indexes``.
     stream:
         The drifting minibatch source (must expose ``next_batch``,
         ``eval_batch`` and ``state_dict``/``load_state_dict``).
     rebuild:
         "drift" (default): the trainer's own count scheduler is replaced
-        by :func:`never_rebuild` and table refreshes are driven by
-        per-layer drift trackers; "count": the trainer's own scheduler
-        stays in charge (the paper's policy); "none": no rebuilds ever
-        (the decay baseline).
-    drift_threshold, drift_check_every:
-        Relative-drift trigger and its cadence in batches ("drift" mode).
+        by :func:`never_rebuild` and its drift-gated refresh runs every
+        ``drift_check_every`` batches; "count": the trainer's own
+        scheduler stays in charge (the paper's policy); "none": no
+        rebuilds ever (the decay baseline).
+    drift_check_every:
+        Cadence in batches of the drift-gated refresh ("drift" mode).
     compact_garbage_frac:
         Force-compact all tables when the worst index's garbage fraction
         exceeds this value; ``None`` disables gauge-driven compaction
-        (the backend's own per-table threshold still applies).
+        (the tables' own per-table threshold still applies).
     compact_check_every:
         Cadence (batches) of the garbage-gauge reading.
     eval_every, eval_samples:
@@ -146,7 +143,6 @@ class StreamTrainer:
         trainer,
         stream: DriftingStream,
         rebuild: str = "drift",
-        drift_threshold: float = 0.1,
         drift_check_every: int = 5,
         compact_garbage_frac: Optional[float] = 0.5,
         compact_check_every: int = 10,
@@ -179,10 +175,11 @@ class StreamTrainer:
             raise ValueError(
                 f"checkpoint_every must be at least 1, got {checkpoint_every}"
             )
-        if rebuild == "drift" and not getattr(trainer, "indexes", None):
+        if rebuild == "drift" and getattr(trainer, "drift_threshold", None) is None:
             raise ValueError(
-                "rebuild='drift' needs an ALSH-style trainer with per-layer "
-                f"hash indexes; {type(trainer).__name__} has none"
+                "rebuild='drift' needs an ALSH trainer with per-layer hash "
+                f"indexes built with a drift_threshold; {type(trainer).__name__} "
+                "has none"
             )
         self.trainer = trainer
         self.stream = stream
@@ -201,16 +198,9 @@ class StreamTrainer:
             trainer.attach_probes(probe_manager)
         self.obs: Recorder = trainer.obs
 
-        self._trackers: Optional[List[ColumnDriftTracker]] = None
-        if rebuild == "drift":
-            # The stream drives refreshes; the trainer's own count
-            # scheduler must never fire underneath it.
-            trainer.rebuild = never_rebuild()
-            self._trackers = [
-                ColumnDriftTracker(trainer.net.layers[i].W, drift_threshold)
-                for i in range(trainer.n_hidden)
-            ]
-        elif rebuild == "none" and getattr(trainer, "indexes", None):
+        if rebuild != "count" and getattr(trainer, "indexes", None):
+            # The stream drives refreshes (or none); the trainer's own
+            # count scheduler must never fire underneath it.
             trainer.rebuild = never_rebuild()
 
         self.batches_done = 0
@@ -225,35 +215,13 @@ class StreamTrainer:
     # maintenance policies
     # ------------------------------------------------------------------
     def _drift_refresh(self) -> None:
-        """Re-hash exactly the touched columns that drifted past threshold.
-
-        Unlike the count schedule's refresh (which clears the whole
-        touched set), columns below the threshold stay pending: they will
-        be re-checked on the next cadence and re-hashed once their
-        accumulated drift crosses the line.
-        """
-        tr = self.trainer
+        """Run the trainer's drift-gated refresh; count it if it re-hashed."""
         if self.obs.enabled:
             self.obs.add(STREAM_DRIFT_CHECKS)
-        rehashed = 0
-        for i, tracker in enumerate(self._trackers):
-            touched = tr._touched[i]
-            if not touched:
-                continue
-            ids = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
-            W = tr.net.layers[i].W
-            drifted = tracker.drifted(W, ids)
-            if drifted.size:
-                tr.indexes[i].update(drifted, W[:, drifted].T)
-                tracker.mark_rehashed(W, drifted)
-                tr.rehashed_columns += int(drifted.size)
-                rehashed += int(drifted.size)
-                touched.difference_update(int(c) for c in drifted)
-        if rehashed:
+        if self.trainer.refresh_tables():
             self.rebuilds += 1
             if self.obs.enabled:
                 self.obs.add(STREAM_REBUILDS)
-                self.obs.add(LSH_REHASHED_COLUMNS, rehashed)
 
     def garbage_fraction(self) -> float:
         """Worst garbage fraction across the trainer's hash indexes."""
@@ -266,7 +234,7 @@ class StreamTrainer:
         indexes = getattr(self.trainer, "indexes", None)
         if not indexes:
             return
-        frac = max(ix.garbage_fraction() for ix in indexes)
+        frac = self.garbage_fraction()
         if self.obs.enabled:
             self.obs.gauge(LSH_GARBAGE_FRAC, frac)
             self.obs.series(SERIES_STREAM_GARBAGE, self.batches_done, frac)
@@ -322,7 +290,7 @@ class StreamTrainer:
                 if probes is not None:
                     probes.on_batch(self.trainer, x, y)
                 if (
-                    self._trackers is not None
+                    self.rebuild_mode == "drift"
                     and self.batches_done % self.drift_check_every == 0
                 ):
                     self._drift_refresh()
@@ -379,8 +347,6 @@ class StreamTrainer:
         }
         if self.rebuild_mode == "count" and hasattr(self.trainer, "rebuild"):
             out["rebuilds"] = int(self.trainer.rebuild.rebuild_count)
-        if hasattr(self.trainer, "rehashed_columns"):
-            out["rehashed_columns"] = int(self.trainer.rehashed_columns)
         return out
 
     # ------------------------------------------------------------------
@@ -396,9 +362,6 @@ class StreamTrainer:
         stream_meta, stream_arrays = self.stream.state_dict()
         for name, arr in stream_arrays.items():
             arrays[f"stream.{name}"] = arr
-        if self._trackers is not None:
-            for i, tracker in enumerate(self._trackers):
-                arrays[f"streamdrift{i}"] = tracker.reference
         payload["stream"] = {
             "state": stream_meta,
             "batches_done": int(self.batches_done),
@@ -438,7 +401,14 @@ class StreamTrainer:
                 f"this stream trainer is {self._method!r}"
             )
         payload = ckpt.payload
-        self.trainer._load_state(payload, ckpt.arrays)
+        # Older checkpoints hold the drift references under the stream's
+        # own "streamdrift{i}" key; the trainer reads them as "aux.drift{i}".
+        arrays = {}
+        for name, arr in ckpt.arrays.items():
+            if name.startswith("streamdrift"):
+                name = "aux.drift" + name[len("streamdrift"):]
+            arrays[name] = arr
+        self.trainer._load_state(payload, arrays)
         sp = payload["stream"]
         self.stream.load_state_dict(
             sp["state"],
@@ -447,9 +417,6 @@ class StreamTrainer:
                 "targets": ckpt.arrays["stream.targets"],
             },
         )
-        if self._trackers is not None:
-            for i, tracker in enumerate(self._trackers):
-                tracker.restore_reference(ckpt.arrays[f"streamdrift{i}"])
         self.batches_done = int(sp["batches_done"])
         self.samples_done = int(sp["samples_done"])
         self.rebuilds = int(sp["rebuilds"])
@@ -493,18 +460,10 @@ def make_stream_trainer(
     seeded at ``seed + 1`` so stream and trainer draw from independent
     generators.  ``rebuild`` selects the maintenance policy (see
     :class:`StreamTrainer`); in "count" mode the scheduler follows the
-    paper's two-phase cadence with the given periods.
+    paper's two-phase cadence with the given periods, and in "drift"
+    mode the trainer is built with ``drift_threshold``.
     """
     net = MLP([dim] + [width] * depth + [n_classes], seed=seed)
-    scheduler = (
-        RebuildScheduler(
-            early_every=count_early_every,
-            late_every=count_late_every,
-            warmup_samples=count_warmup,
-        )
-        if rebuild == "count"
-        else never_rebuild()
-    )
     trainer = ALSHApproxTrainer(
         net,
         lr=lr,
@@ -512,7 +471,12 @@ def make_stream_trainer(
         n_bits=n_bits,
         n_tables=n_tables,
         batch_mode="union",
-        rebuild=scheduler,
+        rebuild=RebuildScheduler(
+            early_every=count_early_every,
+            late_every=count_late_every,
+            warmup_samples=count_warmup,
+        ),
+        drift_threshold=drift_threshold if rebuild == "drift" else None,
         seed=seed,
         recorder=recorder if recorder is not None else NULL_RECORDER,
     )
@@ -528,7 +492,6 @@ def make_stream_trainer(
         trainer,
         stream,
         rebuild=rebuild,
-        drift_threshold=drift_threshold,
         drift_check_every=drift_check_every,
         compact_garbage_frac=compact_garbage_frac,
         compact_check_every=compact_check_every,

@@ -6,6 +6,7 @@ import pytest
 from repro.core.alsh_approx import ALSHApproxTrainer
 from repro.lsh.rebuild import RebuildScheduler
 from repro.nn.network import MLP
+from repro.obs import InMemoryRecorder
 
 
 def make_trainer_and_net(depth=2, width=40, seed=0, **kwargs):
@@ -109,6 +110,23 @@ class TestTraining:
         assert sched.rebuild_count == 4
         # Touched sets are flushed on rebuild.
         assert all(len(t) < 30 for t in trainer._touched)
+
+    def test_refresh_returns_and_counts_rehashed_columns(self, rng):
+        recorder = InMemoryRecorder()
+        sched = RebuildScheduler(early_every=10**9, late_every=10**9)
+        trainer = ALSHApproxTrainer(
+            MLP([20, 30, 4], seed=0), seed=1, rebuild=sched, recorder=recorder
+        )
+        trainer.train_batch(rng.normal(size=(5, 20)), rng.integers(0, 4, 5))
+        touched = len(trainer._touched[0])
+        assert touched > 0
+        assert trainer.refresh_tables() == touched
+        assert trainer.rehashed_columns == touched
+        counters = recorder.snapshot()["counters"]
+        assert counters["lsh.rehashed_columns"] == touched
+        # lsh.rebuilds counts scheduler firings only
+        assert "lsh.rebuilds" not in counters
+        assert trainer.refresh_tables() == 0  # the touched set was cleared
 
     def test_batch_loops_per_sample(self, rng):
         trainer, _ = make_trainer_and_net()

@@ -116,7 +116,7 @@ class TestKillResumeEquality:
         checked directly on the references and on a probe query over
         every column."""
         full, resumed = run_kill_resume(tmp_path)
-        for i, (ta, tb) in enumerate(zip(full._trackers, resumed._trackers)):
+        for i, (ta, tb) in enumerate(zip(full.trainer._drift, resumed.trainer._drift)):
             np.testing.assert_array_equal(
                 ta.reference, tb.reference,
                 err_msg=f"layer {i} drift reference",

@@ -59,6 +59,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="hash indexes"):
             StreamTrainer(trainer, stream, rebuild="drift")
 
+    def test_drift_mode_needs_a_drift_threshold(self):
+        """The drift-gated refresh is the trainer's; without a threshold
+        it would re-hash every touched column."""
+        from repro.core.alsh_approx import ALSHApproxTrainer
+        from repro.data.streams import DriftingStream
+
+        trainer = ALSHApproxTrainer(MLP([12, 16, 3], seed=0), seed=0)
+        stream = DriftingStream(12, 3, seed=1)
+        with pytest.raises(ValueError, match="drift_threshold"):
+            StreamTrainer(trainer, stream, rebuild="drift")
+        StreamTrainer(trainer, stream, rebuild="count")
+
     def test_rebuild_modes_constant(self):
         assert set(REBUILD_MODES) == {"drift", "count", "none"}
 
