@@ -14,6 +14,7 @@ from repro.backend import use_backend
 from repro.core.registry import make_trainer, trainer_names
 from repro.nn.network import MLP
 from repro.obs import InMemoryRecorder
+from repro.obs.counters import gemm_flops
 from repro.stream.trainer import make_stream_trainer
 
 
@@ -58,3 +59,19 @@ def test_stream_run_records_what_a_scoped_run_does():
         scoped.run(60)
     assert counters(bare.obs) == counters(scoped.obs)
     assert counters(bare.obs)["stream.rebuilds"] > 0
+
+
+def test_alsh_table_build_records_its_hashing():
+    """Building the tables hashes each hidden layer's columns, ALSH-extended
+    by ``m``, against every table's hyperplanes in one GEMM on the
+    trainer's backend."""
+    net = MLP([8, 6, 6, 3], seed=0)
+    trainer = make_trainer("alsh", net, seed=1, recorder=InMemoryRecorder())
+    expected = sum(
+        gemm_flops(layer.n_out, ix.index.dim, ix.index.n_bits * ix.index.n_tables)
+        for layer, ix in zip(net.layers, trainer.indexes)
+    )
+    assert counters(trainer.obs) == {
+        "lsh.builds": 2,
+        "kernel.flops.matmul": expected,
+    }
