@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..backend import get_backend
+from ..backend import active_backend
 from ..nn.activations import LogSoftmax
 from ..obs.counters import SAMPLER_COLS_KEPT, SAMPLER_COLS_POOL
 from .base import Trainer
@@ -56,10 +56,6 @@ class ColumnSamplingTrainer(Trainer):
         """
         raise NotImplementedError
 
-    def _kernels(self, record: bool):
-        """The trainer's backend, or plain ``reference`` for probes."""
-        return self._backend() if record else get_backend("reference")
-
     # ------------------------------------------------------------------
     # forward, loss head, training step
     # ------------------------------------------------------------------
@@ -69,7 +65,7 @@ class ColumnSamplingTrainer(Trainer):
         ``acts[i]`` is layer ``i``'s input, with zeros at inactive nodes;
         ``zs[i]`` holds hidden layer ``i``'s active pre-activations.
         """
-        backend = self._kernels(record)
+        backend = active_backend()
         layers = self.net.layers
         act = self.net.hidden_activation
         acts, zs, active_sets = [x], [], []
@@ -177,9 +173,10 @@ class ColumnSamplingTrainer(Trainer):
         """The sampled forward of training, read-only.
 
         Layout matches :meth:`Trainer.probe_exact_forward`.  Selection
-        draws from the probe's ``rng`` and runs with ``record=False`` on
-        the uninstrumented kernels, so a probe changes no trainer state,
-        RNG stream or work counter.
+        draws from the probe's ``rng`` and runs with ``record=False``, and
+        the products run on the backend :meth:`Trainer.probe_scope`
+        activates, so a probe changes no trainer state, RNG stream or
+        work counter.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         rows = [x] if self.shared_active_set else list(x)

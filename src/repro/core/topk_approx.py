@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..backend import active_backend
 from ..nn.network import MLP
 from ..obs import Recorder
 from .columns import ColumnSamplingTrainer
@@ -74,7 +75,7 @@ class TopKApproxTrainer(ColumnSamplingTrainer):
         """
         layer = self.net.layers[layer_idx]
         keep = max(1, int(round(self.active_frac * layer.n_out)))
-        scores = np.abs(self._kernels(record).matmul(a_prev, layer.W))
+        scores = np.abs(active_backend().matmul(a_prev, layer.W))
         top = np.argpartition(-scores, keep - 1)[:keep]
         top.sort()
         return top

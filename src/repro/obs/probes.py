@@ -13,9 +13,11 @@ Three invariants, enforced by ``tests/obs/test_noop.py``:
 * **Read-only.**  A probe never mutates trainer state and never touches
   the trainer's RNG — all probe randomness comes from the
   :class:`ProbeManager`'s private generator, and probe-time LSH lookups
-  go through the counters-off ``query(..., record=False)`` path.
-  Training with probes attached is bitwise identical to training
-  without.
+  go through the counters-off ``query(..., record=False)`` path.  The
+  manager runs probes inside the trainer's ``probe_scope()``, its
+  backend without instrumentation, so their products add to no
+  ``kernel.*`` counter.  Training with probes attached is bitwise
+  identical to training without.
 * **Cadence-bounded.**  Probes fire every ``probe_every`` batches; a
   probe whose single invocation exceeds the manager's wall-clock budget
   is disabled for the rest of the run (recorded under
@@ -30,14 +32,16 @@ Three invariants, enforced by ``tests/obs/test_noop.py``:
 Layering note: ``repro.obs`` modules are import-time dependency-free
 from the rest of ``repro``.  Probes are the sanctioned boundary — they
 duck-type the trainer object (``probe_exact_forward`` /
-``probe_approx_forward`` / ``indexes`` / ``_node_budget``) and defer the
-one import they need (:func:`repro.approx.bernoulli.estimator_moments`)
-to call time, so importing ``repro.obs`` still pulls in nothing else.
+``probe_approx_forward`` / ``probe_scope`` / ``indexes`` /
+``_node_budget``) and defer the one import they need
+(:func:`repro.approx.bernoulli.estimator_moments`) to call time, so
+importing ``repro.obs`` still pulls in nothing else.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -309,20 +313,21 @@ class ProbeManager:
             return
         if self.step % self.probe_every:
             return
-        for probe in self.probes:
-            if probe.name in self.disabled:
-                continue
-            if not probe.supports(trainer):
-                recorder.add(PROBE_SKIPPED)
-                continue
-            start = time.perf_counter()
-            probe.run(trainer, self.step, x, y, self.rng, recorder)
-            elapsed = time.perf_counter() - start
-            recorder.add(PROBE_RUNS)
-            recorder.add_time(f"probe.{probe.name}", elapsed)
-            if self.budget is not None and elapsed > self.budget:
-                self.disabled.add(probe.name)
-                recorder.add(PROBE_DISABLED)
+        with getattr(trainer, "probe_scope", nullcontext)():
+            for probe in self.probes:
+                if probe.name in self.disabled:
+                    continue
+                if not probe.supports(trainer):
+                    recorder.add(PROBE_SKIPPED)
+                    continue
+                start = time.perf_counter()
+                probe.run(trainer, self.step, x, y, self.rng, recorder)
+                elapsed = time.perf_counter() - start
+                recorder.add(PROBE_RUNS)
+                recorder.add_time(f"probe.{probe.name}", elapsed)
+                if self.budget is not None and elapsed > self.budget:
+                    self.disabled.add(probe.name)
+                    recorder.add(PROBE_DISABLED)
 
     # ------------------------------------------------------------------
     # checkpoint support (rides in the trainer checkpoint payload)

@@ -8,7 +8,7 @@ covers the manager mechanics and the kill-resume series identity.
 import numpy as np
 import pytest
 
-from repro.core.registry import make_trainer
+from repro.core.registry import make_trainer, trainer_names
 from repro.nn.network import MLP
 from repro.obs import InMemoryRecorder, is_catalogued_series
 from repro.obs.counters import (
@@ -114,6 +114,55 @@ class TestProbeManager:
         assert (
             fresh.rng.bit_generator.state == m.rng.bit_generator.state
         )
+
+
+def kernel_counters(snapshot):
+    return {
+        name: value
+        for name, value in snapshot["counters"].items()
+        if name.startswith("kernel.")
+    }
+
+
+class TestProbesAddNoKernelWork:
+    """A probe's own products run on the trainer's uninstrumented backend,
+    so a probed traced fit records the kernel counters an unprobed one
+    does."""
+
+    @pytest.mark.parametrize(
+        "method, probe",
+        [
+            pytest.param(name, ForwardErrorProbe, id=f"{name}-forward_error")
+            for name in trainer_names()
+        ]
+        + [
+            pytest.param(
+                "alsh",
+                lambda: LSHRecallProbe(k=2, max_queries=4),
+                id="alsh-lsh_recall",
+            )
+        ],
+    )
+    def test_probed_fit_records_unprobed_kernel_counters(self, method, probe):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(40, 8)), rng.integers(0, 3, size=40)
+
+        def fit(probed):
+            trainer = make_trainer(
+                method, MLP([8, 6, 6, 3], seed=0), seed=1,
+                recorder=InMemoryRecorder(),
+            )
+            if probed:
+                trainer.attach_probes(
+                    ProbeManager([probe()], probe_every=2, budget=None, seed=0)
+                )
+            trainer.fit(x, y, epochs=1, batch_size=4)
+            return trainer.obs.snapshot()
+
+        probed, bare = fit(True), fit(False)
+        assert probed["counters"][PROBE_RUNS] == 5
+        assert kernel_counters(bare)
+        assert kernel_counters(probed) == kernel_counters(bare)
 
 
 class TestProbeSeries:
