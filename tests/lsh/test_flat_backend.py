@@ -9,6 +9,8 @@ agreement.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsh.srp import FusedSRP, SignedRandomProjection
 from repro.lsh.tables import MAX_BUCKET_BITS, LSHIndex
@@ -235,6 +237,29 @@ class TestFlatHashTables:
             assert flat.garbage_fraction() <= bound
         assert flat.compactions > 0
         assert len(flat) == 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_built=st.integers(0, 12),
+        family=st.sampled_from(["srp", "dwta"]),
+    )
+    def test_garbage_fraction_never_exceeds_compaction_threshold(
+        self, seed, n_built, family
+    ):
+        """After every update each table holds at most
+        ``compact_garbage_frac`` × its live items as garbage and scans at
+        least its live items, so the index's garbage fraction never
+        exceeds ``compact_garbage_frac``, through updates of fresh ids,
+        re-inserted ids and repeats within a call."""
+        rng = np.random.default_rng(seed)
+        index = LSHIndex(8, n_bits=3, n_tables=3, family=family, seed=seed)
+        index.build(draw_vectors(rng, n_built, 8, family))
+        for _ in range(40):
+            # Ids up to three past the stored ones: fresh and re-inserted.
+            ids = rng.integers(0, index.n_slots + 3, size=rng.integers(1, 6))
+            index.update(ids, draw_vectors(rng, ids.size, 8, family))
+            assert index.garbage_fraction() <= index.compact_garbage_frac
 
     def test_public_compact_repacks_all_dirty_tables(self, rng):
         flat = LSHIndex(8, n_bits=4, n_tables=3, seed=11)
