@@ -6,6 +6,8 @@ job runs the same parser over a live scrape.
 """
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -158,3 +160,46 @@ class TestMetricsServer:
         assert parse_prometheus(body)["repro_serve_latency_s_count"] == [
             ("", 1.0)
         ]
+
+    def test_close_mid_scrape_hangs_no_caller(self):
+        """``close()`` while a scrape is blocked inside ``snapshot_fn``:
+        close returns promptly, the in-flight scrape still completes, a
+        later scrape fails at once, and the serving thread is gone."""
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking_snapshot():
+            entered.set()
+            release.wait(timeout=10.0)
+            return _snapshot()
+
+        server = MetricsServer(blocking_snapshot, port=0)
+        url = server.url + "/metrics"
+        inflight = {}
+
+        def scrape():
+            try:
+                inflight["status"], inflight["body"] = _get(url)
+            except Exception as exc:  # recorded, asserted below
+                inflight["error"] = exc
+
+        client = threading.Thread(target=scrape, daemon=True)
+        try:
+            client.start()
+            assert entered.wait(timeout=5.0)
+            start = time.monotonic()
+            server.close()
+            assert time.monotonic() - start < 2.0  # one 0.5 s poll interval
+            assert not any(
+                t.name == "repro-metrics" for t in threading.enumerate()
+            )
+            start = time.monotonic()
+            with pytest.raises(urllib.error.URLError):
+                _get(url)
+            assert time.monotonic() - start < 2.0
+        finally:
+            release.set()
+            server.close()
+        client.join(timeout=5.0)
+        assert not client.is_alive()
+        assert inflight.get("status") == 200, inflight.get("error")
+        assert parse_prometheus(inflight["body"])["repro_serve_requests_total"]
