@@ -196,7 +196,7 @@ COUNTER_CATALOG: Dict[str, str] = {
     LSH_UPDATES: "incremental hash-table update calls",
     LSH_REHASHED_ITEMS: "items re-inserted by incremental updates",
     LSH_REBUILDS: "scheduled table refreshes triggered by the trainer",
-    LSH_REHASHED_COLUMNS: "weight columns re-hashed at those refreshes",
+    LSH_REHASHED_COLUMNS: "weight columns re-hashed by scheduled or stream-driven refreshes",
     LSH_ACTIVE_NODES: "active nodes selected after candidate clamping",
     LSH_ACTIVE_POOL: "nodes that were eligible (layer widths summed)",
     PROBE_RUNS: "probe invocations executed (per probe, across the run)",
