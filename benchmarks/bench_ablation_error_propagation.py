@@ -1,24 +1,25 @@
 """§7 empirical check: measured layerwise error growth on live networks.
 
 Measures the relative activation-estimation error per hidden layer under
-three selectors — a live ALSH index, an oracle top-k (perfect MIPS), and
-uniform random — and prints them next to the Theorem 7.2 closed form.
-Shape: all selectors compound with depth; ALSH tracks the oracle far
-better than random, but compounding is inherent to the approach.
+three ways of sampling from the current layer at one budget — ALSH-approx
+on its live hash index, the top-k oracle (perfect MIPS) and dropout (blind
+to the data) — through each trainer's own sampled forward, and prints them
+next to the Theorem 7.2 closed form.  Shape: all three compound with depth;
+ALSH tracks the oracle far better than dropout, but compounding is
+inherent to the approach.
 """
 
 import numpy as np
 
 from repro.core.alsh_approx import ALSHApproxTrainer
+from repro.core.dropout import DropoutTrainer
+from repro.core.mc_approx import MCApproxTrainer
+from repro.core.topk_approx import TopKApproxTrainer
 from repro.harness.reporting import format_series
 from repro.nn.network import MLP
-from repro.theory.analysis import (
-    make_alsh_selector,
-    make_random_selector,
-    make_topk_selector,
-    measure_layerwise_error,
-)
+from repro.theory.analysis import layerwise_error
 from repro.theory.error_propagation import error_ratio
+from repro.theory.mc_propagation import relative_variance_growth
 
 DEPTH = 6
 WIDTH = 96
@@ -30,19 +31,15 @@ def run_measurement():
     rng = np.random.default_rng(0)
     net = MLP([INPUT] + [WIDTH] * DEPTH + [10], seed=1)
     x = rng.normal(size=(25, INPUT))
-    trainer = ALSHApproxTrainer(
+    oracle = TopKApproxTrainer(net, active_frac=BUDGET)
+    alsh = ALSHApproxTrainer(
         net, seed=2, min_active_frac=BUDGET, max_active_frac=BUDGET
     )
+    dropout = DropoutTrainer(net, keep_prob=BUDGET)
     series = {
-        "oracle top-k": measure_layerwise_error(
-            net, make_topk_selector(net, BUDGET), x
-        ),
-        "ALSH (K=6, L=5)": measure_layerwise_error(
-            net, make_alsh_selector(trainer), x
-        ),
-        "uniform random": measure_layerwise_error(
-            net, make_random_selector(net, BUDGET, seed=3), x
-        ),
+        "oracle top-k": layerwise_error(oracle, x, np.random.default_rng(3)),
+        "ALSH (K=6, L=5)": layerwise_error(alsh, x, np.random.default_rng(3)),
+        "dropout (blind)": layerwise_error(dropout, x, np.random.default_rng(3)),
         "Thm 7.2 (c=5), scaled": np.array(
             [error_ratio(5.0, k) for k in range(1, DEPTH + 1)]
         ),
@@ -65,7 +62,7 @@ def test_ablation_error_propagation(benchmark, capsys):
         )
     oracle = series["oracle top-k"]
     alsh = series["ALSH (K=6, L=5)"]
-    random = series["uniform random"]
+    random = series["dropout (blind)"]
     # Compounding: the deep end is worse than the shallow end everywhere.
     for name, s in (("oracle", oracle), ("alsh", alsh), ("random", random)):
         assert s[-1] > s[0], name
@@ -76,17 +73,13 @@ def test_ablation_error_propagation(benchmark, capsys):
 
 def run_mc_variance():
     """Unbiased-estimator analogue: MC forward error vs the (1+ρ)^k law."""
-    from repro.theory.mc_propagation import (
-        measure_mc_forward_error,
-        relative_variance_growth,
-    )
-
     rng = np.random.default_rng(0)
     net = MLP([INPUT] + [WIDTH] * DEPTH + [10], seed=3)
     x = rng.normal(size=(15, INPUT))
-    measured = measure_mc_forward_error(
-        net, x, budget_frac=0.2, n_trials=10, seed=4
+    mc = MCApproxTrainer(
+        net, node_frac=0.2, min_node_samples=1, approximate_forward=True
     )
+    measured = layerwise_error(mc, x, np.random.default_rng(4), trials=10)
     # Fit the per-layer rate from the first layer's error and compare the
     # closed-form *shape* against the measured chain.
     rho = measured[0] ** 2

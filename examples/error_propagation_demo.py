@@ -7,8 +7,8 @@ compounds exponentially with depth:
 2. the Lemma 7.1 recursion simulated exactly on a constructed linear
    network where the active/inactive ratio c is controlled;
 3. the measured layerwise activation error of a real ReLU network under
-   an oracle top-k selector (perfect MIPS — the best case for
-   ALSH-approx) vs a uniform-random selector at the same budget.
+   the top-k oracle's sampled forward (perfect MIPS — the best case for
+   ALSH-approx) vs dropout's (blind to the data) at the same budget.
 
 Run:
     python examples/error_propagation_demo.py
@@ -16,13 +16,11 @@ Run:
 
 import numpy as np
 
+from repro.core.dropout import DropoutTrainer
+from repro.core.topk_approx import TopKApproxTrainer
 from repro.harness.reporting import format_series, format_table
 from repro.nn.network import MLP
-from repro.theory.analysis import (
-    make_random_selector,
-    make_topk_selector,
-    measure_layerwise_error,
-)
+from repro.theory.analysis import layerwise_error
 from repro.theory.error_propagation import (
     LinearErrorModel,
     depth_at_error_ratio,
@@ -72,21 +70,22 @@ def live_network():
     net = MLP([64] + [96] * 6 + [10], seed=1)
     x = rng.normal(size=(30, 64))
     budget = 0.3
-    oracle = measure_layerwise_error(net, make_topk_selector(net, budget), x)
-    random = measure_layerwise_error(
-        net, make_random_selector(net, budget, seed=2), x
+    probe_rng = np.random.default_rng(2)
+    oracle = layerwise_error(
+        TopKApproxTrainer(net, active_frac=budget), x, probe_rng
     )
+    blind = layerwise_error(DropoutTrainer(net, keep_prob=budget), x, probe_rng)
     print(
         format_series(
             "hidden layer",
             list(range(1, 7)),
             {
                 f"oracle top-{int(budget*100)}% selector": oracle,
-                "uniform random selector": random,
+                "dropout (blind) selector": blind,
             },
             title=(
                 "Relative activation error per layer on a live ReLU network\n"
-                "(even perfect MIPS compounds; random is strictly worse)"
+                "(even perfect MIPS compounds; dropout is strictly worse)"
             ),
         )
     )

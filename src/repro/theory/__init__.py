@@ -1,19 +1,13 @@
 """The paper's §7 theoretical analysis, executable.
 
-Closed-form error-propagation results (Theorem 7.2), the Lemma 7.1
-recursion simulator, and empirical layerwise error measurement on live
-networks.
+Closed-form error-propagation results (Theorem 7.2 and its unbiased
+analogue), the Lemma 7.1 recursion simulator, and empirical layerwise
+error measurement of the trainers' own sampled forward on live networks.
 """
 
-from .analysis import (
-    make_alsh_selector,
-    make_random_selector,
-    make_topk_selector,
-    measure_layerwise_error,
-)
+from .analysis import layerwise_error
 from .mc_propagation import (
     depth_at_relative_variance,
-    measure_mc_forward_error,
     relative_variance_growth,
 )
 from .error_propagation import (
@@ -28,11 +22,7 @@ __all__ = [
     "error_ratio_table",
     "depth_at_error_ratio",
     "LinearErrorModel",
-    "make_topk_selector",
-    "make_random_selector",
-    "make_alsh_selector",
-    "measure_layerwise_error",
+    "layerwise_error",
     "relative_variance_growth",
     "depth_at_relative_variance",
-    "measure_mc_forward_error",
 ]

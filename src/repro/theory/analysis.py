@@ -2,102 +2,51 @@
 
 §7's theory assumes a linear activation and exact active-node detection;
 this module measures the same quantity — the relative activation-estimation
-error per hidden layer — on real (ReLU) networks under real selectors:
-the ALSH index of a live :class:`~repro.core.alsh_approx.ALSHApproxTrainer`,
-an oracle top-k selector, or a uniform-random one.  The error-propagation
-bench uses it to show the theory's exponential growth shows up in practice.
+error per hidden layer — on real (ReLU) networks under the methods
+themselves: a trainer's sampled forward (``probe_approx_forward``, what
+:class:`~repro.obs.probes.ForwardErrorProbe` reads) against its exact one.
+Top-k gives the oracle selector, ALSH-approx its live hash tables, dropout
+the blind baseline, and MC-approx under ``approximate_forward`` the
+unbiased Bernoulli estimator of §10.1.  The error-propagation bench uses
+it to show the theory's exponential growth shows up in practice.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
-
 import numpy as np
 
-from ..nn.network import MLP
-
-__all__ = [
-    "make_topk_selector",
-    "make_random_selector",
-    "make_alsh_selector",
-    "measure_layerwise_error",
-]
-
-Selector = Callable[[int, np.ndarray], np.ndarray]
-"""``selector(layer_idx, a_prev) -> active column ids`` for one sample."""
+__all__ = ["layerwise_error"]
 
 
-def make_topk_selector(net: MLP, frac: float) -> Selector:
-    """Oracle selector: the columns with largest |⟨a_prev, W·j⟩|.
-
-    This is the best case for "sampling from the current layer" — perfect
-    MIPS — so any error it shows is inherent to the approach, not to LSH
-    recall.
-    """
-    if not 0.0 < frac <= 1.0:
-        raise ValueError(f"frac must be in (0, 1], got {frac}")
-
-    def selector(layer_idx: int, a_prev: np.ndarray) -> np.ndarray:
-        layer = net.layers[layer_idx]
-        scores = np.abs(a_prev @ layer.W)
-        keep = max(1, int(round(frac * layer.n_out)))
-        return np.argpartition(-scores, keep - 1)[:keep]
-
-    return selector
-
-
-def make_random_selector(net: MLP, frac: float, seed: int = 0) -> Selector:
-    """Uniform-random selector with the same budget (dropout-like)."""
-    if not 0.0 < frac <= 1.0:
-        raise ValueError(f"frac must be in (0, 1], got {frac}")
-    rng = np.random.default_rng(seed)
-
-    def selector(layer_idx: int, a_prev: np.ndarray) -> np.ndarray:
-        layer = net.layers[layer_idx]
-        keep = max(1, int(round(frac * layer.n_out)))
-        return rng.choice(layer.n_out, size=keep, replace=False)
-
-    return selector
-
-
-def make_alsh_selector(trainer) -> Selector:
-    """Selector backed by a live ALSH trainer's hash tables."""
-
-    def selector(layer_idx: int, a_prev: np.ndarray) -> np.ndarray:
-        return trainer._select_active(layer_idx, a_prev)
-
-    return selector
-
-
-def measure_layerwise_error(
-    net: MLP, selector: Selector, x: np.ndarray
+def layerwise_error(
+    trainer, x: np.ndarray, rng: np.random.Generator, trials: int = 1
 ) -> np.ndarray:
     """Mean relative error ‖â^k − a^k‖/‖a^k‖ per hidden layer.
 
-    The *estimated* chain feeds each layer the previous layer's estimate
-    (errors compound, as in Lemma 7.1); the exact chain is computed in
-    parallel for reference.  Averaged over the rows of ``x``.
+    ``â^k`` is hidden layer ``k`` under ``trainer.probe_approx_forward``,
+    which feeds each layer the previous layer's estimate (errors
+    compound, as in Lemma 7.1), and ``a^k`` the same layer under
+    ``trainer.probe_exact_forward``.  Averaged over the rows of ``x`` and
+    ``trials`` independent approximate passes drawn from ``rng``; a row
+    whose exact activation vanishes counts 0 if its estimate vanishes
+    too, else 1.  Runs inside ``trainer.probe_scope()``, as the probe
+    manager runs probes, so measuring changes no trainer state, RNG
+    stream or work counter.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n_hidden = len(net.layers) - 1
-    if n_hidden < 1:
-        raise ValueError("network has no hidden layers to measure")
-    act = net.hidden_activation
-    totals = np.zeros(n_hidden)
-    for sample in x:
-        a_true = sample
-        a_hat = sample
-        for i in range(n_hidden):
-            layer = net.layers[i]
-            a_true = act.forward(a_true @ layer.W + layer.b)
-            cols = selector(i, a_hat)
-            z_hat = a_hat @ layer.W[:, cols] + layer.b[cols]
-            a_next = np.zeros(layer.n_out)
-            a_next[cols] = act.forward(z_hat)
-            a_hat = a_next
-            denom = np.linalg.norm(a_true)
-            if denom == 0.0:
-                totals[i] += 0.0 if np.linalg.norm(a_hat) == 0.0 else 1.0
-            else:
-                totals[i] += np.linalg.norm(a_hat - a_true) / denom
-    return totals / x.shape[0]
+    with trainer.probe_scope():
+        exact = trainer.probe_exact_forward(x)[:-1]
+        if not exact:
+            raise ValueError("network has no hidden layers to measure")
+        totals = np.zeros(len(exact))
+        for _ in range(trials):
+            approx = trainer.probe_approx_forward(x, rng)
+            for k, (a_hat, a) in enumerate(zip(approx, exact)):
+                norm = np.linalg.norm(a, axis=1)
+                err = np.linalg.norm(a_hat - a, axis=1)
+                # Where a row's exact activation vanishes, err is ‖â‖.
+                rel = np.divide(err, norm, out=(err > 0) * 1.0, where=norm > 0)
+                totals[k] += rel.mean()
+    return totals / trials

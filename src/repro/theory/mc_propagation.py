@@ -13,23 +13,19 @@ the exact multiplicative analogue of Theorem 7.2's ((c+1)/c)^k − 1.  An
 unbiased estimator whose *input* is already noisy is no longer unbiased
 about the true activations — it is unbiased about the noisy chain — and a
 single forward pass samples one realisation of exponentially growing
-noise.  This module provides the closed form and a Monte-Carlo measurement
-of the real (ReLU, Eq. 7-sampled) chain so the two can be compared.
+noise.  This module provides the closed form; the real (ReLU, Eq. 7-sampled)
+chain is measured by :func:`repro.theory.analysis.layerwise_error` on an
+:class:`~repro.core.mc_approx.MCApproxTrainer` built with
+``approximate_forward=True``, so the two can be compared.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from ..approx.bernoulli import bernoulli_probabilities, bernoulli_sample
-from ..nn.network import MLP
 
 __all__ = [
     "relative_variance_growth",
     "depth_at_relative_variance",
-    "measure_mc_forward_error",
 ]
 
 
@@ -54,55 +50,3 @@ def depth_at_relative_variance(rho: float, threshold: float = 1.0) -> int:
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     return int(np.ceil(np.log1p(threshold) / np.log1p(rho) - 1e-12))
-
-
-def measure_mc_forward_error(
-    net: MLP,
-    x: np.ndarray,
-    budget_frac: float = 0.1,
-    n_trials: int = 20,
-    seed: Optional[int] = 0,
-) -> np.ndarray:
-    """Mean relative error ‖ẑ^k − a^k‖/‖a^k‖ per hidden layer.
-
-    Every hidden layer's pre-activation is estimated with the Eq. 7
-    Bernoulli sampler at ``budget_frac`` of the previous layer's nodes,
-    feeding the *estimated* activations forward (errors compound, as in a
-    real forward-approximated training step); averaged over ``n_trials``
-    independent samplings and the rows of ``x``.
-    """
-    if not 0.0 < budget_frac <= 1.0:
-        raise ValueError(f"budget_frac must be in (0, 1], got {budget_frac}")
-    if n_trials <= 0:
-        raise ValueError(f"n_trials must be positive, got {n_trials}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n_hidden = len(net.layers) - 1
-    if n_hidden < 1:
-        raise ValueError("network has no hidden layers to measure")
-    rng = np.random.default_rng(seed)
-    act = net.hidden_activation
-    totals = np.zeros(n_hidden)
-
-    # Exact reference chain (batched).
-    a_true = [x]
-    for i in range(n_hidden):
-        a_true.append(act.forward(net.layers[i].forward(a_true[-1])))
-
-    for _ in range(n_trials):
-        a_hat = x
-        for i in range(n_hidden):
-            layer = net.layers[i]
-            budget = max(1, int(round(budget_frac * layer.n_in)))
-            probs = bernoulli_probabilities(a_hat, layer.W, budget)
-            idx, scales = bernoulli_sample(probs, rng)
-            if idx.size == 0:
-                z_hat = np.zeros((a_hat.shape[0], layer.n_out)) + layer.b
-            else:
-                z_hat = (a_hat[:, idx] * scales) @ layer.W[idx, :] + layer.b
-            a_hat = act.forward(z_hat)
-            ref = a_true[i + 1]
-            denom = np.linalg.norm(ref, axis=1)
-            err = np.linalg.norm(a_hat - ref, axis=1)
-            safe = np.where(denom > 0, denom, 1.0)
-            totals[i] += float(np.mean(err / safe))
-    return totals / n_trials

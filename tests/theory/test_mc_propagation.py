@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.mc_approx import MCApproxTrainer
 from repro.nn.network import MLP
+from repro.theory.analysis import layerwise_error
 from repro.theory.mc_propagation import (
     depth_at_relative_variance,
-    measure_mc_forward_error,
     relative_variance_growth,
 )
+
+
+def forward_approx_mc(net, node_frac):
+    """MC-approx estimating its feedforward products at ``node_frac``."""
+    return MCApproxTrainer(
+        net, node_frac=node_frac, min_node_samples=1, approximate_forward=True
+    )
 
 
 class TestClosedForm:
@@ -58,37 +66,42 @@ class TestMeasurement:
         return MLP([32] + [48] * 5 + [4], seed=0)
 
     def test_shape(self, net, rng):
-        errors = measure_mc_forward_error(
-            net, rng.normal(size=(5, 32)), budget_frac=0.5, n_trials=3
+        errors = layerwise_error(
+            forward_approx_mc(net, 0.5), rng.normal(size=(5, 32)), rng, trials=3
         )
         assert errors.shape == (5,)
 
     def test_error_compounds_with_depth(self, net, rng):
         """The §10.1 failure mechanism: even the unbiased estimator's
         forward error grows through the chain."""
-        errors = measure_mc_forward_error(
-            net, rng.normal(size=(10, 32)), budget_frac=0.3, n_trials=8, seed=1
+        errors = layerwise_error(
+            forward_approx_mc(net, 0.3), rng.normal(size=(10, 32)),
+            np.random.default_rng(1), trials=8,
         )
         assert errors[-1] > errors[0]
 
     def test_bigger_budget_smaller_error(self, net, rng):
         x = rng.normal(size=(8, 32))
-        small = measure_mc_forward_error(net, x, budget_frac=0.2, n_trials=6, seed=2)
-        large = measure_mc_forward_error(net, x, budget_frac=0.8, n_trials=6, seed=2)
+        small = layerwise_error(
+            forward_approx_mc(net, 0.2), x, np.random.default_rng(2), trials=6
+        )
+        large = layerwise_error(
+            forward_approx_mc(net, 0.8), x, np.random.default_rng(2), trials=6
+        )
         assert large.mean() < small.mean()
 
     def test_full_budget_exact(self, net, rng):
-        errors = measure_mc_forward_error(
-            net, rng.normal(size=(4, 32)), budget_frac=1.0, n_trials=2
+        errors = layerwise_error(
+            forward_approx_mc(net, 1.0), rng.normal(size=(4, 32)), rng, trials=2
         )
         np.testing.assert_allclose(errors, 0.0, atol=1e-10)
 
     def test_validation(self, net, rng):
         x = rng.normal(size=(2, 32))
         with pytest.raises(ValueError):
-            measure_mc_forward_error(net, x, budget_frac=0.0)
+            forward_approx_mc(net, 0.0)
         with pytest.raises(ValueError):
-            measure_mc_forward_error(net, x, n_trials=0)
-        shallow = MLP([8, 3], seed=0)
+            layerwise_error(forward_approx_mc(net, 0.5), x, rng, trials=0)
+        shallow = forward_approx_mc(MLP([8, 3], seed=0), 0.5)
         with pytest.raises(ValueError):
-            measure_mc_forward_error(shallow, rng.normal(size=(2, 8)))
+            layerwise_error(shallow, rng.normal(size=(2, 8)), rng)
