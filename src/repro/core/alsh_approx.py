@@ -75,6 +75,7 @@ class ALSHApproxTrainer(ColumnSamplingTrainer):
         samples' candidate sets per layer (the paper notes the reference
         system amortises table work over "a batch of inputs"; the union is
         the natural minibatch generalisation and is much faster in NumPy).
+        Quality probes sample the forward of the mode that trains.
     """
 
     name = "alsh"
@@ -118,6 +119,7 @@ class ALSHApproxTrainer(ColumnSamplingTrainer):
         self.min_active_frac = float(min_active_frac)
         self.max_active_frac = float(max_active_frac)
         self.batch_mode = batch_mode
+        self.shared_active_set = batch_mode == "union"
         self.rebuild = rebuild if rebuild is not None else RebuildScheduler()
 
         self.n_hidden = len(network.layers) - 1
@@ -203,20 +205,6 @@ class ALSHApproxTrainer(ColumnSamplingTrainer):
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
-    def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
-        """One training step on a batch.
-
-        In "per_sample" mode (default) each sample runs its own ALSH step
-        — the algorithm as published.  In "union" mode a batch of more
-        than one sample shares the union of its candidate sets per layer
-        and trains in one vectorised step.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.batch_mode == "union" and x.shape[0] > 1:
-            with self._backend_scope():
-                return self._step(x, np.asarray(y).reshape(-1))
-        return super().train_batch(x, y)
-
     def _after_step(self, active_sets: List[np.ndarray], batch: int) -> None:
         """Mark the updated columns for re-hashing; refresh on schedule.
 

@@ -37,8 +37,9 @@ class ColumnSamplingTrainer(Trainer):
     """
 
     #: True when a whole batch trains as one step sharing each layer's
-    #: active set (dropout's mask); False when every sample selects its
-    #: own, the algorithm as published for ALSH-approx.
+    #: active set (dropout's mask, ALSH-approx's union mode); False when
+    #: every sample selects its own, the algorithm as published for
+    #: ALSH-approx.
     shared_active_set = False
 
     def _select_active(
@@ -139,10 +140,10 @@ class ColumnSamplingTrainer(Trainer):
         """One step per sample, or one step for the batch when it shares
         its active sets (:attr:`shared_active_set`)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        y = np.asarray(y).reshape(-1)
         with self._backend_scope():
             if self.shared_active_set:
                 return self._step(x, y)
-            y = np.asarray(y).reshape(-1)
             total = 0.0
             for xi, yi in zip(x, y):
                 total += self._step(xi, int(yi))
