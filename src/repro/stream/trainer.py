@@ -223,6 +223,13 @@ class StreamTrainer:
             if self.obs.enabled:
                 self.obs.add(STREAM_REBUILDS)
 
+    def _rebuild_count(self) -> int:
+        """Rebuilds so far: the trainer's scheduler firings in "count"
+        mode, else the drift-triggered refreshes that re-hashed columns."""
+        if self.rebuild_mode == "count" and hasattr(self.trainer, "rebuild"):
+            return int(self.trainer.rebuild.rebuild_count)
+        return self.rebuilds
+
     def garbage_fraction(self) -> float:
         """Worst garbage fraction across the trainer's hash indexes."""
         indexes = getattr(self.trainer, "indexes", None)
@@ -319,7 +326,7 @@ class StreamTrainer:
                     )
                     print(
                         f"  batch {self.batches_done}: loss {loss:.4f}, "
-                        f"acc {acc:.3f}, rebuilds {self.rebuilds}, "
+                        f"acc {acc:.3f}, rebuilds {self._rebuild_count()}, "
                         f"compactions {self.compactions}"
                     )
         elapsed = time.perf_counter() - t0
@@ -331,7 +338,7 @@ class StreamTrainer:
     def summary(self, trained: int = 0, elapsed: float = 0.0) -> Dict:
         """Run summary; throughput covers the batches of the last call."""
         samples = trained * self.stream.batch_size
-        out = {
+        return {
             "batches": self.batches_done,
             "samples": self.samples_done,
             "trained_batches": trained,
@@ -339,15 +346,12 @@ class StreamTrainer:
             "samples_per_s": samples / elapsed if elapsed > 0 else 0.0,
             "last_loss": self.last_loss,
             "rebuild_mode": self.rebuild_mode,
-            "rebuilds": self.rebuilds,
+            "rebuilds": self._rebuild_count(),
             "compactions": self.compactions,
             "checkpoints": self.checkpoints_written,
             "garbage_frac": self.garbage_fraction(),
             "eval_history": [list(p) for p in self.eval_history],
         }
-        if self.rebuild_mode == "count" and hasattr(self.trainer, "rebuild"):
-            out["rebuilds"] = int(self.trainer.rebuild.rebuild_count)
-        return out
 
     # ------------------------------------------------------------------
     # checkpointing

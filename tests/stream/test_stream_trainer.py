@@ -120,6 +120,19 @@ class TestDriftPolicy:
         summary = st.run(30, resume=False)  # 300 samples / 50 = 6 refreshes
         assert summary["rebuilds"] == 6
 
+    def test_count_mode_progress_lines_report_scheduler_rebuilds(self, capsys):
+        st = make_stream_trainer(
+            rebuild="count", count_early_every=50, count_late_every=50,
+            count_warmup=0, **FAST,
+        )
+        summary = st.run(30, resume=False, verbose=True, log_every=15)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0].strip() for line in lines] == [
+            "batch 15", "batch 30",
+        ]
+        assert "rebuilds 3," in lines[0]  # 150 samples / 50
+        assert f"rebuilds {summary['rebuilds']}," in lines[1]
+
 
 class TestCompactionPolicy:
     def test_gauge_compaction_fires_and_bounds_garbage(self):
