@@ -349,13 +349,10 @@ class Trainer:
         each computed by ``grad_cols`` on the 1-D factors.  Every element
         still gets one multiply and the update arithmetic of the whole
         array, so the step is bitwise the materialised one; it counts as
-        one update.  A batch's gradient, or one that the optimiser clips by
-        its norm, is built whole.
+        one update.  A batch's gradient is built whole.
         """
         backend = self._backend()
-        if (a_prev.ndim == 2 and len(a_prev) > 1) or (
-            self.optimizer.max_grad_norm is not None
-        ):
+        if a_prev.ndim == 2 and len(a_prev) > 1:
             self._update(key, param, backend.grad_cols(a_prev, delta), index)
             return
         a, delta = a_prev.reshape(-1), delta.reshape(-1)
@@ -578,7 +575,6 @@ class Trainer:
         y_val: Optional[np.ndarray] = None,
         shuffle: bool = True,
         verbose: bool = False,
-        lr_schedule=None,
         early_stopping_patience: Optional[int] = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
@@ -586,10 +582,6 @@ class Trainer:
         resume: bool = True,
     ) -> History:
         """Run the full training loop and return the epoch history.
-
-        ``lr_schedule`` is an optional callable ``epoch -> learning rate``
-        (see :mod:`repro.nn.schedules`); when given, it overrides the
-        optimiser's rate at the start of every epoch.
 
         ``early_stopping_patience`` stops training once validation accuracy
         has not improved for that many consecutive epochs (requires a
@@ -662,8 +654,6 @@ class Trainer:
             self.obs.add(BACKEND_USED_PREFIX + self._backend().name)
         with self._backend_scope(), self.obs.span("fit"):
             for epoch in range(start_epoch, epochs):
-                if lr_schedule is not None:
-                    self.optimizer.lr = float(lr_schedule(epoch))
                 self._t_fwd = 0.0
                 self._t_bwd = 0.0
                 start = time.perf_counter()

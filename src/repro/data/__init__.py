@@ -1,4 +1,4 @@
-"""Datasets, loaders and transforms.
+"""Datasets, loaders, corruptions and drifting streams.
 
 Six synthetic benchmarks matching the paper's image shapes, class counts
 and split sizes (§8.2), with a ``scale`` knob for laptop-sized runs — see
@@ -16,7 +16,6 @@ from .datasets import Dataset
 from .loader import BatchLoader
 from .streams import DriftingStream
 from .synthetic import SyntheticSpec, make_classification_images, make_prototypes
-from .transforms import flatten_images, minmax_scale, one_hot, standardize
 
 __all__ = [
     "Dataset",
@@ -28,10 +27,6 @@ __all__ = [
     "get_benchmark_spec",
     "load_benchmark",
     "BatchLoader",
-    "standardize",
-    "minmax_scale",
-    "one_hot",
-    "flatten_images",
     "with_label_noise",
     "with_feature_noise",
     "with_dead_features",

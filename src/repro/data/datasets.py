@@ -9,7 +9,7 @@ rows back into NCHW tensors).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -77,30 +77,6 @@ class Dataset:
     def n_val(self) -> int:
         """Number of validation samples."""
         return self.x_val.shape[0]
-
-    def subsample(self, n_train: int, seed: Optional[int] = None) -> "Dataset":
-        """A smaller dataset with ``n_train`` random training rows.
-
-        Test/validation splits are kept intact (evaluation stays honest);
-        raises if more rows are requested than exist.
-        """
-        if not 1 <= n_train <= self.n_train:
-            raise ValueError(
-                f"n_train must be in [1, {self.n_train}], got {n_train}"
-            )
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(self.n_train, size=n_train, replace=False)
-        return Dataset(
-            name=f"{self.name}[{n_train}]",
-            x_train=self.x_train[idx],
-            y_train=self.y_train[idx],
-            x_test=self.x_test,
-            y_test=self.y_test,
-            x_val=self.x_val,
-            y_val=self.y_val,
-            n_classes=self.n_classes,
-            image_shape=self.image_shape,
-        )
 
     def images(self, split: str = "train") -> np.ndarray:
         """Reshape a split's flat rows back into NCHW image tensors."""

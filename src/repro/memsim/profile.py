@@ -322,6 +322,11 @@ def profile_methods(
     return out
 
 
+#: Per-element optimiser slots as multiples of the weights, by the names
+#: of :data:`repro.nn.optim.OPTIMIZERS` (Adam keeps two moments).
+OPTIMIZER_SLOTS = {"sgd": 0, "adam": 2}
+
+
 def estimate_training_memory(
     method: str,
     layer_sizes: Sequence[int],
@@ -342,7 +347,7 @@ def estimate_training_memory(
     weight_bytes = sum((n_in * n_out + n_out) * itemsize for n_in, n_out in pairs)
     act_bytes = sum(batch * width * itemsize for width in layer_sizes)
     grad_bytes = weight_bytes
-    opt_multiplier = {"sgd": 0, "momentum": 1, "adagrad": 1, "adam": 2}.get(optimizer)
+    opt_multiplier = OPTIMIZER_SLOTS.get(optimizer)
     if opt_multiplier is None:
         raise ValueError(f"unknown optimizer {optimizer!r}")
     breakdown = {

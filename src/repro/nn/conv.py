@@ -124,10 +124,6 @@ class Conv2D:
         grad_cols = backend.matmul(g, k)
         return col2im(grad_cols, x_shape, self.field, self.stride, self.pad)
 
-    def params_and_grads(self):
-        """Pairs of (parameter, gradient) for the optimiser loop."""
-        return [(self.kernels, self.grad_kernels), (self.bias, self.grad_bias)]
-
 
 class MaxPool2D:
     """Non-overlapping max pooling with exact backward routing."""

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import active_backend
-from .init import get_initializer
 
 __all__ = ["DenseLayer"]
 
@@ -44,24 +43,16 @@ class DenseLayer:
     n_in, n_out:
         Fan-in and fan-out of the layer.
     rng:
-        NumPy random generator used for initialisation.
-    initializer:
-        Name from :mod:`repro.nn.init` or a callable
-        ``(n_in, n_out, rng) -> ndarray``.
+        NumPy random generator that draws ``W`` He-normal, the
+        initialisation for the paper's ReLU layers.
     """
 
-    def __init__(
-        self,
-        n_in: int,
-        n_out: int,
-        rng: np.random.Generator,
-        initializer="he_normal",
-    ):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         if n_in <= 0 or n_out <= 0:
             raise ValueError(f"layer dims must be positive, got {n_in}x{n_out}")
         self.n_in = int(n_in)
         self.n_out = int(n_out)
-        self.W = np.ascontiguousarray(get_initializer(initializer)(n_in, n_out, rng))
+        self.W = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
         self.b = np.zeros(n_out)
 
     # ------------------------------------------------------------------
@@ -85,10 +76,6 @@ class DenseLayer:
     # ------------------------------------------------------------------
     # utilities
     # ------------------------------------------------------------------
-    def column_norms(self) -> np.ndarray:
-        """l2 norm of every column of ``W`` (ALSH preprocessing input)."""
-        return np.linalg.norm(self.W, axis=0)
-
     def num_params(self) -> int:
         """Total learnable scalars in the layer."""
         return self.W.size + self.b.size

@@ -1,9 +1,8 @@
-"""Loss functions with gradients w.r.t. the network output.
+"""The training loss: negative log-likelihood on log-softmax outputs.
 
-The paper trains with negative log-likelihood on log-softmax outputs (§8.4).
-:class:`NLLLoss` therefore also provides the *fused* gradient w.r.t. the
-pre-softmax logits, which is what the hand-written backpropagation in
-:mod:`repro.core` consumes.
+The paper trains with that loss (§8.4).  :class:`NLLLoss` gives its value
+and the *fused* gradient w.r.t. the pre-softmax logits, which is what the
+hand-written backpropagation in :mod:`repro.core` consumes.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import numpy as np
 
 from .activations import LogSoftmax
 
-__all__ = ["Loss", "NLLLoss", "CrossEntropyLoss", "MSELoss", "get_loss"]
+__all__ = ["NLLLoss"]
 
 
 def _as_labels(y: np.ndarray) -> np.ndarray:
@@ -23,21 +22,7 @@ def _as_labels(y: np.ndarray) -> np.ndarray:
     return y.reshape(-1).astype(int)
 
 
-class Loss:
-    """Base class for losses over a batch of network outputs."""
-
-    name = "base"
-
-    def value(self, output: np.ndarray, target: np.ndarray) -> float:
-        """Mean loss over the batch."""
-        raise NotImplementedError
-
-    def gradient(self, output: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Gradient of the mean loss w.r.t. the network *output*."""
-        raise NotImplementedError
-
-
-class NLLLoss(Loss):
+class NLLLoss:
     """Negative log-likelihood over log-probabilities (paper default).
 
     ``output`` is expected to already be log-probabilities (the result of a
@@ -46,9 +31,8 @@ class NLLLoss(Loss):
     averaged over the batch.
     """
 
-    name = "nll"
-
     def value(self, output: np.ndarray, target: np.ndarray) -> float:
+        """Mean loss over the batch."""
         output = np.atleast_2d(output)
         labels = _as_labels(target)
         if output.shape[0] == 0:
@@ -61,13 +45,6 @@ class NLLLoss(Loss):
         picked = output[np.arange(output.shape[0]), labels]
         return float(-picked.mean())
 
-    def gradient(self, output: np.ndarray, target: np.ndarray) -> np.ndarray:
-        output = np.atleast_2d(output)
-        labels = _as_labels(target)
-        grad = np.zeros_like(output, dtype=float)
-        grad[np.arange(output.shape[0]), labels] = -1.0
-        return grad / output.shape[0]
-
     @staticmethod
     def fused_logit_gradient(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
         """Gradient of mean NLL(log_softmax(logits), y) w.r.t. ``logits``."""
@@ -78,46 +55,3 @@ class NLLLoss(Loss):
         grad[np.arange(logits.shape[0]), labels] -= 1.0
         return grad / logits.shape[0]
 
-
-class CrossEntropyLoss(Loss):
-    """Cross-entropy taking raw logits (log-softmax applied internally)."""
-
-    name = "cross_entropy"
-
-    def value(self, output: np.ndarray, target: np.ndarray) -> float:
-        logp = LogSoftmax().forward(output)
-        return NLLLoss().value(logp, target)
-
-    def gradient(self, output: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return NLLLoss.fused_logit_gradient(output, target)
-
-
-class MSELoss(Loss):
-    """Mean squared error, for regression-style sanity checks and theory."""
-
-    name = "mse"
-
-    def value(self, output: np.ndarray, target: np.ndarray) -> float:
-        output = np.atleast_2d(output)
-        target = np.atleast_2d(np.asarray(target, dtype=float))
-        return float(((output - target) ** 2).mean())
-
-    def gradient(self, output: np.ndarray, target: np.ndarray) -> np.ndarray:
-        output = np.atleast_2d(output)
-        target = np.atleast_2d(np.asarray(target, dtype=float))
-        return 2.0 * (output - target) / output.size
-
-
-_REGISTRY = {cls.name: cls for cls in (NLLLoss, CrossEntropyLoss, MSELoss)}
-
-
-def get_loss(name) -> Loss:
-    """Resolve a loss by name (or pass an instance through)."""
-    if isinstance(name, Loss):
-        return name
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown loss {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None

@@ -9,19 +9,14 @@ quantify that collapse.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 __all__ = [
     "accuracy",
     "confusion_matrix",
-    "per_class_report",
     "prediction_entropy",
     "distinct_predictions",
     "prediction_distribution",
-    "topk_accuracy",
-    "collapse_report",
 ]
 
 
@@ -63,22 +58,6 @@ def confusion_matrix(
     return m
 
 
-def per_class_report(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: int
-) -> Dict[str, np.ndarray]:
-    """Per-class precision, recall and F1 (zero where undefined)."""
-    cm = confusion_matrix(y_true, y_pred, n_classes)
-    tp = np.diag(cm).astype(float)
-    pred_totals = cm.sum(axis=0).astype(float)
-    true_totals = cm.sum(axis=1).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(pred_totals > 0, tp / pred_totals, 0.0)
-        recall = np.where(true_totals > 0, tp / true_totals, 0.0)
-        denom = precision + recall
-        f1 = np.where(denom > 0, 2 * precision * recall / denom, 0.0)
-    return {"precision": precision, "recall": recall, "f1": f1, "support": true_totals}
-
-
 def prediction_distribution(y_pred: np.ndarray, n_classes: int) -> np.ndarray:
     """Empirical distribution of the predicted labels."""
     y_pred = np.asarray(y_pred).reshape(-1).astype(int)
@@ -105,36 +84,3 @@ def distinct_predictions(y_pred: np.ndarray) -> int:
     if y_pred.size == 0:
         raise ValueError("empty prediction array")
     return int(np.unique(y_pred).size)
-
-
-def topk_accuracy(y_true: np.ndarray, logproba: np.ndarray, k: int = 3) -> float:
-    """Fraction of samples whose true class is among the top-k outputs.
-
-    ``logproba`` is the network's (log-)probability matrix; only the
-    per-row ordering matters.
-    """
-    y_true = np.asarray(y_true).reshape(-1)
-    logproba = np.atleast_2d(logproba)
-    if y_true.shape[0] != logproba.shape[0]:
-        raise ValueError(
-            f"{y_true.shape[0]} labels vs {logproba.shape[0]} output rows"
-        )
-    if not 1 <= k <= logproba.shape[1]:
-        raise ValueError(f"k must be in [1, {logproba.shape[1]}], got {k}")
-    top = np.argpartition(-logproba, k - 1, axis=1)[:, :k]
-    return float((top == y_true[:, None]).any(axis=1).mean())
-
-
-def collapse_report(y_pred: np.ndarray, n_classes: int) -> Dict[str, float]:
-    """The §10.3 prediction-collapse diagnostics in one dict.
-
-    Keys: ``entropy`` (nats; log(n_classes) is healthy), ``distinct``
-    (classes actually predicted), ``top_share`` (mass on the most
-    predicted label; 1/n_classes is healthy, →1 under collapse).
-    """
-    dist = prediction_distribution(y_pred, n_classes)
-    return {
-        "entropy": prediction_entropy(y_pred, n_classes),
-        "distinct": float(distinct_predictions(y_pred)),
-        "top_share": float(dist.max()),
-    }

@@ -61,8 +61,6 @@ class MLP:
         Name or instance; the paper uses ReLU (§8.4).
     output_activation:
         Name or instance; the paper uses log-softmax.
-    initializer:
-        Weight init scheme (see :mod:`repro.nn.init`).
     seed / rng:
         Reproducibility controls; ``rng`` wins when both are given.
 
@@ -78,7 +76,6 @@ class MLP:
         layer_sizes: Sequence[int],
         hidden_activation="relu",
         output_activation="log_softmax",
-        initializer="he_normal",
         seed: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ):
@@ -92,7 +89,7 @@ class MLP:
         self.hidden_activation: Activation = get_activation(hidden_activation)
         self.output_activation: Activation = get_activation(output_activation)
         self.layers: List[DenseLayer] = [
-            DenseLayer(n_in, n_out, self.rng, initializer)
+            DenseLayer(n_in, n_out, self.rng)
             for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])
         ]
 
@@ -172,15 +169,6 @@ class MLP:
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean NLL of the batch under the current parameters."""
         return NLLLoss().value(self.predict_logproba(x), y)
-
-    def clone_architecture(self, seed: Optional[int] = None) -> "MLP":
-        """Fresh network with the same architecture but new weights."""
-        return MLP(
-            self.layer_sizes,
-            hidden_activation=self.hidden_activation,
-            output_activation=self.output_activation,
-            seed=seed,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         arch = "-".join(str(s) for s in self.layer_sizes)

@@ -4,7 +4,7 @@ ALSH-approx (§5.2) only back-propagates through the active nodes of each
 layer, so its weight-gradient updates touch a small subset of the columns of
 ``W``.  To keep that sparsity profitable, every optimiser here supports an
 ``index`` argument that restricts the update — including its internal state
-(moments, accumulators, step counts) — to the selected columns.  ``index``
+(moments, step counts) — to the selected columns.  ``index``
 is either an array of sorted, unique column ids (the samplers pass such
 sets) or a contiguous column slice ``slice(start, stop)``, whose slots and
 parameter columns the rules update in place as views.  A slice step is the
@@ -12,26 +12,27 @@ whole-array step of its columns: the trainers apply a single sample's
 outer-product gradient in column slices of at most :data:`BLOCK_BYTES`
 and never build it whole (:meth:`~repro.core.base.Trainer._update_weights`).
 
-Per-element slots of a 2-D parameter (Momentum ``v``, Adagrad ``g2``, Adam
-``m``/``v``) are column-major in the parameter's logical ``(n_in, n_out)``
-shape, so a lazy update copies whole contiguous columns of state.  The rules
-run in place on that layout (a lazy update writes its column blocks back,
-then reuses them as scratch) in the textbook operation order, so results
-are bitwise those of the whole-array rules (``tests/nn/test_optim_oracle.py``)
-and checkpointed slots keep their names, shapes and values.
+Adam's per-element slots ``m`` and ``v`` of a 2-D parameter are
+column-major in the parameter's logical ``(n_in, n_out)`` shape, so a lazy
+update copies whole contiguous columns of state.  The rules run in place
+on that layout (a lazy update writes its column blocks back, then reuses
+them as scratch) in the textbook operation order, so results are bitwise
+those of the whole-array rules (``tests/nn/test_optim_oracle.py``) and
+checkpointed slots keep their names, shapes and values.
 
 The paper uses SGD for most methods and Adam for ALSH-approx (§8.4, noting
-the reference implementation works better with Adam than the original
-Adagrad); all four are provided.
+the reference implementation works better with Adam than with the original
+ALSH paper's rule); those two rules are provided, each at a fixed learning
+rate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Type, Union
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Momentum", "Adagrad", "Adam", "get_optimizer"]
+__all__ = ["Optimizer", "SGD", "Adam", "OPTIMIZERS", "get_optimizer"]
 
 #: Bytes of gradient a single-sample weight step builds at a time: the
 #: column block the trainers hand to :meth:`Optimizer.update` (32 columns
@@ -94,55 +95,13 @@ class Optimizer:
     Parameters are updated in place.  ``key`` must be stable across steps
     (e.g. ``("W", layer_idx)``); state arrays are allocated lazily at full
     parameter size so sparse and dense updates can interleave freely.
-
-    ``weight_decay`` applies decoupled L2 shrinkage (AdamW-style):
-    ``p ← p · (1 − lr·wd)`` before the gradient step, restricted to the
-    updated columns for sparse updates so untouched weights are not decayed
-    (matching the lazy-state convention).
-
-    ``max_grad_norm`` clips each incoming gradient tensor to the given
-    Frobenius norm before it is applied — the standard guard against the
-    variance blow-ups that 1/p-scaled sampled gradients can produce in
-    deep networks (see repro.core.mc_approx).
     """
 
-    def __init__(
-        self,
-        lr: float,
-        weight_decay: float = 0.0,
-        max_grad_norm: Optional[float] = None,
-    ):
+    def __init__(self, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
-        if max_grad_norm is not None and max_grad_norm <= 0:
-            raise ValueError(f"max_grad_norm must be positive, got {max_grad_norm}")
         self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
-        self.max_grad_norm = None if max_grad_norm is None else float(max_grad_norm)
         self._state: Dict[object, Dict[str, np.ndarray]] = {}
-
-    def _clip(self, grad: np.ndarray) -> np.ndarray:
-        if self.max_grad_norm is None:
-            return grad
-        norm = float(np.linalg.norm(grad))
-        if norm <= self.max_grad_norm or norm == 0.0:
-            return grad
-        return grad * (self.max_grad_norm / norm)
-
-    def _apply_weight_decay(
-        self, param: np.ndarray, index: Index
-    ) -> None:
-        if self.weight_decay == 0.0:
-            return
-        shrink = 1.0 - self.lr * self.weight_decay
-        if index is None:
-            param *= shrink
-        elif param.ndim == 2:
-            param[:, index] *= shrink
-        else:
-            param[index] *= shrink
 
     def _get_state(self, key, param: np.ndarray) -> Dict[str, np.ndarray]:
         state = self._state.get(key)
@@ -170,10 +129,6 @@ class Optimizer:
         those columns, bit for bit.
         """
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop all accumulated state (fresh optimiser)."""
-        self._state.clear()
 
     # ------------------------------------------------------------------
     # checkpoint support
@@ -237,71 +192,7 @@ class SGD(Optimizer):
     name = "sgd"
 
     def update(self, key, param, grad, index=None):
-        self._apply_weight_decay(param, index)
-        _subtract(param, index, self.lr * self._clip(grad))
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    name = "momentum"
-
-    def __init__(self, lr: float, beta: float = 0.9, weight_decay: float = 0.0,
-                 max_grad_norm=None):
-        super().__init__(lr, weight_decay, max_grad_norm)
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {beta}")
-        self.beta = float(beta)
-
-    def _init_state(self, param):
-        return {"v": _slot(param)}
-
-    def update(self, key, param, grad, index=None):
-        self._apply_weight_decay(param, index)
-        grad = np.asfortranarray(self._clip(grad), dtype=float)
-        slot = self._get_state(key, param)["v"]
-        # v ← β·v + g;  p ← p − lr·v
-        v = _slice(slot, index)
-        v *= self.beta
-        v += grad
-        if _copies(index):
-            _assign(slot, index, v)
-            step = np.multiply(v, self.lr, out=v)
-        else:
-            step = v * self.lr
-        _subtract(param, index, step)
-
-
-class Adagrad(Optimizer):
-    """Adagrad — the optimiser in the original ALSH-approx paper [50]."""
-
-    name = "adagrad"
-
-    def __init__(self, lr: float, eps: float = 1e-10, weight_decay: float = 0.0,
-                 max_grad_norm=None):
-        super().__init__(lr, weight_decay, max_grad_norm)
-        self.eps = float(eps)
-
-    def _init_state(self, param):
-        return {"g2": _slot(param)}
-
-    def update(self, key, param, grad, index=None):
-        self._apply_weight_decay(param, index)
-        grad = np.asfortranarray(self._clip(grad), dtype=float)
-        slot = self._get_state(key, param)["g2"]
-        # g2 ← g2 + g·g;  p ← p − (lr·g) / (√g2 + ε)
-        g2 = _slice(slot, index)
-        step = grad * grad
-        g2 += step
-        if _copies(index):
-            _assign(slot, index, g2)
-            den = np.sqrt(g2, out=g2)
-        else:
-            den = np.sqrt(g2)
-        den += self.eps
-        np.multiply(grad, self.lr, out=step)
-        step /= den
-        _subtract(param, index, step)
+        _subtract(param, index, self.lr * grad)
 
 
 class Adam(Optimizer):
@@ -320,10 +211,8 @@ class Adam(Optimizer):
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        max_grad_norm: Optional[float] = None,
     ):
-        super().__init__(lr, weight_decay, max_grad_norm)
+        super().__init__(lr)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1): {beta1}, {beta2}")
         self.beta1 = float(beta1)
@@ -339,8 +228,7 @@ class Adam(Optimizer):
         }
 
     def update(self, key, param, grad, index=None):
-        self._apply_weight_decay(param, index)
-        grad = np.asfortranarray(self._clip(grad), dtype=float)
+        grad = np.asfortranarray(grad, dtype=float)
         state = self._get_state(key, param)
         col_idx = slice(None) if index is None else index
         state["t"][col_idx] += 1
@@ -373,17 +261,18 @@ class Adam(Optimizer):
         _subtract(param, index, step)
 
 
-_REGISTRY = {cls.name: cls for cls in (SGD, Momentum, Adagrad, Adam)}
+#: Every optimiser rule by name; ``run --optimizer`` takes its choices here.
+OPTIMIZERS: Dict[str, Type[Optimizer]] = {cls.name: cls for cls in (SGD, Adam)}
 
 
-def get_optimizer(name, lr: float, **kwargs) -> Optimizer:
+def get_optimizer(name, lr: float) -> Optimizer:
     """Build an optimiser by name with the given learning rate."""
     if isinstance(name, Optimizer):
         return name
     try:
-        cls = _REGISTRY[name]
+        cls = OPTIMIZERS[name]
     except KeyError:
         raise ValueError(
-            f"unknown optimizer {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown optimizer {name!r}; available: {sorted(OPTIMIZERS)}"
         ) from None
-    return cls(lr, **kwargs)
+    return cls(lr)

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import make_trainer
 from repro.nn.network import MLP
-from repro.nn.optim import BLOCK_BYTES, Adam
+from repro.nn.optim import BLOCK_BYTES
 from repro.obs import InMemoryRecorder
 
 LAYER_SIZES = [784, 300, 300, 10]
@@ -56,7 +56,7 @@ def _pair(method, optimizer):
     trainers = []
     for _ in range(2):
         trainers.append(make_trainer(
-            method, MLP(LAYER_SIZES, seed=0), lr=0.01, optimizer=optimizer(),
+            method, MLP(LAYER_SIZES, seed=0), lr=0.01, optimizer=optimizer,
             seed=1, recorder=InMemoryRecorder(), **METHODS[method],
         ))
     fused, reference = trainers
@@ -95,19 +95,11 @@ def test_single_sample_steps_never_build_the_gradient(method):
     assert all(cols <= BLOCK_BYTES // (8 * n_in) for n_in, cols in blocks)
 
 
-OPTIMIZERS = {
-    "sgd": lambda: "sgd",
-    "adam": lambda: "adam",
-    # A clipped gradient is built whole: its norm spans every block.
-    "adam_clipped": lambda: Adam(0.01, max_grad_norm=0.05),
-}
-
-
-@pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_step_matches_materialised_gradient(case, optimizer):
     method, batch = CASES[case]
-    fused, reference = _pair(method, OPTIMIZERS[optimizer])
+    fused, reference = _pair(method, optimizer)
     rng = np.random.default_rng(2)
     x = rng.random((STEPS * batch, LAYER_SIZES[0]))
     y = rng.integers(0, LAYER_SIZES[-1], size=STEPS * batch)

@@ -64,32 +64,6 @@ class TestValidation:
             )
 
 
-class TestSubsample:
-    def test_size_and_determinism(self):
-        d = _mini()
-        s1 = d.subsample(8, seed=1)
-        s2 = d.subsample(8, seed=1)
-        assert s1.n_train == 8
-        np.testing.assert_array_equal(s1.x_train, s2.x_train)
-
-    def test_eval_splits_untouched(self):
-        d = _mini()
-        s = d.subsample(5, seed=0)
-        np.testing.assert_array_equal(s.x_test, d.x_test)
-        np.testing.assert_array_equal(s.x_val, d.x_val)
-
-    def test_no_duplicate_rows(self):
-        d = _mini()
-        s = d.subsample(20, seed=0)
-        # All 20 rows sampled without replacement == a permutation.
-        assert np.unique(s.x_train, axis=0).shape[0] == 20
-
-    @pytest.mark.parametrize("n", [0, 21])
-    def test_invalid_sizes(self, n):
-        with pytest.raises(ValueError):
-            _mini().subsample(n)
-
-
 class TestImages:
     def test_reshape_round_trip(self):
         d = _mini()

@@ -9,7 +9,9 @@ Task functions live at module level so worker processes can unpickle them.
 """
 
 import json
+import re
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -317,9 +319,9 @@ class TestRunExperimentDeterminism:
 def checkpointed_slow_task(task, dataset):
     """Trains with checkpointing; the first attempt hangs after 2 epochs.
 
-    Every trained epoch index is appended to ``epochs.log``, so a test can
-    distinguish a retry that resumed from the checkpoint (epochs 0 1 2 3)
-    from one that started over (0 1 0 1 2 3).
+    ``fit(verbose=True)`` prints a line per trained epoch into
+    ``epochs.log``, so a test can distinguish a retry that resumed from
+    the checkpoint (epochs 0 1 2 3) from one that started over (0 1 0 1 2 3).
     """
     d = Path(task["dir"])
     d.mkdir(parents=True, exist_ok=True)
@@ -328,19 +330,13 @@ def checkpointed_slow_task(task, dataset):
     y = rng.integers(0, 3, size=40)
     net = MLP([6, 8, 3], seed=0)
     trainer = make_trainer("standard", net, seed=1)
-
-    def logging_schedule(epoch):
-        with open(d / "epochs.log", "a", encoding="utf-8") as f:
-            f.write(f"{epoch}\n")
-        return 1e-2
-
     first_attempt = not (d / "attempted").exists()
     (d / "attempted").touch()
-    history = trainer.fit(
-        x, y, epochs=2 if first_attempt else 4, batch_size=10,
-        lr_schedule=logging_schedule,
-        checkpoint_every=1, checkpoint_dir=d,
-    )
+    with open(d / "epochs.log", "a", encoding="utf-8") as log, redirect_stdout(log):
+        history = trainer.fit(
+            x, y, epochs=2 if first_attempt else 4, batch_size=10,
+            verbose=True, checkpoint_every=1, checkpoint_dir=d,
+        )
     if first_attempt:
         time.sleep(30)  # the per-task timeout fires here
     return len(history.epochs)
@@ -380,8 +376,8 @@ class TestRetryTimeouts:
         assert outcomes[0].attempts == 2
         assert outcomes[0].result == 4  # resumed history spans all 4 epochs
         # Attempt 1 trained epochs 0-1; attempt 2 resumed at 2 — exactly
-        # four epoch starts total, none repeated.
-        log = (run_dir / "epochs.log").read_text().split()
+        # four epochs trained in all, none repeated.
+        log = re.findall(r"\] epoch (\d+):", (run_dir / "epochs.log").read_text())
         assert log == ["0", "1", "2", "3"]
         records = [json.loads(line) for line in sink.read_text().splitlines()]
         retries = [r for r in records if r["status"] == "retry"]

@@ -7,8 +7,7 @@ These tests check, by central differences in float64:
 
 * ``MLP.backward`` for every hidden activation in ``repro.nn.activations``
   (ReLU's kink is measure-zero under the random continuous inputs used);
-* every loss gradient in ``repro.nn.losses``, including the fused
-  log-softmax + NLL logit gradient the trainers consume;
+* the fused log-softmax + NLL logit gradient the trainers consume;
 * the conv substrate: ``Conv2D`` gradients w.r.t. kernels, bias and input.
 """
 
@@ -18,7 +17,7 @@ import pytest
 from repro.core.registry import make_trainer
 from repro.nn.activations import LogSoftmax
 from repro.nn.conv import Conv2D
-from repro.nn.losses import CrossEntropyLoss, MSELoss, NLLLoss
+from repro.nn.losses import NLLLoss
 from repro.nn.network import MLP
 
 EPS = 1e-6
@@ -105,31 +104,6 @@ class TestMLPBackward:
 
 
 class TestLossGradients:
-    def _check(self, loss, output, target):
-        analytic = loss.gradient(output, target)
-        numeric = numerical_gradient(lambda: loss.value(output, target), output)
-        assert relative_error(analytic, numeric) < TOL
-
-    def test_nll(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(6, 4))
-        logp = LogSoftmax().forward(logits)
-        self._check(NLLLoss(), logp, rng.integers(0, 4, size=6))
-
-    def test_cross_entropy(self):
-        rng = np.random.default_rng(1)
-        self._check(
-            CrossEntropyLoss(),
-            rng.normal(size=(6, 4)),
-            rng.integers(0, 4, size=6),
-        )
-
-    def test_mse(self):
-        rng = np.random.default_rng(2)
-        self._check(
-            MSELoss(), rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        )
-
     def test_fused_logit_gradient(self):
         """The gradient the trainers actually consume: d NLL/d logits."""
         rng = np.random.default_rng(4)

@@ -63,11 +63,6 @@ class TestBackward:
 
 
 class TestUtilities:
-    def test_column_norms(self, layer):
-        np.testing.assert_allclose(
-            layer.column_norms(), np.linalg.norm(layer.W, axis=0)
-        )
-
     @settings(max_examples=25)
     @given(
         n_in=st.integers(1, 10),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.activations import LogSoftmax
-from repro.nn.losses import CrossEntropyLoss, MSELoss, NLLLoss, get_loss
+from repro.nn.losses import NLLLoss
 
 
 class TestNLL:
@@ -30,16 +30,6 @@ class TestNLL:
     def test_batch_mismatch_raises(self):
         with pytest.raises(ValueError, match="batch mismatch"):
             NLLLoss().value(np.zeros((3, 2)), np.array([0, 1]))
-
-    def test_gradient_only_on_true_class(self):
-        logp = np.log(np.array([[0.5, 0.5]]))
-        grad = NLLLoss().gradient(logp, np.array([1]))
-        np.testing.assert_allclose(grad, [[0.0, -1.0]])
-
-    def test_gradient_scaled_by_batch(self):
-        logp = np.log(np.full((4, 2), 0.5))
-        grad = NLLLoss().gradient(logp, np.array([0, 0, 1, 1]))
-        np.testing.assert_allclose(grad.sum(), -1.0)
 
 
 class TestFusedGradient:
@@ -79,62 +69,6 @@ class TestFusedGradient:
         np.testing.assert_allclose(
             NLLLoss.fused_logit_gradient(logits, y), expected, atol=1e-12
         )
-
-
-class TestCrossEntropy:
-    def test_equals_nll_of_logsoftmax(self):
-        rng = np.random.default_rng(2)
-        logits = rng.normal(size=(4, 3))
-        y = np.array([0, 1, 2, 1])
-        expected = NLLLoss().value(LogSoftmax().forward(logits), y)
-        assert CrossEntropyLoss().value(logits, y) == pytest.approx(expected)
-
-    def test_gradient_is_fused(self):
-        rng = np.random.default_rng(3)
-        logits = rng.normal(size=(2, 3))
-        y = np.array([1, 0])
-        np.testing.assert_allclose(
-            CrossEntropyLoss().gradient(logits, y),
-            NLLLoss.fused_logit_gradient(logits, y),
-        )
-
-
-class TestMSE:
-    def test_zero_at_exact_match(self):
-        out = np.array([[1.0, 2.0]])
-        assert MSELoss().value(out, out) == 0.0
-
-    def test_value_formula(self):
-        out = np.array([[1.0, 0.0]])
-        tgt = np.array([[0.0, 0.0]])
-        assert MSELoss().value(out, tgt) == pytest.approx(0.5)
-
-    def test_gradient_finite_difference(self):
-        rng = np.random.default_rng(4)
-        out = rng.normal(size=(2, 3))
-        tgt = rng.normal(size=(2, 3))
-        grad = MSELoss().gradient(out, tgt)
-        eps = 1e-6
-        op = out.copy()
-        op[0, 1] += eps
-        om = out.copy()
-        om[0, 1] -= eps
-        numeric = (MSELoss().value(op, tgt) - MSELoss().value(om, tgt)) / (2 * eps)
-        assert grad[0, 1] == pytest.approx(numeric, abs=1e-8)
-
-
-class TestRegistry:
-    @pytest.mark.parametrize("name", ["nll", "cross_entropy", "mse"])
-    def test_lookup(self, name):
-        assert get_loss(name).name == name
-
-    def test_instance_passthrough(self):
-        loss = MSELoss()
-        assert get_loss(loss) is loss
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown loss"):
-            get_loss("hinge")
 
 
 def test_nll_empty_batch_raises():

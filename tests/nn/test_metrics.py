@@ -9,7 +9,6 @@ from repro.nn.metrics import (
     accuracy,
     confusion_matrix,
     distinct_predictions,
-    per_class_report,
     prediction_distribution,
     prediction_entropy,
 )
@@ -72,30 +71,6 @@ class TestConfusionMatrix:
         )
 
 
-class TestPerClassReport:
-    def test_perfect_classifier(self):
-        y = np.array([0, 1, 1, 2])
-        report = per_class_report(y, y, 3)
-        np.testing.assert_allclose(report["precision"], 1.0)
-        np.testing.assert_allclose(report["recall"], 1.0)
-        np.testing.assert_allclose(report["f1"], 1.0)
-        np.testing.assert_array_equal(report["support"], [1, 2, 1])
-
-    def test_never_predicted_class_zero_precision(self):
-        report = per_class_report([0, 1], [0, 0], 2)
-        assert report["precision"][1] == 0.0
-        assert report["recall"][1] == 0.0
-        assert report["f1"][1] == 0.0
-
-    def test_known_values(self):
-        # class 0: tp=1, fp=1 (one true-1 predicted 0), fn=1
-        y_true = [0, 0, 1]
-        y_pred = [0, 1, 0]
-        report = per_class_report(y_true, y_pred, 2)
-        assert report["precision"][0] == pytest.approx(0.5)
-        assert report["recall"][0] == pytest.approx(0.5)
-
-
 class TestCollapseDiagnostics:
     def test_uniform_predictions_max_entropy(self):
         preds = np.arange(10).repeat(5)
@@ -126,57 +101,3 @@ class TestCollapseDiagnostics:
         e = prediction_entropy(preds, n_classes)
         assert 0.0 <= e <= np.log(n_classes) + 1e-12
 
-
-class TestTopKAccuracy:
-    def test_top1_equals_accuracy(self):
-        from repro.nn.metrics import topk_accuracy
-
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(30, 5))
-        y = rng.integers(0, 5, 30)
-        top1 = topk_accuracy(y, logits, k=1)
-        assert top1 == pytest.approx(accuracy(y, logits.argmax(axis=1)))
-
-    def test_full_k_is_one(self):
-        from repro.nn.metrics import topk_accuracy
-
-        rng = np.random.default_rng(1)
-        logits = rng.normal(size=(10, 4))
-        y = rng.integers(0, 4, 10)
-        assert topk_accuracy(y, logits, k=4) == 1.0
-
-    def test_monotone_in_k(self):
-        from repro.nn.metrics import topk_accuracy
-
-        rng = np.random.default_rng(2)
-        logits = rng.normal(size=(50, 6))
-        y = rng.integers(0, 6, 50)
-        accs = [topk_accuracy(y, logits, k=k) for k in range(1, 7)]
-        assert accs == sorted(accs)
-
-    def test_validation(self):
-        from repro.nn.metrics import topk_accuracy
-
-        with pytest.raises(ValueError):
-            topk_accuracy(np.array([0]), np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            topk_accuracy(np.array([0, 1]), np.zeros((2, 3)), k=4)
-
-
-class TestCollapseReport:
-    def test_healthy_classifier(self):
-        from repro.nn.metrics import collapse_report
-
-        preds = np.arange(10).repeat(10)
-        report = collapse_report(preds, 10)
-        assert report["entropy"] == pytest.approx(np.log(10))
-        assert report["distinct"] == 10
-        assert report["top_share"] == pytest.approx(0.1)
-
-    def test_collapsed_classifier(self):
-        from repro.nn.metrics import collapse_report
-
-        report = collapse_report(np.zeros(100, dtype=int), 10)
-        assert report["entropy"] == 0.0
-        assert report["distinct"] == 1
-        assert report["top_share"] == 1.0

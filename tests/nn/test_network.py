@@ -30,12 +30,6 @@ class TestConstruction:
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.W, lb.W)
 
-    def test_clone_architecture(self):
-        net = MLP([6, 4, 2], seed=5)
-        clone = net.clone_architecture(seed=6)
-        assert clone.layer_sizes == net.layer_sizes
-        assert not np.array_equal(clone.layers[0].W, net.layers[0].W)
-
 
 class TestForward:
     def test_output_is_log_distribution(self, rng):
