@@ -1,7 +1,7 @@
-"""ALSH checkpoints written before the dict bucket storage was removed.
+"""Checkpoints written by earlier versions of the trainers.
 
-Both archives in ``tests/fixtures`` were written by the last version that
-still offered two LSH bucket storages, with::
+The two ALSH archives in ``tests/fixtures`` were written by the last
+version that still offered two LSH bucket storages, with::
 
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(40, 8)), rng.integers(0, 3, size=40)
@@ -17,6 +17,16 @@ clear error instead of a bare ``KeyError``.
 ``alsh_flat.ckpt.npz`` also holds Adam state written while optimiser
 slots were row-major, and weights written while trainers kept ``W``
 row-major; both must resume unchanged onto column-major arrays.
+
+``standard_momentum.ckpt.npz`` was written by the last version that still
+offered the momentum rule, on the same ``x, y``, with::
+
+    trainer = StandardTrainer(MLP([8, 16, 3], seed=0),
+                              optimizer="momentum", seed=1)
+    trainer.fit(x, y, epochs=1, batch_size=8,
+                checkpoint_dir=out, checkpoint_tag="standard_momentum")
+
+No rule today can take over its velocity slots, so resuming is refused.
 """
 
 import shutil
@@ -26,8 +36,10 @@ import numpy as np
 import pytest
 
 from repro.core.alsh_approx import ALSHApproxTrainer
+from repro.core.standard import StandardTrainer
 from repro.nn.checkpoint import load_checkpoint
 from repro.nn.network import MLP
+from repro.nn.optim import OPTIMIZERS
 from repro.nn.serialize import atomic_savez, read_archive
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -109,4 +121,22 @@ def test_flat_checkpoint_trains_one_more_epoch(tmp_path):
 def test_dict_checkpoint_is_refused_clearly(tmp_path):
     with pytest.raises(ValueError, match="removed dict bucket layout") as err:
         resume(tmp_path, "alsh_dict", epochs=2)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+def test_momentum_checkpoint_is_refused_clearly(tmp_path, optimizer):
+    tag = "standard_momentum"
+    shutil.copy(FIXTURES / f"{tag}.ckpt.npz", tmp_path / f"{tag}.ckpt.npz")
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(40, 8)), rng.integers(0, 3, size=40)
+    trainer = StandardTrainer(
+        MLP([8, 16, 3], seed=0), optimizer=optimizer, seed=1
+    )
+    with pytest.raises(
+        ValueError, match=f"holds 'momentum' optimiser state, this trainer "
+                          f"uses '{optimizer}'"
+    ) as err:
+        trainer.fit(x, y, epochs=2, batch_size=8,
+                    checkpoint_dir=tmp_path, checkpoint_tag=tag)
     assert "\n" not in str(err.value)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.memsim.profile import (
+    OPTIMIZER_SLOTS,
     ArrayRegion,
     MethodTraceModel,
     estimate_training_memory,
     profile_methods,
 )
+from repro.nn.optim import OPTIMIZERS
 
 ARCH = [128, 96, 96, 10]
 
@@ -168,3 +170,12 @@ class TestMemoryEstimates:
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
             estimate_training_memory("standard", ARCH, optimizer="lion")
+
+    def test_optimizers_are_the_registry_rules(self):
+        """The memory table names exactly the rules a trainer can run."""
+        assert set(OPTIMIZER_SLOTS) == set(OPTIMIZERS)
+        for name in OPTIMIZERS:
+            estimate_training_memory("standard", ARCH, optimizer=name)
+        for name in ("momentum", "adagrad"):
+            with pytest.raises(ValueError, match="unknown optimizer"):
+                estimate_training_memory("standard", ARCH, optimizer=name)
