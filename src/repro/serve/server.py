@@ -26,7 +26,7 @@ cadence/budget rules and lands recall@k in the trace.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -227,6 +227,13 @@ class InferenceServer:
         """Deterministic dispatch (``start_worker=False`` mode)."""
         return self.batcher.run_once(force=force)
 
+    def ready(self) -> Tuple[bool, str]:
+        """``/readyz``'s answer: ready while the queue is below the depth
+        at which :meth:`submit` sheds."""
+        if self.batcher.queue_depth() < self.batcher.max_queue:
+            return True, "ok"
+        return False, "queue at shed threshold"
+
     def close(self, drain: bool = True) -> None:
         self.batcher.close(drain=drain)
         self._record_latency_gauges()
@@ -338,13 +345,7 @@ def run_smoke(
     metrics = None
     if metrics_port is not None:
         metrics = MetricsServer(
-            recorder.snapshot,
-            port=metrics_port,
-            ready_fn=lambda: (
-                (True, "ok")
-                if server.batcher.queue_depth() < server.batcher.max_queue
-                else (False, "queue at shed threshold")
-            ),
+            recorder.snapshot, port=metrics_port, ready_fn=server.ready
         )
         if verbose:
             print(f"metrics: serving {metrics.url}/metrics")

@@ -13,12 +13,14 @@ Two acceptance criteria from the live-telemetry work land here:
 import urllib.request
 
 import numpy as np
+import pytest
 
 from repro.obs import NULL_RECORDER, InMemoryRecorder, RequestTracer
 from repro.obs.counters import HIST_SERVE_LATENCY, HIST_SERVE_QUEUE_WAIT
 from repro.obs.export import MetricsServer, parse_prometheus
 from repro.obs.histogram import DEFAULT_BUCKETS
 from repro.obs.tracectx import NULL_TRACER
+from repro.serve import ServerOverloaded
 from repro.serve.server import InferenceServer, run_smoke
 
 
@@ -85,6 +87,23 @@ class TestBoundedLatencyMemory:
         # real latencies (positive, p50 <= p99 up to one bucket width)
         assert 0 < stats["latency_p50"] <= stats["latency_p99"] * 1.149
         assert "error" in InferenceServer.stats.__doc__  # documented bound
+        server.close()
+
+
+class TestReadiness:
+    def test_not_ready_at_the_shed_threshold(self, small_model):
+        """``ready()``, the ``/readyz`` check of ``serve`` and the serve
+        smoke, turns false at the queue depth where ``submit`` sheds."""
+        server = InferenceServer(small_model, max_queue=2, start_worker=False)
+        x = np.zeros(small_model.input_dim)
+        for _ in range(2):
+            assert server.ready() == (True, "ok")
+            server.submit(x)
+        assert server.ready() == (False, "queue at shed threshold")
+        with pytest.raises(ServerOverloaded):
+            server.submit(x)
+        server.run_once(force=True)
+        assert server.ready() == (True, "ok")
         server.close()
 
 
