@@ -111,7 +111,7 @@ class ExperimentConfig:
         elif method == "adaptive_dropout":
             cfg = cfg.with_overrides(method_kwargs={"target_keep": 0.05})
         elif method != "standard":
-            raise ValueError(f"unknown method {method!r}")
+            raise ValueError(f"method {method!r} has no §8.4 paper defaults")
         if overrides:
             method_kwargs = overrides.pop("method_kwargs", None)
             if method_kwargs is not None:

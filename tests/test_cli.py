@@ -174,6 +174,19 @@ def _usage_errors():
         ["serve", "--max-batch", "0"],
         ["serve", "--max-wait", "-1"],
         ["serve", "--requests", "-2"],
+        ["run", "--method", "foo"],
+        ["run", "--optimizer", "lion"],
+        ["run", "--optimizer", "momentum"],
+        ["run", "--paper-defaults", "--method", "topk"],
+        ["run", "--epochs", "0"],
+        ["run", "--batch-size", "0"],
+        ["run", "--hidden-width", "0"],
+        ["trace-report", "--method", "foo"],
+        ["trace-report", "--optimizer", "lion"],
+        ["trace-report", "--epochs", "0"],
+        ["compare", "--methods", "foo"],
+        ["compare", "--methods", "topk"],  # a method without §8.4 defaults
+        ["sweep", "--store", "s.jsonl", "--methods", "foo"],
     ]
 
 
@@ -188,7 +201,7 @@ def test_flag_misuse_exits_2_without_traceback(argv, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
-    assert not (tmp_path / "ckpts").exists()
+    assert not list(tmp_path.iterdir())  # no checkpoint, store or model
 
 
 class TestCompareCommand:
