@@ -1,46 +1,45 @@
 """The compute-backend seam for the hot matrix kernels.
 
-Every dense GEMM, subset product, scaled sampled-GEMM, fused-hash
-projection and im2col in the repository dispatches through the active
-:class:`~repro.backend.base.ComputeBackend`.  One implementation ships:
-``reference``, the NumPy expressions, bitwise-preserving at float64 (the
-no-op digest and golden-trace tests run under it), with the MC sampled
+Every GEMM, subset product, scaled sampled-GEMM, hash projection and
+activation of training and serving calls one of the seven kernels in
+:data:`~repro.backend.base.KERNEL_NAMES` on the active backend
+(im2col/col2im and the DWTA gather call NumPy directly).  One backend
+ships, :class:`~repro.backend.base.ComputeBackend` (``reference``): the
+NumPy expressions, bitwise-preserving at float64, with the MC sampled
 gather staged through a reusable scratch buffer.
 
-The seam exists so wrappers can be swapped in without touching a
-trainer: :class:`~repro.backend.instrument.InstrumentedBackend` (traced
-runs), timing proxies and the kernel-capture tests.  A wrapper is
-activated per trainer with the ``compute_backend=`` argument (a
-server's ``backend=``) or per scope with :func:`use_backend`; outside
-any scope kernels run on ``reference``.  The activation stack is
-thread-local, so nested scopes behave like dynamic scoping and worker
-threads never inherit another thread's scope.
+The seam exists so wrappers — any object with the seven kernels — can
+be swapped in without touching a trainer:
+:class:`~repro.backend.instrument.InstrumentedBackend` (traced runs),
+timing proxies and the kernel-capture tests.  A trainer takes one as
+``compute_backend=`` (a server as ``backend=``); :func:`use_backend`
+activates one for a ``with`` block, and kernels find it one way,
+:func:`active_backend`; outside any scope they run on ``reference``.
+The activation stack is thread-local, so worker threads never inherit
+another thread's scope.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import List, Optional, Union
+from typing import List
 
 from .base import ComputeBackend, KERNEL_NAMES, ScratchPool
 from .instrument import InstrumentedBackend
-from .reference import ReferenceBackend
 
 __all__ = [
     "ComputeBackend",
     "ScratchPool",
     "KERNEL_NAMES",
-    "ReferenceBackend",
     "InstrumentedBackend",
     "get_backend",
-    "resolve_backend",
     "default_backend_name",
     "active_backend",
     "use_backend",
 ]
 
-_REFERENCE = ReferenceBackend()
+_REFERENCE = ComputeBackend()
 _local = threading.local()
 
 
@@ -51,17 +50,6 @@ def get_backend(name: str) -> ComputeBackend:
             f"unknown compute backend {name!r}; available: {_REFERENCE.name}"
         )
     return _REFERENCE
-
-
-def resolve_backend(
-    spec: Union[str, ComputeBackend, None],
-) -> Optional[ComputeBackend]:
-    """Normalise a name / instance / ``None`` spec to an instance (or None)."""
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        return get_backend(spec)
-    return spec
 
 
 def default_backend_name() -> str:
@@ -86,11 +74,15 @@ def active_backend() -> ComputeBackend:
 
 
 @contextmanager
-def use_backend(spec: Union[str, ComputeBackend]):
-    """Activate a backend for the dynamic extent of the ``with`` block."""
-    backend = resolve_backend(spec)
-    if backend is None:
-        raise ValueError("use_backend requires a backend name or instance")
+def use_backend(backend):
+    """Activate a backend object for the dynamic extent of the ``with`` block.
+
+    Anything without the seven kernels, a name included, is refused here.
+    """
+    if not all(callable(getattr(backend, k, None)) for k in KERNEL_NAMES):
+        raise TypeError(
+            f"use_backend needs a compute backend object, got {backend!r}"
+        )
     stack = _stack()
     stack.append(backend)
     try:

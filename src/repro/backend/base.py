@@ -1,18 +1,14 @@
-"""The compute-backend kernel interface.
+"""The compute backend: every kernel the trainers and serving call.
 
-Every hot matrix product in the repository — the dense layer products in
-:mod:`repro.nn.layers`, the im2col convolution in :mod:`repro.nn.conv`,
-the scaled sampled-GEMM of the MC trainer, the column-subset products of
-the ALSH/top-k/dropout trainers and the fused LSH hashers — routes
-through one of the kernels declared here.  A backend is an object with
-these methods; :mod:`repro.backend` dispatches to the active one
-(``reference`` unless a wrapper is in scope).
-
-:class:`ComputeBackend` is both the interface and the canonical
-implementation: every method body below is the plain NumPy expression
-for its product, and the no-op digest tests pin its float64 results.
-Subclasses override individual kernels and must preserve bitwise
-equality, as the ``reference`` backend does.
+Every hot matrix product of training and serving — the dense and conv
+layer products, the scaled sampled-GEMM of the MC trainer, the
+column-subset products of the ALSH/top-k/dropout trainers, the SRP
+hashers' projections — and the dense loop's activations call one of
+the seven kernels in :data:`KERNEL_NAMES`.  :class:`ComputeBackend`,
+``reference``, is their one implementation: every method body is the
+plain NumPy expression for its product, and the no-op digest tests pin
+its float64 results.  A wrapper (tracing, timing, kernel capture) is any
+object with the same seven kernels.
 
 Conventions
 -----------
@@ -38,9 +34,10 @@ import numpy as np
 
 __all__ = ["ComputeBackend", "ScratchPool", "KERNEL_NAMES"]
 
-#: Every kernel a backend implements, in call-frequency order.  The
-#: instrumentation wrapper and the property tests iterate this list so a
-#: new kernel only needs to be added here once.
+#: Every kernel a backend implements, in call-frequency order: exactly
+#: the kernels the trainers and serving call.  The instrumentation
+#: wrapper, perfbench's timing proxy and the kernel-capture tests iterate
+#: this list, so a new kernel only needs to be added here once.
 KERNEL_NAMES = (
     "matmul",
     "matmul_add_bias",
@@ -48,10 +45,7 @@ KERNEL_NAMES = (
     "backprop_cols",
     "grad_cols",
     "sampled_matmul",
-    "gather_cols",
     "apply_activation",
-    "im2col",
-    "col2im",
 )
 
 
@@ -59,7 +53,7 @@ class ScratchPool:
     """Reusable staging buffers keyed by ``(slot, shape, dtype)``.
 
     The pool exists to kill the per-step slice allocations the sampled
-    trainers otherwise pay (ISSUE 7 satellite): a gather like
+    trainers otherwise pay: a gather like
     ``a[:, idx] * scales`` allocates two fresh ``(m, keep)`` arrays per
     call, while ``np.take(..., out=pool.get(...))`` reuses one buffer for
     the whole run.  ``hits``/``misses`` are exposed so the allocation
@@ -96,9 +90,9 @@ class ScratchPool:
 
 
 class ComputeBackend:
-    """Interface + canonical NumPy implementation of every kernel."""
+    """The ``reference`` backend: the NumPy expression of every kernel."""
 
-    name = "base"
+    name = "reference"
 
     def __init__(self):
         self.scratch = ScratchPool()
@@ -169,81 +163,28 @@ class ComputeBackend:
 
         Returned column-major, like :meth:`grad_cols` (MC's weight
         gradients come from here), as the transpose of the row-major
-        product of the transposed operands.
+        product of the transposed operands.  At float64 the gather of
+        ``a`` lands in a pooled scratch buffer and is scaled in place:
+        the same float operations in the same order, so bitwise the
+        plain expression, with the GEMM output the only allocation.  The
+        row gather of ``b`` stays fancy indexing: it measured faster than
+        ``np.take`` into a buffer, and the GEMM needs a fresh operand.
         """
         if idx.size == 0:
             return np.zeros((a.shape[0], b.shape[1]), order="F")
-        return (b[idx, :].T @ (a[:, idx] * scales).T).T
+        if a.dtype != np.float64 or scales.dtype != np.float64:
+            return (b[idx, :].T @ (a[:, idx] * scales).T).T
+        ga = self.scratch.get("sampled.a", (a.shape[0], idx.size))
+        np.take(a, idx, axis=1, out=ga)
+        np.multiply(ga, scales, out=ga)
+        return (b[idx, :].T @ ga.T).T
 
     # ------------------------------------------------------------------
-    # gathers and elementwise
+    # elementwise
     # ------------------------------------------------------------------
-    def gather_cols(self, a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Column gather ``a[:, idx]`` (``idx`` may be multi-dimensional).
-
-        Used by the gather-based fused hashers (DWTA); index arrays of
-        shape ``(..., bins)`` produce ``(n, ..., bins)`` outputs exactly
-        like fancy indexing.
-        """
-        return a[:, idx]
-
     def apply_activation(self, activation, z: np.ndarray) -> np.ndarray:
         """Elementwise activation forward (``activation.forward(z)``)."""
         return activation.forward(z)
-
-    # ------------------------------------------------------------------
-    # im2col convolution support
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _window_offsets(field, stride, out_h, out_w):
-        i0 = np.repeat(np.arange(field), field)
-        j0 = np.tile(np.arange(field), field)
-        i1 = stride * np.repeat(np.arange(out_h), out_w)
-        j1 = stride * np.tile(np.arange(out_w), out_h)
-        i = i0.reshape(1, -1) + i1.reshape(-1, 1)  # (out_h*out_w, field*field)
-        j = j0.reshape(1, -1) + j1.reshape(-1, 1)
-        return i, j
-
-    def im2col(
-        self,
-        x: np.ndarray,
-        field: int,
-        stride: int,
-        pad: int,
-        out_h: int,
-        out_w: int,
-    ) -> np.ndarray:
-        """Unfold sliding windows into matrix rows (see nn.conv.im2col)."""
-        n, c = x.shape[0], x.shape[1]
-        if pad > 0:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        i, j = self._window_offsets(field, stride, out_h, out_w)
-        windows = x[:, :, i, j]  # (n, c, out_h*out_w, field*field)
-        return windows.transpose(0, 2, 1, 3).reshape(
-            n * out_h * out_w, c * field * field
-        )
-
-    def col2im(
-        self,
-        cols: np.ndarray,
-        x_shape: Tuple[int, int, int, int],
-        field: int,
-        stride: int,
-        pad: int,
-        out_h: int,
-        out_w: int,
-    ) -> np.ndarray:
-        """Adjoint scatter-add of :meth:`im2col`."""
-        n, c, h, w = x_shape
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-        i, j = self._window_offsets(field, stride, out_h, out_w)
-        windows = cols.reshape(n, out_h * out_w, c, field * field).transpose(
-            0, 2, 1, 3
-        )
-        np.add.at(padded, (slice(None), slice(None), i, j), windows)
-        if pad > 0:
-            return padded[:, :, pad:-pad, pad:-pad]
-        return padded
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -5,8 +5,9 @@
 ``kernel.<name>`` timing (so ``trace-report`` can attribute wall-clock
 to kernels), one sample in the ``kernel.seconds.<name>`` log-bucket
 histogram (so per-call latency *distributions* survive merging and the
-``/metrics`` scrape, not just totals), and, for the GEMM-family
-kernels, a ``kernel.flops.<name>`` counter using the repository's
+``/metrics`` scrape, not just totals), and, for the six GEMM kernels
+(every kernel in ``KERNEL_NAMES`` but ``apply_activation``), a
+``kernel.flops.<name>`` counter using the repository's
 2-FLOPs-per-MAC convention.  Counters are deterministic for a fixed
 seed — they participate in the golden traces — while timings and
 histograms live in the (non-golden) wall-clock sections.
@@ -23,6 +24,7 @@ import time
 import numpy as np
 
 from ..obs.counters import KERNEL_SECONDS_PREFIX, gemm_flops
+from .base import KERNEL_NAMES
 
 __all__ = ["InstrumentedBackend", "KERNEL_FLOPS_COUNTERS"]
 
@@ -73,9 +75,6 @@ KERNEL_FLOPS_COUNTERS = {
     for kernel in _FLOP_MODELS
 }
 
-#: kernels that are timed but carry no GEMM FLOPs (gathers, elementwise).
-_TIMED_ONLY = ("gather_cols", "apply_activation", "im2col", "col2im")
-
 
 class InstrumentedBackend:
     """A backend proxy recording per-kernel timings and FLOP counters."""
@@ -83,10 +82,8 @@ class InstrumentedBackend:
     def __init__(self, inner, recorder):
         self.inner = inner
         self.obs = recorder
-        for kernel, model in _FLOP_MODELS.items():
-            setattr(self, kernel, self._wrap(kernel, model))
-        for kernel in _TIMED_ONLY:
-            setattr(self, kernel, self._wrap(kernel, None))
+        for kernel in KERNEL_NAMES:
+            setattr(self, kernel, self._wrap(kernel, _FLOP_MODELS.get(kernel)))
 
     @property
     def name(self) -> str:

@@ -831,14 +831,19 @@ def _cmd_serve(args) -> int:
     if args.model is not None:
         from .serve.registry import load_servable
 
-        model = load_servable(args.model, version=args.version)
+        try:
+            model = load_servable(args.model, version=args.version)
+        except FileNotFoundError:
+            print(f"error: model file not found: {args.model}", file=sys.stderr)
+            return 2
+        except ValueError as exc:  # corrupt, unservable kind, wrong --version
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         model = seeded_servable(seed=args.seed)
     recorder = InMemoryRecorder()
     tracer = RequestTracer(sink=args.store) if args.store else NULL_TRACER
     mode = "topk" if args.topk is not None else "logproba"
-    rng = np.random.default_rng(args.seed)
-    xs = rng.normal(size=(args.requests, model.input_dim))
     try:
         server = InferenceServer(
             model,
@@ -854,6 +859,11 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:  # a mode or --topk the model cannot answer
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Requests are drawn only once the server has accepted the model: a
+    # conv servable has no flat input width.
+    xs = np.random.default_rng(args.seed).normal(
+        size=(args.requests, model.input_dim)
+    )
     metrics = None
     try:
         with server:

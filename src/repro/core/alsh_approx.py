@@ -228,19 +228,20 @@ class ALSHApproxTrainer(ColumnSamplingTrainer):
         threshold until it is touched again.
         """
         rehashed = 0
-        for i, touched in enumerate(self._touched):
-            if not touched:
-                continue
-            W = self.net.layers[i].W
-            ids = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
-            touched.clear()
-            if self._drift is not None:
-                ids = self._drift[i].drifted(W, ids)
-            if ids.size:
-                self.indexes[i].update(ids, W[:, ids].T)
+        with self._backend_scope():
+            for i, touched in enumerate(self._touched):
+                if not touched:
+                    continue
+                W = self.net.layers[i].W
+                ids = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
+                touched.clear()
                 if self._drift is not None:
-                    self._drift[i].mark_rehashed(W, ids)
-                rehashed += int(ids.size)
+                    ids = self._drift[i].drifted(W, ids)
+                if ids.size:
+                    self.indexes[i].update(ids, W[:, ids].T)
+                    if self._drift is not None:
+                        self._drift[i].mark_rehashed(W, ids)
+                    rehashed += int(ids.size)
         if rehashed:
             self.rehashed_columns += rehashed
             self.obs.add(LSH_REHASHED_COLUMNS, rehashed)

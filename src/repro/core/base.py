@@ -18,13 +18,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend import (
-    ComputeBackend,
-    InstrumentedBackend,
-    active_backend,
-    resolve_backend,
-    use_backend,
-)
+from ..backend import InstrumentedBackend, active_backend, use_backend
 from ..data.loader import BatchLoader
 from ..nn.checkpoint import (
     TrainerCheckpoint,
@@ -152,10 +146,10 @@ class Trainer:
         identical to the uninstrumented code (enforced by
         ``tests/obs/test_noop.py``).
     compute_backend:
-        Per-trainer compute-backend override — ``"reference"`` or a
-        :class:`~repro.backend.ComputeBackend` instance (a wrapper such
-        as a timing proxy).  ``None`` (default) dispatches to the active
-        backend at call time.  With a live recorder the backend is
+        Per-trainer backend object, a :class:`~repro.backend.ComputeBackend`
+        or a wrapper such as a timing proxy, active inside
+        :meth:`_backend_scope`.  ``None`` (default) leaves the caller's
+        active backend in force.  With a live recorder the backend is
         pinned at construction and wrapped in an
         :class:`~repro.backend.InstrumentedBackend`, so traced runs
         attribute wall-clock and FLOPs to individual kernels.
@@ -170,7 +164,7 @@ class Trainer:
         optimizer="sgd",
         seed: Optional[int] = None,
         recorder: Optional[Recorder] = None,
-        compute_backend: Union[str, ComputeBackend, None] = None,
+        compute_backend=None,
     ):
         for i, layer in enumerate(network.layers):
             if not (layer.W.flags.writeable and layer.b.flags.writeable):
@@ -185,14 +179,13 @@ class Trainer:
         self.loss_fn = NLLLoss()
         self.rng = np.random.default_rng(seed)
         self.obs: Recorder = recorder if recorder is not None else NULL_RECORDER
-        backend = resolve_backend(compute_backend)
         if self.obs.enabled:
             # Pin the backend at construction so per-kernel timings and
             # FLOP counters land in this trainer's recorder.
-            backend = InstrumentedBackend(
-                backend if backend is not None else active_backend(), self.obs
-            )
-        self.compute_backend = backend
+            if compute_backend is None:
+                compute_backend = active_backend()
+            compute_backend = InstrumentedBackend(compute_backend, self.obs)
+        self.compute_backend = compute_backend
         self._probes: Optional[ProbeManager] = None
         self._t_fwd = 0.0
         self._t_bwd = 0.0
@@ -200,19 +193,12 @@ class Trainer:
     # ------------------------------------------------------------------
     # compute-backend dispatch
     # ------------------------------------------------------------------
-    def _backend(self):
-        """The backend this trainer's kernel calls should use."""
-        if self.compute_backend is not None:
-            return self.compute_backend
-        return active_backend()
-
     def _backend_scope(self):
         """Context manager activating this trainer's backend (if any).
 
-        Wrapped around :meth:`fit` and :meth:`predict` so layer-level
-        products (which dispatch via
-        :func:`repro.backend.active_backend`) see the per-trainer
-        override; a no-op when no override is configured.
+        Every method that does training or inference work runs inside it,
+        so its kernel calls, which dispatch via
+        :func:`repro.backend.active_backend`, see the per-trainer backend.
         """
         if self.compute_backend is None:
             return nullcontext()
@@ -351,7 +337,7 @@ class Trainer:
         array, so the step is bitwise the materialised one; it counts as
         one update.  A batch's gradient is built whole.
         """
-        backend = self._backend()
+        backend = active_backend()
         if a_prev.ndim == 2 and len(a_prev) > 1:
             self._update(key, param, backend.grad_cols(a_prev, delta), index)
             return
@@ -440,8 +426,10 @@ class Trainer:
             arrays[f"net.b{i}"] = layer.b
         return arrays
 
-    def _load_network(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Copy checkpointed weights in, ``W`` column-major like training's."""
+    def _checked_network(self, arrays: Dict[str, np.ndarray]) -> list:
+        """Copies of every layer's checkpointed ``(W, b)``, checked against
+        the network, ``W`` column-major like training's."""
+        weights = []
         for i, layer in enumerate(self.net.layers):
             try:
                 w = arrays[f"net.W{i}"]
@@ -455,8 +443,8 @@ class Trainer:
                     f"layer {i} shape mismatch: checkpoint {w.shape} vs "
                     f"network {layer.W.shape}"
                 )
-            layer.W = np.array(w, order="F")
-            layer.b = b.copy()
+            weights.append((np.array(w, order="F"), b.copy()))
+        return weights
 
     def _state(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         """This trainer's mutable state as checkpoint ``(payload, arrays)``.
@@ -496,10 +484,13 @@ class Trainer:
         that wrote the checkpoint (same config and seed) — everything the
         constructor derives deterministically (hash hyperplanes, standout
         parameters, …) is reproduced from the seed, while everything
-        mutated by training is restored here.
+        mutated by training is restored here.  Network arrays, optimiser
+        rule and slots are all checked before anything changes.
         """
-        self._load_network(arrays)
+        weights = self._checked_network(arrays)
         self.optimizer.load_state_dict(payload["optimizer"], arrays)
+        for layer, (w, b) in zip(self.net.layers, weights):
+            layer.W, layer.b = w, b
         self.rng.bit_generator.state = payload["rng_state"]
         prefix = "aux."
         aux_arrays = {
@@ -650,9 +641,9 @@ class Trainer:
                 )
             if ckpt.stopped_early or start_epoch >= epochs:
                 return history
-        if self.obs.enabled:
-            self.obs.add(BACKEND_USED_PREFIX + self._backend().name)
         with self._backend_scope(), self.obs.span("fit"):
+            if self.obs.enabled:
+                self.obs.add(BACKEND_USED_PREFIX + active_backend().name)
             for epoch in range(start_epoch, epochs):
                 self._t_fwd = 0.0
                 self._t_bwd = 0.0

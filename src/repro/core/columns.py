@@ -101,7 +101,7 @@ class ColumnSamplingTrainer(Trainer):
         act = self.net.hidden_activation
         out = len(layers) - 1
         batch = 1 if x.ndim == 1 else x.shape[0]
-        backend = self._backend()
+        backend = active_backend()
         with self._time_forward():
             acts, zs, active_sets, logits = self._forward(x)
             loss, delta = self._head(logits, y)

@@ -34,6 +34,7 @@ from ..approx.bernoulli import (
     bernoulli_probabilities,
     bernoulli_sample,
 )
+from ..backend import active_backend
 from ..nn.network import MLP
 from ..obs import Recorder
 from ..obs.counters import (
@@ -115,7 +116,7 @@ class MCApproxTrainer(DenseLoopTrainer):
         idx, scales = self._sample(a, b, budget)
         if idx.size == 0:
             return np.zeros((a.shape[0], b.shape[1]), order="F")
-        return self._backend().sampled_matmul(a, b, idx, scales)
+        return active_backend().sampled_matmul(a, b, idx, scales)
 
     def _sample(self, a: np.ndarray, b: np.ndarray, budget: int):
         """Kept inner indices of ``a @ b`` and their 1/p scales.

@@ -30,19 +30,9 @@ TRAINERS: Dict[str, Type[Trainer]] = {
     TopKApproxTrainer.name: TopKApproxTrainer,
 }
 
-_ALIASES = {
-    "alsh_approx": ALSHApproxTrainer.name,
-    "alsh-approx": ALSHApproxTrainer.name,
-    "mc_approx": MCApproxTrainer.name,
-    "mc-approx": MCApproxTrainer.name,
-    "adaptive-dropout": AdaptiveDropoutTrainer.name,
-    "topk_approx": TopKApproxTrainer.name,
-    "topk-approx": TopKApproxTrainer.name,
-}
-
 
 def trainer_names():
-    """Canonical method names, in the paper's presentation order."""
+    """Method names, in the paper's presentation order."""
     return list(TRAINERS)
 
 
@@ -55,9 +45,8 @@ def make_trainer(
     >>> make_trainer("standard", net, lr=1e-3).name
     'standard'
     """
-    canonical = _ALIASES.get(name, name)
     try:
-        cls = TRAINERS[canonical]
+        cls = TRAINERS[name]
     except KeyError:
         raise ValueError(
             f"unknown trainer {name!r}; available: {trainer_names()}"

@@ -27,8 +27,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..backend import active_backend
-
 __all__ = ["DensifiedWTA", "FusedDWTA"]
 
 
@@ -94,7 +92,7 @@ class DensifiedWTA:
 
     def _bin_argmax(self, vectors: np.ndarray) -> np.ndarray:
         """Argmax index within every bin; -1 where the bin is all-zero."""
-        gathered = active_backend().gather_cols(vectors, self._bins)  # (n, n_bins, bin_size)
+        gathered = vectors[:, self._bins]  # (n, n_bins, bin_size)
         arg = gathered.argmax(axis=2)
         empty = (gathered != 0.0).sum(axis=2) == 0
         arg[empty] = -1
@@ -183,7 +181,7 @@ class FusedDWTA:
             raise ValueError(
                 f"expected vectors of dim {self.dim}, got {vectors.shape[1]}"
             )
-        gathered = active_backend().gather_cols(vectors, self._bins)  # (n, L, n_bins, bin_size)
+        gathered = vectors[:, self._bins]  # (n, L, n_bins, bin_size)
         arg = gathered.argmax(axis=3).astype(np.int64)
         codes = np.zeros(arg.shape[:2], dtype=np.int64)
         for b in range(self._n_bins):

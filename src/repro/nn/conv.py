@@ -40,6 +40,17 @@ def _out_size(size: int, field: int, stride: int, pad: int) -> int:
     return out
 
 
+def _window_offsets(field: int, stride: int, out_h: int, out_w: int):
+    """Row and column indices of every window, ``(out_h*out_w, field²)`` each."""
+    i0 = np.repeat(np.arange(field), field)
+    j0 = np.tile(np.arange(field), field)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(1, -1) + i1.reshape(-1, 1)
+    j = j0.reshape(1, -1) + j1.reshape(-1, 1)
+    return i, j
+
+
 def im2col(
     x: np.ndarray, field: int, stride: int = 1, pad: int = 0
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
@@ -52,7 +63,13 @@ def im2col(
     n, c, h, w = x.shape
     out_h = _out_size(h, field, stride, pad)
     out_w = _out_size(w, field, stride, pad)
-    cols = active_backend().im2col(x, field, stride, pad, out_h, out_w)
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    i, j = _window_offsets(field, stride, out_h, out_w)
+    windows = x[:, :, i, j]  # (n, c, out_h*out_w, field*field)
+    cols = windows.transpose(0, 2, 1, 3).reshape(
+        n * out_h * out_w, c * field * field
+    )
     return cols, (out_h, out_w)
 
 
@@ -64,12 +81,18 @@ def col2im(
     pad: int = 0,
 ) -> np.ndarray:
     """Adjoint of :func:`im2col` — scatter-add columns back to an image."""
-    h, w = x_shape[2], x_shape[3]
+    n, c, h, w = x_shape
     out_h = _out_size(h, field, stride, pad)
     out_w = _out_size(w, field, stride, pad)
-    return active_backend().col2im(
-        cols, x_shape, field, stride, pad, out_h, out_w
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    i, j = _window_offsets(field, stride, out_h, out_w)
+    windows = cols.reshape(n, out_h * out_w, c, field * field).transpose(
+        0, 2, 1, 3
     )
+    np.add.at(padded, (slice(None), slice(None), i, j), windows)
+    if pad > 0:
+        return padded[:, :, pad:-pad, pad:-pad]
+    return padded
 
 
 class Conv2D:

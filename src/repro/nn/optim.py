@@ -163,6 +163,9 @@ class Optimizer:
         """Restore state captured by :meth:`state_dict` (exact copy).
 
         Slots come back column-major whatever layout the archive stored.
+        The rule's name and every slot are checked, and the new state is
+        built, before the old state is replaced: a refused checkpoint
+        leaves the optimiser as it was.
         """
         name = getattr(self, "name", type(self).__name__.lower())
         if meta.get("name") != name:
@@ -170,8 +173,7 @@ class Optimizer:
                 f"checkpoint holds {meta.get('name')!r} optimiser state, "
                 f"this trainer uses {name!r}"
             )
-        self.lr = float(meta["lr"])
-        self._state.clear()
+        loaded = {}
         for j, entry in enumerate(meta["keys"]):
             key = tuple(entry["key"]) if entry["tuple"] else entry["key"]
             state = {}
@@ -183,7 +185,9 @@ class Optimizer:
                         f"parameter {key!r} (array {name!r})"
                     )
                 state[slot] = np.array(arrays[name], order="F")
-            self._state[key] = state
+            loaded[key] = state
+        self.lr = float(meta["lr"])
+        self._state = loaded
 
 
 class SGD(Optimizer):

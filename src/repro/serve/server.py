@@ -26,7 +26,7 @@ cadence/budget rules and lands recall@k in the trace.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,8 +91,8 @@ class InferenceServer:
         Pad every forward to ``max_batch`` rows — the bitwise-serving
         mode (costs the padding FLOPs on partial batches).
     backend:
-        Compute-backend name/instance activated around every handler
-        call (None = the ambient default).
+        Compute backend object (a wrapper, say) activated around every
+        handler call (None = the ambient default).
     probe_every:
         Attach a :class:`HeadRecallProbe` on this batch cadence
         (requires an enabled recorder to do anything).
@@ -116,7 +116,7 @@ class InferenceServer:
         max_queue: int = 256,
         default_deadline: Optional[float] = None,
         pad_batches: bool = False,
-        backend: Union[str, object, None] = None,
+        backend=None,
         probe_every: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
         recorder: Recorder = NULL_RECORDER,

@@ -2,15 +2,14 @@
 
 Every trainer runs once on the tiny dataset with a recording reference
 backend that notes which kernels it was called through, so the kernel
-tests can check that every kernel has a live call site.
+tests can check that the kernels on the seam are exactly those the
+trainers call.
 """
 
-import numpy as np
 import pytest
 
-from repro.backend import KERNEL_NAMES, ReferenceBackend, use_backend
+from repro.backend import KERNEL_NAMES, ComputeBackend
 from repro.core import make_trainer
-from repro.nn.conv import Conv2D
 from repro.nn.network import MLP
 
 TRAINER_NAMES = ["standard", "dropout", "adaptive_dropout", "alsh", "mc", "topk"]
@@ -21,7 +20,7 @@ LAYER_SIZES = [64, 32, 32, 3]
 BATCH_SIZE = 20
 
 
-class CapturingBackend(ReferenceBackend):
+class CapturingBackend(ComputeBackend):
     """Reference backend that records the names of the kernels it ran."""
 
     name = "capturing"
@@ -44,12 +43,7 @@ class CapturingBackend(ReferenceBackend):
 
 @pytest.fixture(scope="session")
 def called_kernels(tiny_dataset):
-    """Per-trainer kernel names called in one-epoch fixed-seed runs.
-
-    A conv forward/backward pass rides along under the ``conv`` key so
-    the im2col/col2im and conv GEMM kernels are captured too (no trainer
-    exercises them).
-    """
+    """Per-trainer kernel names called in one-epoch fixed-seed runs."""
     out = {}
     for name in TRAINER_NAMES:
         backend = CapturingBackend()
@@ -62,27 +56,4 @@ def called_kernels(tiny_dataset):
             batch_size=BATCH_SIZE,
         )
         out[name] = backend.called
-
-    conv_backend = CapturingBackend()
-    with use_backend(conv_backend):
-        rng = np.random.default_rng(SEED)
-        conv = Conv2D(2, 4, field=3, stride=1, pad=1, rng=rng)
-        x = rng.normal(size=(5, 2, 8, 8))
-        z = conv.forward(x)
-        conv.backward(rng.normal(size=z.shape))
-    out["conv"] = conv_backend.called
-
-    # No trainer drives the DWTA gather, so capture it from its real call
-    # site directly.
-    extras = CapturingBackend()
-    with use_backend(extras):
-        from repro.lsh.dwta import DensifiedWTA, FusedDWTA
-
-        rng = np.random.default_rng(SEED)
-        a_prev = rng.normal(size=(BATCH_SIZE, LAYER_SIZES[0]))
-        fns = [
-            DensifiedWTA(LAYER_SIZES[0], n_bits=4, rng=rng) for _ in range(2)
-        ]
-        FusedDWTA(fns).hash_all(a_prev)
-    out["extras"] = extras.called
     return out

@@ -5,18 +5,17 @@ import threading
 import pytest
 
 from repro.backend import (
-    ReferenceBackend,
+    ComputeBackend,
     active_backend,
     default_backend_name,
     get_backend,
-    resolve_backend,
     use_backend,
 )
 
 
 def test_get_backend_returns_shared_instances():
     assert get_backend("reference") is get_backend("reference")
-    assert isinstance(get_backend("reference"), ReferenceBackend)
+    assert isinstance(get_backend("reference"), ComputeBackend)
 
 
 def test_unknown_name_lists_available():
@@ -30,7 +29,7 @@ def test_default_is_reference():
 
 
 def test_use_backend_nests_and_restores():
-    outer, inner = ReferenceBackend(), ReferenceBackend()
+    outer, inner = ComputeBackend(), ComputeBackend()
     assert active_backend() is get_backend("reference")
     with use_backend(outer):
         assert active_backend() is outer
@@ -41,12 +40,16 @@ def test_use_backend_nests_and_restores():
 
 
 def test_use_backend_accepts_instances_and_rejects_none():
-    mine = ReferenceBackend()
+    mine = ComputeBackend()
     with use_backend(mine):
         assert active_backend() is mine
-    with pytest.raises(ValueError):
-        with use_backend(None):
-            pass
+    # A name, or anything else without the kernels, is refused on entry.
+    for spec in (None, "reference"):
+        with pytest.raises(TypeError, match="needs a compute backend object") as err:
+            with use_backend(spec):
+                pass
+        assert "\n" not in str(err.value)
+    assert active_backend() is get_backend("reference")
 
 
 def test_use_backend_is_thread_local():
@@ -55,16 +58,9 @@ def test_use_backend_is_thread_local():
     def worker():
         seen["backend"] = active_backend()
 
-    with use_backend(ReferenceBackend()):
+    with use_backend(ComputeBackend()):
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
     # The worker thread never saw the main thread's scope.
     assert seen["backend"] is get_backend("reference")
-
-
-def test_resolve_backend_forms():
-    assert resolve_backend(None) is None
-    assert resolve_backend("reference") is get_backend("reference")
-    mine = ReferenceBackend()
-    assert resolve_backend(mine) is mine

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.backend import InstrumentedBackend, ReferenceBackend, get_backend
+from repro.backend import ComputeBackend, InstrumentedBackend, get_backend
 from repro.core import make_trainer
+from repro.nn.activations import ReLU
 from repro.nn.network import MLP
 from repro.obs import InMemoryRecorder
 from repro.obs.counters import BACKEND_USED_PREFIX, KERNEL_FLOPS_PREFIX
@@ -15,7 +16,7 @@ from .conftest import BATCH_SIZE, LAYER_SIZES, SEED, TRAINER_NAMES
 @pytest.fixture
 def instrumented():
     recorder = InMemoryRecorder()
-    return InstrumentedBackend(ReferenceBackend(), recorder), recorder
+    return InstrumentedBackend(ComputeBackend(), recorder), recorder
 
 
 def test_gemm_kernels_record_time_and_flops(instrumented, rng):
@@ -46,15 +47,15 @@ def test_subset_kernels_model_only_the_subset_flops(instrumented, rng):
 
 def test_elementwise_kernels_are_timed_but_not_flop_counted(instrumented, rng):
     backend, recorder = instrumented
-    a = rng.normal(size=(20, 64))
-    backend.gather_cols(a, np.arange(5))
+    z = rng.normal(size=(20, 64))
+    assert np.array_equal(backend.apply_activation(ReLU(), z), np.maximum(z, 0.0))
     snap = recorder.snapshot()
-    assert snap["timings"]["kernel.gather_cols"]["count"] == 1
-    assert KERNEL_FLOPS_PREFIX + "gather_cols" not in snap["counters"]
+    assert snap["timings"]["kernel.apply_activation"]["count"] == 1
+    assert KERNEL_FLOPS_PREFIX + "apply_activation" not in snap["counters"]
 
 
 def test_wrapper_preserves_results_name_and_scratch(rng):
-    inner = ReferenceBackend()
+    inner = ComputeBackend()
     backend = InstrumentedBackend(inner, InMemoryRecorder())
     assert backend.name == "reference"
     assert backend.scratch is inner.scratch
@@ -67,7 +68,8 @@ def test_traced_run_attributes_backend_and_kernels(tiny_dataset):
     recorder = InMemoryRecorder()
     net = MLP([64, 32, 32, 3], seed=123)
     trainer = make_trainer(
-        "mc", net, seed=123, recorder=recorder, compute_backend="reference"
+        "mc", net, seed=123, recorder=recorder,
+        compute_backend=get_backend("reference"),
     )
     trainer.fit(
         tiny_dataset.x_train, tiny_dataset.y_train, epochs=1, batch_size=20
@@ -76,7 +78,7 @@ def test_traced_run_attributes_backend_and_kernels(tiny_dataset):
     assert snap["counters"][BACKEND_USED_PREFIX + "reference"] == 1
     assert snap["counters"][KERNEL_FLOPS_PREFIX + "sampled_matmul"] > 0
     assert any(k.startswith("kernel.") for k in snap["timings"])
-    # The trainer pinned an instrumented wrapper around the named backend.
+    # The trainer pinned an instrumented wrapper around the given backend.
     assert isinstance(trainer.compute_backend, InstrumentedBackend)
     assert trainer.compute_backend.inner is get_backend("reference")
 

@@ -20,7 +20,7 @@ admits the reference's own rounding (the same bound at the
 import numpy as np
 import pytest
 
-from repro.backend import ReferenceBackend
+from repro.backend import ComputeBackend
 
 U = 2.0**-53
 U_REF = float(np.finfo(np.longdouble).eps) / 2
@@ -44,7 +44,7 @@ def bound(n, abs_product):
 
 @pytest.fixture(scope="module")
 def backend():
-    return ReferenceBackend()
+    return ComputeBackend()
 
 
 def exact(x, y):

@@ -19,7 +19,7 @@ from obs.conftest import (
     weights_digest,
 )
 from obs.test_noop import PRE_INSTRUMENTATION_DIGESTS
-from repro.backend import use_backend
+from repro.backend import get_backend, use_backend
 from repro.core import make_trainer
 from repro.nn.network import MLP
 
@@ -40,11 +40,11 @@ def _fit(name, dataset, **trainer_kwargs):
 
 @pytest.mark.parametrize("name", TRAINER_NAMES)
 def test_explicit_reference_backend_reproduces_digests(name, tiny_dataset):
-    digest = _fit(name, tiny_dataset, compute_backend="reference")
+    digest = _fit(name, tiny_dataset, compute_backend=get_backend("reference"))
     assert digest == PRE_INSTRUMENTATION_DIGESTS[name]
 
 
 def test_use_backend_scope_reproduces_digest(tiny_dataset):
-    with use_backend("reference"):
+    with use_backend(get_backend("reference")):
         digest = _fit("mc", tiny_dataset)
     assert digest == PRE_INSTRUMENTATION_DIGESTS["mc"]

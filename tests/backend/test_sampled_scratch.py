@@ -10,7 +10,7 @@ repeated shape must reuse one buffer, not allocate per call.
 import numpy as np
 import pytest
 
-from repro.backend import ReferenceBackend, ScratchPool
+from repro.backend import ComputeBackend, ScratchPool
 from repro.core import make_trainer
 from repro.nn.network import MLP
 
@@ -31,7 +31,7 @@ def test_scratch_pool_reuses_buffers():
 
 
 def test_sampled_matmul_allocates_once_for_a_repeated_shape(rng):
-    backend = ReferenceBackend()
+    backend = ComputeBackend()
     a = rng.normal(size=(20, 64))
     b = rng.normal(size=(64, 32))
     idx = np.sort(rng.choice(64, size=10, replace=False))
@@ -47,7 +47,7 @@ def test_sampled_matmul_allocates_once_for_a_repeated_shape(rng):
 
 def test_sampled_matmul_returns_fresh_output_arrays(rng):
     """Only the gather is pooled — outputs must never alias each other."""
-    backend = ReferenceBackend()
+    backend = ComputeBackend()
     a = rng.normal(size=(6, 16))
     b = rng.normal(size=(16, 5))
     idx = np.arange(4)
@@ -59,7 +59,7 @@ def test_sampled_matmul_returns_fresh_output_arrays(rng):
 
 
 def test_non_float64_inputs_fall_back_to_the_canonical_path(rng):
-    backend = ReferenceBackend()
+    backend = ComputeBackend()
     a = rng.normal(size=(6, 16)).astype(np.float32)
     b = rng.normal(size=(16, 5)).astype(np.float32)
     idx = np.arange(4)
@@ -71,7 +71,7 @@ def test_non_float64_inputs_fall_back_to_the_canonical_path(rng):
 
 @pytest.mark.parametrize("k", [5, 10])
 def test_mc_trainer_reuses_the_gather_buffer(k, tiny_dataset):
-    backend = ReferenceBackend()
+    backend = ComputeBackend()
     net = MLP([64, 32, 32, 3], seed=123)
     trainer = make_trainer("mc", net, seed=123, k=k, compute_backend=backend)
     trainer.fit(

@@ -1,10 +1,10 @@
 """A traced trainer's kernels run on its own backend, inside ``fit`` or not.
 
-A product reached through ``DenseLayer`` or ``active_backend()`` (the
-dense loop's exact products, ALSH's hashing) sees the trainer's
-``compute_backend`` only inside the trainer's backend scope.  So a step,
-a prediction or a stream run called directly must record the same
-counters as the same call made while the caller holds that scope.
+Every kernel call finds its backend through ``active_backend()``, which
+sees the trainer's ``compute_backend`` only inside the trainer's backend
+scope.  So a step, a prediction, an ALSH table refresh or a stream run
+called directly must record the same counters as the same call made
+while the caller holds that scope.
 """
 
 import numpy as np
@@ -47,6 +47,26 @@ def test_direct_calls_record_what_scoped_calls_do(method, kwargs, rows):
         scoped.predict(x)
     assert counters(bare.obs) == counters(scoped.obs)
     assert counters(bare.obs)["kernel.flops.matmul_add_bias"] > 0
+
+
+def test_alsh_refresh_records_what_a_scoped_refresh_does():
+    """A refresh re-hashes the touched columns in one GEMM per layer."""
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(4, 8)), rng.integers(0, 3, size=4)
+    bare, scoped = (
+        make_trainer(
+            "alsh", MLP([8, 6, 6, 3], seed=0), seed=1, recorder=InMemoryRecorder()
+        )
+        for _ in range(2)
+    )
+    for trainer in (bare, scoped):
+        trainer.train_batch(x, y)
+    flops = counters(bare.obs)["kernel.flops.matmul"]
+    assert bare.refresh_tables() > 0
+    with use_backend(scoped.compute_backend):
+        scoped.refresh_tables()
+    assert counters(bare.obs) == counters(scoped.obs)
+    assert counters(bare.obs)["kernel.flops.matmul"] > flops
 
 
 def test_stream_run_records_what_a_scoped_run_does():

@@ -27,6 +27,8 @@ offered the momentum rule, on the same ``x, y``, with::
                 checkpoint_dir=out, checkpoint_tag="standard_momentum")
 
 No rule today can take over its velocity slots, so resuming is refused.
+A refused resume, for that or for a layer shape, leaves the trainer's
+weights and optimiser slots as they were.
 """
 
 import shutil
@@ -140,3 +142,37 @@ def test_momentum_checkpoint_is_refused_clearly(tmp_path, optimizer):
         trainer.fit(x, y, epochs=2, batch_size=8,
                     checkpoint_dir=tmp_path, checkpoint_tag=tag)
     assert "\n" not in str(err.value)
+
+
+def _weights_and_slots(trainer):
+    arrays = {}
+    for i, layer in enumerate(trainer.net.layers):
+        arrays[f"W{i}"], arrays[f"b{i}"] = layer.W.copy(), layer.b.copy()
+    for name, arr in trainer.optimizer.state_dict()[1].items():
+        arrays[name] = arr.copy()
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "sizes, refusal",
+    [
+        ([8, 16, 3], "holds 'momentum' optimiser state"),
+        ([8, 16, 4], "layer 1 shape mismatch"),
+    ],
+    ids=["optimizer-rule", "layer-shape"],
+)
+def test_refused_resume_leaves_the_trainer_as_it_was(tmp_path, sizes, refusal):
+    tag = "standard_momentum"
+    shutil.copy(FIXTURES / f"{tag}.ckpt.npz", tmp_path / f"{tag}.ckpt.npz")
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(40, 8)), rng.integers(0, 3, size=40)
+    trainer = StandardTrainer(MLP(sizes, seed=0), optimizer="adam", seed=1)
+    trainer.train_batch(x[:8], y[:8])  # Adam slots to keep
+    before = _weights_and_slots(trainer)
+    with pytest.raises(ValueError, match=refusal):
+        trainer.fit(x, y, epochs=2, batch_size=8,
+                    checkpoint_dir=tmp_path, checkpoint_tag=tag)
+    after = _weights_and_slots(trainer)
+    assert sorted(after) == sorted(before)
+    for name, arr in before.items():
+        np.testing.assert_array_equal(after[name], arr, err_msg=name)

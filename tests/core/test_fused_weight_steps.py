@@ -20,6 +20,7 @@ import types
 import numpy as np
 import pytest
 
+from repro.backend import active_backend
 from repro.core import make_trainer
 from repro.nn.network import MLP
 from repro.nn.optim import BLOCK_BYTES
@@ -49,7 +50,7 @@ CASES = {
 
 def _materialised(self, key, param, a_prev, delta, index=None):
     """The whole gradient, one ``optimizer.update`` per parameter."""
-    self._update(key, param, self._backend().grad_cols(a_prev, delta), index)
+    self._update(key, param, active_backend().grad_cols(a_prev, delta), index)
 
 
 def _pair(method, optimizer):

@@ -39,8 +39,13 @@ def test_factory_builds_each(name):
     ],
 )
 def test_aliases(alias, canonical):
+    """Each method has one name: a former alias is refused, and the
+    error lists the name to use instead."""
     net = MLP([10, 8, 3], seed=0)
-    assert make_trainer(alias, net).name == canonical
+    with pytest.raises(
+        ValueError, match=f"unknown trainer '{alias}'; available: .*'{canonical}'"
+    ):
+        make_trainer(alias, net)
 
 
 def test_kwargs_forwarded():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.base import Trainer
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import build_network, run_experiment
 
@@ -92,3 +93,17 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg)
         assert 0.0 <= result.test_accuracy <= 1.0
+
+    def test_unknown_method_is_refused_before_training(self, monkeypatch):
+        """``alsh-approx`` names no trainer (the method is ``alsh``)."""
+
+        def fit(*args, **kwargs):
+            raise AssertionError("a trainer started training")
+
+        monkeypatch.setattr(Trainer, "fit", fit)
+        cfg = ExperimentConfig(
+            method="alsh-approx", data_scale=0.005, epochs=1,
+            hidden_layers=1, hidden_width=8, optimizer="adam",
+        )
+        with pytest.raises(ValueError, match="unknown trainer 'alsh-approx'"):
+            run_experiment(cfg)

@@ -81,6 +81,20 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam(lr=0.1, beta1=1.0)
 
+    def test_refused_state_leaves_the_slots_as_they_were(self):
+        opt = Adam(lr=0.1)
+        opt.update("w", np.zeros((2, 2)), np.ones((2, 2)))
+        meta, arrays = opt.state_dict()
+        before = {name: arr.copy() for name, arr in arrays.items()}
+        partial = {name: arr for name, arr in arrays.items() if name != "opt.0.v"}
+        with pytest.raises(ValueError, match="lacks optimiser slot 'v'"):
+            opt.load_state_dict(dict(meta, lr=0.5), partial)
+        meta_after, after = opt.state_dict()
+        assert meta_after == meta
+        assert sorted(after) == sorted(before)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(after[name], arr)
+
 
 class TestConvergence:
     @pytest.mark.parametrize("name", ["sgd", "adam"])

@@ -16,7 +16,7 @@ The acceptance tests for the serving head:
 import numpy as np
 import pytest
 
-from repro.backend import ReferenceBackend, use_backend
+from repro.backend import ComputeBackend, use_backend
 from repro.backend.instrument import InstrumentedBackend
 from repro.lsh.mips import exact_mips_batch
 from repro.nn.network import MLP
@@ -159,7 +159,7 @@ class TestSkippedGEMM:
             rng.normal(size=(16, golden_model.input_dim))
         )
         recorder = InMemoryRecorder()
-        backend = InstrumentedBackend(ReferenceBackend(), recorder)
+        backend = InstrumentedBackend(ComputeBackend(), recorder)
         with use_backend(backend):
             head.topk(h)
         counters = recorder.snapshot()["counters"]
@@ -187,7 +187,7 @@ class TestSkippedGEMM:
         layer = _layer(8, 16, 0)
         head = ALSHTopKHead(layer, k=2, seed=0)
         recorder = InMemoryRecorder()
-        backend = InstrumentedBackend(ReferenceBackend(), recorder)
+        backend = InstrumentedBackend(ComputeBackend(), recorder)
         with use_backend(backend):
             head.topk(np.random.default_rng(6).normal(size=(4, 8)), exact=True)
         counters = recorder.snapshot()["counters"]

@@ -9,6 +9,7 @@ a single bit of anyone's answer.
 import numpy as np
 import pytest
 
+from repro.backend import get_backend
 from repro.obs import InMemoryRecorder, is_catalogued_series
 from repro.obs.counters import COUNTER_CATALOG, GAUGE_CATALOG
 from repro.serve.head import ALSHTopKHead
@@ -26,7 +27,7 @@ class TestBitwiseBatching:
             max_wait=0.002,
             max_queue=256,
             pad_batches=True,
-            backend="reference",
+            backend=get_backend("reference"),
         ) as server:
             requests = [server.submit(x) for x in xs]
             results = [r.result(10.0) for r in requests]
@@ -45,7 +46,7 @@ class TestBitwiseBatching:
             )
             with InferenceServer(
                 small_model, max_batch=8, max_wait=0.002,
-                pad_batches=True, backend="reference",
+                pad_batches=True, backend=get_backend("reference"),
             ) as server:
                 requests = [server.submit(probe)]
                 requests += [server.submit(row) for row in filler]

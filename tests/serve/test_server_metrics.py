@@ -15,6 +15,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.backend import get_backend
 from repro.obs import NULL_RECORDER, InMemoryRecorder, RequestTracer
 from repro.obs.counters import HIST_SERVE_LATENCY, HIST_SERVE_QUEUE_WAIT
 from repro.obs.export import MetricsServer, parse_prometheus
@@ -115,7 +116,7 @@ class TestTelemetryIsBitwiseNoOp:
         def serve(recorder, tracer, scrape=False):
             server = InferenceServer(
                 small_model, max_batch=16, max_wait=0.0, max_queue=256,
-                pad_batches=True, backend="reference",
+                pad_batches=True, backend=get_backend("reference"),
                 recorder=recorder, tracer=tracer, start_worker=False,
             )
             metrics = None

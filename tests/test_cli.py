@@ -174,6 +174,7 @@ def _usage_errors():
         ["serve", "--max-batch", "0"],
         ["serve", "--max-wait", "-1"],
         ["serve", "--requests", "-2"],
+        ["serve", "--model", "missing.npz"],
         ["run", "--method", "foo"],
         ["run", "--optimizer", "lion"],
         ["run", "--optimizer", "momentum"],
@@ -202,6 +203,45 @@ def test_flag_misuse_exits_2_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
     assert not list(tmp_path.iterdir())  # no checkpoint, store or model
+
+
+@pytest.fixture(scope="module")
+def model_archives(tmp_path_factory):
+    """A saved MLP and a saved conv classifier, outside any command's cwd."""
+    from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
+    from repro.nn.network import MLP
+    from repro.nn.serialize import save_conv, save_mlp
+
+    out = tmp_path_factory.mktemp("models")
+    extractor = ConvFeatureExtractor(in_channels=1, channels=(2,), seed=0)
+    head = MLP([extractor.feature_dim(8, 8), 6, 3], seed=0)
+    return {
+        "mlp": save_mlp(MLP([8, 6, 3], seed=0), out / "mlp"),
+        "conv": save_conv(ConvClassifier(extractor, head), out / "conv"),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, extra, refusal",
+    [
+        ("conv", [], "cannot serve logproba"),
+        ("mlp", ["--version", "0" * 16], "does not match the pinned version"),
+    ],
+    ids=["conv-archive", "wrong-version"],
+)
+def test_serve_refuses_a_model_it_cannot_serve(
+    model_archives, kind, extra, refusal, tmp_path
+):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve",
+         "--model", str(model_archives[kind])] + extra,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and refusal in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 class TestCompareCommand:
