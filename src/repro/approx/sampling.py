@@ -6,6 +6,10 @@ scores ``‖A·i‖ · ‖B i·‖`` over the inner dimension.  This module prov
 the score computation, probability normalisation, and the waterfilling
 solver needed for the clipped Bernoulli probabilities
 ``p_i = min{k · score_i / Σ score, 1}`` under the constraint ``Σ p_i = k``.
+
+MC-approx scores ``W.T`` in every delta propagation, so the norms square
+their operand in blocks of at most :data:`~repro.nn.optim.BLOCK_BYTES`,
+never whole, bit for bit the sums ``np.linalg.norm`` computes.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+from ..nn.optim import BLOCK_BYTES
 
 __all__ = [
     "importance_scores",
@@ -33,9 +39,37 @@ def importance_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"inner dimensions differ: A is {a.shape}, B is {b.shape}"
         )
-    col_norms = np.linalg.norm(a, axis=0)
-    row_norms = np.linalg.norm(b, axis=1)
-    return col_norms * row_norms
+    return _norms(a, 0) * _norms(b, 1)
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` of a 2-D ``x``, bit for bit,
+    without squaring ``x`` whole.
+
+    NumPy's norm is ``sqrt(add.reduce(x * x, axis))``.  Here one block of
+    lines (the slices along ``axis``) at a time is squared into a reused
+    buffer and reduced on ``axis``.  The first block's product allocates
+    the buffer, so it is laid out like ``x``, and a reduction's order
+    depends only on the layout: every norm is the same sum.  A block
+    holds at least two lines, because NumPy drops a length-1 axis and
+    would sum a lone line pairwise where the whole product may add it
+    term by term; so the last block ends at the last line and may
+    overlap the one before it.
+    """
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(float)
+    lines = x.shape[1 - axis]
+    width = max(2, BLOCK_BYTES // max(1, x.shape[axis] * x.itemsize))
+    width = max(1, min(width, lines))  # all lines if fewer; 1 if none
+    out = np.empty(lines, dtype=x.dtype)
+    buf = None
+    for start in range(0, lines, width):
+        start = min(start, lines - width)
+        block = slice(start, start + width)
+        part = x[:, block] if axis == 0 else x[block]
+        buf = np.multiply(part, part, out=buf)
+        np.add.reduce(buf, axis=axis, out=out[block])
+    return np.sqrt(out, out=out)
 
 
 def normalize_probabilities(scores: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ timing proxies and the kernel-capture tests.  A trainer takes one as
 ``compute_backend=`` (a server as ``backend=``); :func:`use_backend`
 activates one for a ``with`` block, and kernels find it one way,
 :func:`active_backend`; outside any scope they run on ``reference``.
-The activation stack is thread-local, so worker threads never inherit
+:func:`check_backend` refuses anything else, a name included, when a
+trainer or server is built and when a scope is entered.  The
+activation stack is thread-local, so worker threads never inherit
 another thread's scope.
 """
 
@@ -36,6 +38,7 @@ __all__ = [
     "get_backend",
     "default_backend_name",
     "active_backend",
+    "check_backend",
     "use_backend",
 ]
 
@@ -73,16 +76,23 @@ def active_backend() -> ComputeBackend:
     return _REFERENCE
 
 
+def check_backend(backend, owner: str) -> None:
+    """Refuse anything without the seven kernels of :data:`KERNEL_NAMES`,
+    a name included, with a one-line ``TypeError`` naming ``owner``, the
+    function or class that was given it."""
+    if not all(callable(getattr(backend, k, None)) for k in KERNEL_NAMES):
+        raise TypeError(
+            f"{owner} needs a compute backend object, got {backend!r}"
+        )
+
+
 @contextmanager
 def use_backend(backend):
     """Activate a backend object for the dynamic extent of the ``with`` block.
 
     Anything without the seven kernels, a name included, is refused here.
     """
-    if not all(callable(getattr(backend, k, None)) for k in KERNEL_NAMES):
-        raise TypeError(
-            f"use_backend needs a compute backend object, got {backend!r}"
-        )
+    check_backend(backend, "use_backend")
     stack = _stack()
     stack.append(backend)
     try:

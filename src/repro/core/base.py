@@ -18,7 +18,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend import InstrumentedBackend, active_backend, use_backend
+from ..backend import (
+    InstrumentedBackend,
+    active_backend,
+    check_backend,
+    use_backend,
+)
 from ..data.loader import BatchLoader
 from ..nn.checkpoint import (
     TrainerCheckpoint,
@@ -53,6 +58,27 @@ from ..obs.timeseries import (
 )
 
 __all__ = ["EpochStats", "History", "Trainer"]
+
+
+def _column_blocks(n_cols: int, col_bytes: int, index):
+    """The column blocks a blocked 2-D weight step walks: ``(block, cols)``.
+
+    ``block`` slices at most :data:`~repro.nn.optim.BLOCK_BYTES` of the
+    ``n_cols`` gradient columns of ``col_bytes`` each (one column at
+    least); ``cols`` names the parameter columns it covers: ``block``
+    itself for a dense step, the matching part of a contiguous ``index``
+    slice, or the matching consecutive piece of ``index``'s sorted ids.
+    """
+    width = max(1, BLOCK_BYTES // col_bytes)
+    for start in range(0, n_cols, width):
+        block = slice(start, min(start + width, n_cols))
+        if index is None:
+            yield block, block
+        elif isinstance(index, slice):
+            first = index.start or 0
+            yield block, slice(first + block.start, first + block.stop)
+        else:
+            yield block, index[block]
 
 
 @dataclass
@@ -148,7 +174,8 @@ class Trainer:
     compute_backend:
         Per-trainer backend object, a :class:`~repro.backend.ComputeBackend`
         or a wrapper such as a timing proxy, active inside
-        :meth:`_backend_scope`.  ``None`` (default) leaves the caller's
+        :meth:`_backend_scope`; anything else, a name included, is refused
+        with ``TypeError``.  ``None`` (default) leaves the caller's
         active backend in force.  With a live recorder the backend is
         pinned at construction and wrapped in an
         :class:`~repro.backend.InstrumentedBackend`, so traced runs
@@ -166,6 +193,8 @@ class Trainer:
         recorder: Optional[Recorder] = None,
         compute_backend=None,
     ):
+        if compute_backend is not None:
+            check_backend(compute_backend, type(self).__name__)
         for i, layer in enumerate(network.layers):
             if not (layer.W.flags.writeable and layer.b.flags.writeable):
                 raise ValueError(
@@ -321,21 +350,34 @@ class Trainer:
                 self.obs.add(OPT_LAZY_UPDATE_COLS, cols)
 
     def _update(self, key, param, grad, index=None) -> None:
-        """Apply an optimiser step, recording dense vs lazy-column hits."""
+        """Apply an optimiser step, recording dense vs lazy-column hits.
+
+        A 2-D (weight) gradient larger than one block goes to the
+        optimiser in the blocks of :func:`_column_blocks`, so the rule's
+        temporaries are block-sized; each block's step is the whole-array
+        step of its columns, bit for bit, and the step counts as one
+        update.  A gradient that fits one block goes whole, with its
+        ``index``.
+        """
         self._count_update(param, index)
-        self.optimizer.update(key, param, grad, index=index)
+        if grad.ndim == 1 or grad.nbytes <= BLOCK_BYTES:
+            self.optimizer.update(key, param, grad, index=index)
+            return
+        col_bytes = grad.shape[0] * grad.itemsize
+        for block, cols in _column_blocks(grad.shape[1], col_bytes, index):
+            self.optimizer.update(key, param, grad[:, block], index=cols)
 
     def _update_weights(self, key, param, a_prev, delta, index=None) -> None:
         """Step ``param`` by its weight gradient ``a_prev.T @ delta``.
 
         ``index`` names the columns ``delta`` covers, as in :meth:`_update`.
-        A single sample's gradient (1-D or one-row factors) is the outer
-        product ``a ⊗ δ`` and is never built: its columns go to the
-        optimiser in blocks of at most :data:`~repro.nn.optim.BLOCK_BYTES`,
-        each computed by ``grad_cols`` on the 1-D factors.  Every element
-        still gets one multiply and the update arithmetic of the whole
-        array, so the step is bitwise the materialised one; it counts as
-        one update.  A batch's gradient is built whole.
+        A batch's gradient is one GEMM, built whole and applied in column
+        blocks by :meth:`_update`.  A single sample's gradient (1-D or
+        one-row factors) is the outer product ``a ⊗ δ`` and is never
+        built: each of the same column blocks is computed by ``grad_cols``
+        on the 1-D factors as it is applied.  Every element still gets one
+        multiply and the update arithmetic of the whole array, so the step
+        is bitwise the materialised one; it counts as one update.
         """
         backend = active_backend()
         if a_prev.ndim == 2 and len(a_prev) > 1:
@@ -343,14 +385,9 @@ class Trainer:
             return
         a, delta = a_prev.reshape(-1), delta.reshape(-1)
         self._count_update(param, index)
-        width = max(1, BLOCK_BYTES // a.nbytes)  # a is one gradient column
-        for start in range(0, delta.size, width):
-            block = slice(start, start + width)
+        for block, cols in _column_blocks(delta.size, a.nbytes, index):
             self.optimizer.update(
-                key,
-                param,
-                backend.grad_cols(a, delta[block]),
-                index=block if index is None else index[block],
+                key, param, backend.grad_cols(a, delta[block]), index=cols
             )
 
     # ------------------------------------------------------------------

@@ -7,10 +7,13 @@ layer, so its weight-gradient updates touch a small subset of the columns of
 (moments, step counts) — to the selected columns.  ``index``
 is either an array of sorted, unique column ids (the samplers pass such
 sets) or a contiguous column slice ``slice(start, stop)``, whose slots and
-parameter columns the rules update in place as views.  A slice step is the
-whole-array step of its columns: the trainers apply a single sample's
-outer-product gradient in column slices of at most :data:`BLOCK_BYTES`
-and never build it whole (:meth:`~repro.core.base.Trainer._update_weights`).
+parameter columns the rules update in place as views.  A slice step,
+like a step of a consecutive piece of the ids, is the whole-array step
+of its columns: the trainers apply every 2-D weight gradient in column
+blocks of at most :data:`BLOCK_BYTES`
+(:meth:`~repro.core.base.Trainer._update`), so a rule's temporaries are
+block-sized, and never build a single sample's outer-product gradient
+whole (:meth:`~repro.core.base.Trainer._update_weights`).
 
 Adam's per-element slots ``m`` and ``v`` of a 2-D parameter are
 column-major in the parameter's logical ``(n_in, n_out)`` shape, so a lazy
@@ -34,11 +37,13 @@ import numpy as np
 
 __all__ = ["Optimizer", "SGD", "Adam", "OPTIMIZERS", "get_optimizer"]
 
-#: Bytes of gradient a single-sample weight step builds at a time: the
-#: column block the trainers hand to :meth:`Optimizer.update` (32 columns
-#: of a 1000-row ``W``).  Chosen by untraced end-to-end throughput at
-#: 784→1000³→10, batch 1; larger blocks leave cache, smaller ones add
-#: per-call overhead.
+#: Bytes of gradient in the column block the trainers hand to
+#: :meth:`Optimizer.update` in every 2-D weight step (32 columns of a
+#: 1000-row ``W``); MC-approx's score pass squares its operands in blocks
+#: of the same size (:func:`repro.approx.sampling.importance_scores`).
+#: Chosen by untraced end-to-end throughput at 784→1000³→10, batch 1,
+#: where larger blocks leave cache and smaller ones add per-call
+#: overhead; batch-20 steps use it untuned.
 BLOCK_BYTES = 256 * 1024
 
 

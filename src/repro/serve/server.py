@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend import use_backend
+from ..backend import check_backend, use_backend
 from ..obs import NULL_RECORDER, Recorder
 from ..obs.counters import SERVE_LATENCY_P50, SERVE_LATENCY_P99
 from ..obs.probes import ProbeManager
@@ -92,7 +92,8 @@ class InferenceServer:
         mode (costs the padding FLOPs on partial batches).
     backend:
         Compute backend object (a wrapper, say) activated around every
-        handler call (None = the ambient default).
+        handler call (None = the ambient default); anything else, a name
+        included, is refused with ``TypeError``.
     probe_every:
         Attach a :class:`HeadRecallProbe` on this batch cadence
         (requires an enabled recorder to do anything).
@@ -129,6 +130,8 @@ class InferenceServer:
             raise ValueError(f"model kind {model.kind!r} cannot serve top-k")
         if mode == "logproba" and model.kind != "mlp":
             raise ValueError(f"model kind {model.kind!r} cannot serve logproba")
+        if backend is not None:
+            check_backend(backend, type(self).__name__)
         self.model = model
         self.mode = mode
         self.k = int(k)

@@ -1,5 +1,7 @@
 """Tests for repro.approx.sampling — scores, normalisation, waterfilling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from repro.approx.sampling import (
     normalize_probabilities,
     sample_with_replacement,
 )
+from repro.nn.optim import BLOCK_BYTES
 
 
 class TestImportanceScores:
@@ -28,6 +31,88 @@ class TestImportanceScores:
     def test_dim_mismatch(self, rng):
         with pytest.raises(ValueError):
             importance_scores(rng.normal(size=(2, 3)), rng.normal(size=(4, 2)))
+
+
+def _norm_scores(a, b):
+    """The scores as ``np.linalg.norm`` computes them, whole."""
+    return np.linalg.norm(a, axis=0) * np.linalg.norm(b, axis=1)
+
+
+def _assert_bytes_equal(a, b):
+    expected = _norm_scores(a, b)
+    got = importance_scores(a, b)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _lines_per_block(x, axis):
+    """Lines of ``x`` (along the axis not reduced) in one scores block."""
+    return BLOCK_BYTES // (x.shape[axis] * x.itemsize)
+
+
+class TestImportanceScoresBlocks:
+    """The blocked scores are the sums ``np.linalg.norm`` computes, byte
+    for byte, at every layout and block boundary a training step meets."""
+
+    @pytest.mark.parametrize("w_order", ["F", "C"])
+    @pytest.mark.parametrize("delta_order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1, 20])
+    @pytest.mark.parametrize("n_in", [784, 1000])
+    def test_delta_propagation_operands(self, n_in, rows, delta_order, w_order):
+        """MC-approx scores ``(δ, W.T)``; trainers keep ``W`` column-major."""
+        rng = np.random.default_rng(n_in + rows)
+        delta = np.asarray(rng.normal(size=(rows, 1000)), order=delta_order)
+        w = np.asarray(rng.normal(size=(n_in, 1000)), order=w_order)
+        assert 1000 % _lines_per_block(w.T, 1)  # the last block is narrower
+        _assert_bytes_equal(delta, w.T)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1, 20])
+    def test_weight_gradient_operands(self, rows, order):
+        """MC-approx scores ``(a.T, δ)`` over the batch."""
+        rng = np.random.default_rng(rows)
+        a_prev = np.asarray(rng.normal(size=(rows, 784)), order=order)
+        delta = np.asarray(rng.normal(size=(rows, 1000)), order=order)
+        _assert_bytes_equal(a_prev.T, delta)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_last_block_of_one_line(self, order):
+        """33 lines of 1024 elements: blocks of 32 and one line left over,
+        in either layout, along either operand's axis."""
+        rng = np.random.default_rng(33)
+        b = np.asarray(rng.normal(size=(33, 1024)), order=order)
+        a = np.asarray(rng.normal(size=(5, 33)), order=order)
+        assert b.shape[0] % _lines_per_block(b, 1) == 1
+        _assert_bytes_equal(a, b)
+        _assert_bytes_equal(b.T, a.T)
+
+    def test_zero_and_subnormal_columns(self):
+        rng = np.random.default_rng(4)
+        w = np.asfortranarray(rng.normal(size=(1000, 1000)))
+        w[:, 3] = 0.0
+        w[:, 40] = 5e-324  # squares underflow to zero
+        w[:, 41] = 1e-160  # squares are subnormal
+        w[::2, 999] = 1e-310
+        delta = rng.normal(size=(20, 1000))
+        delta[:, 7] = 0.0
+        delta[:, 8] = 1e-170
+        scores = importance_scores(delta, w.T)
+        assert scores[3] == scores[7] == scores[40] == scores[8] == 0.0
+        assert 0.0 < scores[41]
+        _assert_bytes_equal(delta, w.T)
+
+    def test_paper_width_scores_stay_below_one_mib(self):
+        """Scoring ``(δ, W.T)`` of a 1000×1000 layer never copies ``W``."""
+        rng = np.random.default_rng(5)
+        delta = rng.normal(size=(20, 1000))
+        w = np.asfortranarray(rng.normal(size=(1000, 1000)))
+        tracemalloc.start()
+        try:
+            importance_scores(delta, w.T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestNormalize:

@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.backend import (
@@ -11,6 +12,9 @@ from repro.backend import (
     get_backend,
     use_backend,
 )
+from repro.core import make_trainer
+from repro.nn.network import MLP
+from repro.obs import InMemoryRecorder
 
 
 def test_get_backend_returns_shared_instances():
@@ -50,6 +54,20 @@ def test_use_backend_accepts_instances_and_rejects_none():
                 pass
         assert "\n" not in str(err.value)
     assert active_backend() is get_backend("reference")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("method", ["standard", "alsh"])
+def test_trainers_refuse_a_non_backend_at_construction(method, traced):
+    """The check ``use_backend`` runs, before the trainer is built or wrapped."""
+    recorder = InMemoryRecorder() if traced else None
+    net = MLP([4, 3, 2], seed=0)
+    before = net.layers[0].W.copy()
+    with pytest.raises(TypeError, match="needs a compute backend object") as err:
+        make_trainer(method, net, compute_backend="reference", recorder=recorder)
+    assert "\n" not in str(err.value)
+    assert net.layers[0].W.flags.c_contiguous
+    assert np.array_equal(net.layers[0].W, before)
 
 
 def test_use_backend_is_thread_local():

@@ -120,6 +120,19 @@ class TestTopKMode:
             )
 
 
+class TestBackendCheck:
+    @pytest.mark.parametrize(
+        "backend", ["reference", object()], ids=["name", "object"]
+    )
+    def test_a_non_backend_is_refused_at_construction(self, small_model, backend):
+        """Refused before the server starts, not by every request after."""
+        with pytest.raises(
+            TypeError, match="InferenceServer needs a compute backend object"
+        ) as err:
+            InferenceServer(small_model, backend=backend, start_worker=False)
+        assert "\n" not in str(err.value)
+
+
 class TestServeCatalogueCoverage:
     def test_everything_served_is_catalogued(self, small_model):
         """Satellite guarantee: serve.* telemetry is fully documented."""
