@@ -86,28 +86,39 @@ from .theory.error_propagation import depth_at_error_ratio, error_ratio_table
 __all__ = ["build_parser", "main"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and cadences: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _bounded(convert, ok, what):
+    """An argparse type: ``convert(text)``, refused in one usage line
+    (exit 2, before any work) unless ``ok(value)`` holds."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
 
 
-def _non_negative_float(text: str) -> float:
-    """argparse type for waits: a finite float >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite non-negative number, got {value}"
-        )
-    return value
+_INF = float("inf")
+#: counts, cadences and sizes
+_positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+#: seeds and retry counts
+_non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+#: rates, timeouts, polls and the Theorem 7.2 constant c
+_positive_float = _bounded(
+    float, lambda v: 0.0 < v < _INF, "a finite positive number"
+)
+#: waits and thresholds
+_non_negative_float = _bounded(
+    float, lambda v: 0.0 <= v < _INF, "a finite non-negative number"
+)
+_data_scale = _bounded(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_port = _bounded(int, lambda v: 0 <= v <= 65535, "a port in 0..65535")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,14 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="train one configuration")
     run.add_argument("--method", default="standard", choices=trainer_names())
     run.add_argument("--dataset", default="mnist", choices=benchmark_names())
-    run.add_argument("--data-scale", type=float, default=0.02)
+    run.add_argument("--data-scale", type=_data_scale, default=0.02)
     run.add_argument("--hidden-layers", type=int, default=3)
     run.add_argument("--hidden-width", type=_positive_int, default=100)
     run.add_argument("--epochs", type=_positive_int, default=3)
     run.add_argument("--batch-size", type=_positive_int, default=20)
-    run.add_argument("--lr", type=float, default=1e-3)
+    run.add_argument("--lr", type=_positive_float, default=1e-3)
     run.add_argument("--optimizer", default="sgd", choices=sorted(OPTIMIZERS))
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_non_negative_int, default=0)
     run.add_argument("--paper-defaults", action="store_true",
                      help="apply the §8.4 method defaults before overrides")
     run.add_argument("--store", help="append the result's outcome record to "
@@ -146,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare methods on a dataset")
     compare.add_argument("--dataset", default="mnist", choices=benchmark_names())
-    compare.add_argument("--data-scale", type=float, default=0.02)
+    compare.add_argument("--data-scale", type=_data_scale, default=0.02)
     compare.add_argument("--hidden-layers", type=int, default=3)
     compare.add_argument("--hidden-width", type=_positive_int, default=100)
     compare.add_argument("--epochs", type=_positive_int, default=3)
@@ -156,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=trainer_names(),
         default=["standard", "dropout", "adaptive_dropout", "alsh", "mc"],
     )
-    compare.add_argument("--seed", type=int, default=0)
+    compare.add_argument("--seed", type=_non_negative_int, default=0)
 
     sweep = sub.add_parser(
         "sweep", help="run a methods x depths grid through the executor"
@@ -169,20 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--depths", type=int, nargs="+", default=[1, 3, 5])
     sweep.add_argument("--dataset", default="mnist", choices=benchmark_names())
-    sweep.add_argument("--data-scale", type=float, default=0.02)
+    sweep.add_argument("--data-scale", type=_data_scale, default=0.02)
     sweep.add_argument("--hidden-width", type=_positive_int, default=100)
     sweep.add_argument("--epochs", type=_positive_int, default=3)
     sweep.add_argument("--batch-size", type=_positive_int, default=20)
-    sweep.add_argument("--lr", type=float, default=1e-3)
+    sweep.add_argument("--lr", type=_positive_float, default=1e-3)
     sweep.add_argument("--optimizer", default="sgd", choices=sorted(OPTIMIZERS))
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_non_negative_int, default=0)
     sweep.add_argument("--paper-defaults", action="store_true",
                        help="apply the §8.4 method defaults per grid point")
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=_positive_int, default=1,
                        help="worker processes (1 = serial)")
-    sweep.add_argument("--timeout", type=float, default=None,
+    sweep.add_argument("--timeout", type=_positive_float, default=None,
                        help="per-task wall-clock budget in seconds")
-    sweep.add_argument("--retries", type=int, default=1,
+    sweep.add_argument("--retries", type=_non_negative_int, default=1,
                        help="retries per failing task")
     sweep.add_argument("--checkpoint-dir",
                        help="checkpoint every task's trainer here; retried "
@@ -194,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--retry-timeouts", action="store_true",
                        help="retry timed-out tasks too (pairs with "
                             "--checkpoint-dir so attempts make progress)")
-    sweep.add_argument("--reseed", type=int, default=None,
+    sweep.add_argument("--reseed", type=_non_negative_int, default=None,
                        help="derive per-task seeds from this root seed")
     sweep.add_argument("--store", required=True,
                        help="JSONL outcome sink (enables --resume)")
@@ -212,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "every task outcome (file-based scraping)")
 
     theory = sub.add_parser("theory", help="print the §7 error table")
-    theory.add_argument("--c", type=float, default=5.0,
+    theory.add_argument("--c", type=_positive_float, default=5.0,
                         help="active-to-inactive weighted-sum ratio")
-    theory.add_argument("--max-k", type=int, default=6)
+    theory.add_argument("--max-k", type=_positive_int, default=6)
 
     flops = sub.add_parser("flops", help="analytical per-step FLOP table")
-    flops.add_argument("--arch", type=int, nargs="+",
+    flops.add_argument("--arch", type=_positive_int, nargs="+",
                        default=[784, 1000, 1000, 1000, 10])
-    flops.add_argument("--batch", type=int, default=20)
+    flops.add_argument("--batch", type=_positive_int, default=20)
 
     sub.add_parser("datasets", help="list the paper benchmarks")
 
@@ -228,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--method", default="alsh", choices=trainer_names())
     trace.add_argument("--dataset", default="mnist", choices=benchmark_names())
-    trace.add_argument("--data-scale", type=float, default=0.02)
+    trace.add_argument("--data-scale", type=_data_scale, default=0.02)
     trace.add_argument("--hidden-layers", type=int, default=3)
     trace.add_argument("--hidden-width", type=_positive_int, default=100)
     trace.add_argument("--epochs", type=_positive_int, default=2)
     trace.add_argument("--batch-size", type=_positive_int, default=20)
-    trace.add_argument("--lr", type=float, default=1e-3)
+    trace.add_argument("--lr", type=_positive_float, default=1e-3)
     trace.add_argument("--optimizer", default="sgd", choices=sorted(OPTIMIZERS))
-    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--seed", type=_non_negative_int, default=0)
     trace.add_argument("--paper-defaults", action="store_true",
                        help="apply the §8.4 method defaults before overrides")
     trace.add_argument("--store",
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output HTML path (default report.html)")
     report.add_argument("--title", default=None,
                         help="report title (defaults to the trace filename)")
-    report.add_argument("--theory-c", type=float, default=5.0,
+    report.add_argument("--theory-c", type=_positive_float, default=5.0,
                         help="c for the Theorem 7.2 bound overlay "
                              "(((c+1)/c)^k - 1); default 5.0")
     report.add_argument("--no-theory", action="store_true",
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--follow", "-f", action="store_true",
                          help="keep polling for new records (default: "
                               "print what is there and exit)")
-    monitor.add_argument("--poll", type=float, default=0.5,
+    monitor.add_argument("--poll", type=_positive_float, default=0.5,
                          help="seconds between polls with --follow")
 
     slo = sub.add_parser(
@@ -310,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=_positive_int, default=32)
     serve.add_argument("--max-wait", type=_non_negative_float, default=0.002,
                        help="micro-batch collection window in seconds")
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--seed", type=_non_negative_int, default=0)
     serve.add_argument("--smoke", action="store_true",
                        help="run the CI serve smoke (nominal load sheds "
                             "nothing, overload sheds and counts) and exit")
-    serve.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
+    serve.add_argument("--metrics-port", type=_port, default=None, metavar="PORT",
                        help="serve /metrics, /healthz and /readyz on this "
                             "port while requests run (0 picks a free port)")
     serve.add_argument("--store", default=None, metavar="PATH",
@@ -327,14 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream", help="train continually on an infinite drifting stream"
     )
-    stream.add_argument("--batches", type=int, default=500,
+    stream.add_argument("--batches", type=_positive_int, default=500,
                         help="absolute stream position to train to "
                              "(default 500; resumes count from a "
                              "checkpoint when --checkpoint-dir is set)")
     stream.add_argument("--rebuild", choices=("drift", "count", "none"),
                         default="drift",
                         help="table maintenance policy (default drift)")
-    stream.add_argument("--drift-threshold", type=float, default=0.05,
+    stream.add_argument("--drift-threshold", type=_non_negative_float,
+                        default=0.05,
                         help="relative column-drift threshold that "
                              "triggers a re-hash (default 0.05)")
     stream.add_argument("--checkpoint-dir", default=None, metavar="DIR",
@@ -342,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "from it if a checkpoint exists")
     stream.add_argument("--checkpoint-every", type=_positive_int, default=100,
                         help="batches between checkpoints (default 100)")
-    stream.add_argument("--seed", type=int, default=0)
+    stream.add_argument("--seed", type=_non_negative_int, default=0)
     stream.add_argument("--smoke", action="store_true",
                         help="run the CI stream smoke (kill-resume "
                              "bitwise equality) and exit")
-    stream.add_argument("--metrics-port", type=int, default=None,
+    stream.add_argument("--metrics-port", type=_port, default=None,
                         metavar="PORT",
                         help="serve /metrics, /healthz and /readyz on "
                              "this port while the stream trains "
@@ -770,6 +782,10 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_flops(args) -> int:
+    if len(args.arch) < 2:
+        print("error: --arch needs an input and an output size at least",
+              file=sys.stderr)
+        return 2
     table = flops_table(args.arch, batch=args.batch, keep_prob=0.05,
                         active_frac=0.2, k=10)
     std = table["standard"].total

@@ -286,19 +286,27 @@ class ConvClassifier:
 
     def train_batch(self, images: np.ndarray, labels: np.ndarray) -> float:
         """One exact end-to-end SGD step; returns the batch loss."""
+        from .activations import LogSoftmax
         from .losses import NLLLoss
 
+        if not isinstance(self.head.output_activation, LogSoftmax):
+            raise NotImplementedError(
+                "exact backward currently assumes a log-softmax + NLL head"
+            )
         feats = self.extractor.forward(images)
         cache = self.head.forward(feats)
         loss = NLLLoss().value(cache.output, labels)
-        grads = self.head.backward(cache, labels)
-        # Recompute the delta chain down to the features.
+        # One backward pass through the head: each layer's (gW, gb), and
+        # dL/da of its input, which at layer 0 is the feature delta.
+        layers = self.head.layers
+        grads = [None] * len(layers)
         delta = NLLLoss.fused_logit_gradient(cache.zs[-1], labels)
-        for i in range(len(self.head.layers) - 1, 0, -1):
-            da = self.head.layers[i].backprop_delta(delta)
-            delta = da * self.head.hidden_activation.derivative(cache.zs[i - 1])
-        d_feat = self.head.layers[0].backprop_delta(delta)
-        self.extractor.backward(d_feat)
+        for i in range(len(layers) - 1, -1, -1):
+            grads[i] = layers[i].weight_gradients(cache.activations[i], delta)
+            da = layers[i].backprop_delta(delta)
+            if i > 0:
+                delta = da * self.head.hidden_activation.derivative(cache.zs[i - 1])
+        self.extractor.backward(da)
         for conv, _ in self.extractor.stages:
             conv.kernels -= self.lr * conv.grad_kernels
             conv.bias -= self.lr * conv.grad_bias

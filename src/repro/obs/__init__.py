@@ -29,8 +29,9 @@ perturbing the thing being measured:
 * :mod:`~repro.obs.probes` — cadence-bounded quality probes (forward
   error vs the exact pass, LSH recall vs brute-force MIPS, MC
   estimator moments), strictly read-only with a private RNG stream.
-* :mod:`~repro.obs.html` / :mod:`~repro.obs.monitor` — the reporting
-  surface: self-contained HTML run reports and live sink tailing.
+* :mod:`~repro.obs.report` — the one report model: the rows that
+  ``trace-report``, the HTML report (:mod:`~repro.obs.html`) and live
+  sink tailing (:mod:`~repro.obs.monitor`) print.
 
 The package core is dependency-free (stdlib only) and must never import
 from the rest of ``repro`` — everything else imports *it*.  The one

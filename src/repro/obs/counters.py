@@ -48,6 +48,7 @@ __all__ = [
     "LSH_ACTIVE_POOL",
     # gauges
     "GAUGE_CATALOG",
+    "GAUGE_PREFIXES",
     "LSH_BUCKET_MAX_LOAD",
     "LSH_BUCKETS_OCCUPIED",
     "LSH_GARBAGE_FRAC",
@@ -251,6 +252,11 @@ GAUGE_CATALOG: Dict[str, str] = {
     SERVE_LATENCY_P50: "median request latency in seconds (enqueue to response)",
     SERVE_LATENCY_P99: "99th-percentile request latency in seconds",
     SERVE_TENANT_RESIDENT: "tenant heads resident in the cache at last touch",
+}
+
+#: dotted-name prefixes for gauge families with dynamic suffixes.
+GAUGE_PREFIXES: Dict[str, str] = {
+    SLO_BURN_PREFIX: "error-budget burn of the named SLO (above 1: violated)",
 }
 
 HIST_SERVE_LATENCY = "serve.latency_s"

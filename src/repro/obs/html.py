@@ -1,11 +1,12 @@
 """Self-contained single-file HTML run reports.
 
 ``python -m repro report`` renders a trace/sweep JSONL into one HTML
-file with zero external assets: span tree, counter rollup with derived
-ratios, per-series sparklines, the theory-vs-measured forward-error
-overlay, and probe overhead accounting.  Everything is inline SVG +
-CSS custom properties (light and dark via ``prefers-color-scheme``),
-so the file can be mailed around or attached to CI as an artifact.
+file with zero external assets: the theory-vs-measured forward-error
+overlay, then every table of :func:`repro.obs.report.report_tables` —
+the same rows ``trace-report`` prints — with per-series sparklines.
+Everything is inline SVG + CSS custom properties (light and dark via
+``prefers-color-scheme``), so the file can be mailed around or attached
+to CI as an artifact.
 
 Stdlib only, like the rest of the package core.  The Theorem 7.2
 analytical bound is *data* here — the CLI computes it via
@@ -18,16 +19,8 @@ from __future__ import annotations
 from html import escape
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .counters import COUNTER_CATALOG, GAUGE_CATALOG, HISTOGRAM_CATALOG, SLO_BURN_PREFIX
-from .histogram import Histogram
-from .report import derived_metrics, probe_overhead
-from .timeseries import (
-    SERIES_CATALOG,
-    SERIES_FWD_REL_ERROR,
-    SERIES_PREFIXES,
-    series_points,
-    split_layer_series,
-)
+from .report import Table, counter_table, report_tables, series_table
+from .timeseries import SERIES_FWD_REL_ERROR, series_points, split_layer_series
 
 __all__ = ["render_html_report", "forward_error_by_layer"]
 
@@ -67,21 +60,15 @@ table { border-collapse: collapse; width: 100%; }
 th, td { text-align: left; padding: 2px 12px 2px 0; vertical-align: middle; }
 th { color: var(--ink-2); font-weight: 600;
      border-bottom: 1px solid var(--baseline); }
+td:first-child { white-space: pre; }
 td.num { font-variant-numeric: tabular-nums; }
 .desc { color: var(--ink-3); }
 .muted { color: var(--ink-3); }
-pre.spans { color: var(--ink-2); line-height: 1.4; }
 .legend { display: flex; gap: 1.25rem; margin: 0.25rem 0; color: var(--ink-2); }
 .legend .swatch { display: inline-block; width: 14px; height: 3px;
                   vertical-align: middle; margin-right: 6px; }
 svg text { fill: var(--ink-2); font: 11px system-ui, sans-serif; }
 """
-
-
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and not float(value).is_integer():
-        return f"{value:.4g}"
-    return f"{int(value):,}"
 
 
 def _scale(
@@ -228,272 +215,21 @@ def _overlay_chart(
     return legend + svg
 
 
-def _counters_table(snapshot: dict) -> str:
-    counters = dict(snapshot.get("counters", {}))
-    counters.update(derived_metrics(snapshot))
-    gauges = snapshot.get("gauges", {})
-    if not counters and not gauges:
-        return '<p class="muted">(no counters recorded)</p>'
-    rows = []
-    for name in sorted(counters):
-        desc = COUNTER_CATALOG.get(name, "")
-        rows.append(
-            f"<tr><td>{escape(name)}</td>"
-            f'<td class="num">{_fmt(counters[name])}</td>'
-            f'<td class="desc">{escape(desc)}</td></tr>'
-        )
-    for name in sorted(gauges):
-        desc = GAUGE_CATALOG.get(name, "")
-        rows.append(
-            f"<tr><td>{escape(name)}</td>"
-            f'<td class="num">{_fmt(gauges[name])}</td>'
-            f'<td class="desc">(gauge) {escape(desc)}</td></tr>'
-        )
-    return (
-        "<table><tr><th>counter</th><th>value</th><th></th></tr>"
-        + "".join(rows)
-        + "</table>"
-    )
-
-
-def _spans_block(snapshot: dict) -> str:
-    spans = snapshot.get("spans", {})
-    timings = snapshot.get("timings", {})
-    if not spans and not timings:
-        return '<p class="muted">(no spans recorded)</p>'
-    lines = []
-    for path in sorted(spans):
-        depth = path.count("/")
-        name = path.rsplit("/", 1)[-1]
-        v = spans[path]
-        lines.append(
-            f"{'  ' * depth}{name:<{max(24 - 2 * depth, 1)}}"
-            f"  n={v['count']:<8} total={v['total']:.3f}s"
-        )
-    for name in sorted(timings):
-        v = timings[name]
-        lines.append(f"{name:<24}  n={v['count']:<8} total={v['total']:.3f}s")
-    return f'<pre class="spans">{escape(chr(10).join(lines))}</pre>'
-
-
-def _series_block(snapshot: dict) -> str:
-    series = snapshot.get("series", {})
-    if not series:
-        return '<p class="muted">(no series recorded)</p>'
-    rows = []
-    for name in sorted(series):
-        idx, values = series_points(snapshot, name)
-        if not values:
-            continue
-        desc = SERIES_CATALOG.get(name, "")
-        if not desc:
-            parts = split_layer_series(name)
-            if parts is not None:
-                desc = SERIES_PREFIXES.get(parts[0], "")
-        rows.append(
-            f"<tr><td>{escape(name)}</td><td>{_sparkline(idx, values)}</td>"
-            f'<td class="num">{len(values)}</td>'
-            f'<td class="num">{values[-1]:.4g}</td>'
-            f'<td class="desc">{escape(desc)}</td></tr>'
-        )
-    if not rows:
-        return '<p class="muted">(no series recorded)</p>'
-    return (
-        "<table><tr><th>series</th><th></th><th>points</th><th>last</th>"
-        "<th></th></tr>" + "".join(rows) + "</table>"
-    )
-
-
-def _overhead_block(snapshot: dict) -> str:
-    acct = probe_overhead(snapshot)
-    if not acct:
-        return '<p class="muted">(no probe timings recorded)</p>'
-    rows = []
-    labels = {
-        "probe.seconds": "total probe wall-clock",
-        "fit.seconds": "total fit wall-clock",
-        "probe.overhead_frac": "probe overhead fraction",
-    }
-    for key in ("probe.seconds", "fit.seconds", "probe.overhead_frac"):
-        if key in acct:
-            val = acct[key]
-            shown = f"{val:.2%}" if key.endswith("frac") else f"{val:.3f}s"
-            rows.append(
-                f"<tr><td>{escape(labels[key])}</td>"
-                f'<td class="num">{shown}</td></tr>'
-            )
-    timings = snapshot.get("timings", {})
-    for name in sorted(t for t in timings if t.startswith("probe.")):
-        v = timings[name]
-        rows.append(
-            f"<tr><td>{escape(name)}</td>"
-            f'<td class="num">{v["total"]:.3f}s over {v["count"]} runs</td>'
-            "</tr>"
-        )
-    return "<table>" + "".join(rows) + "</table>"
-
-
-def _serving_block(snapshot: dict) -> str:
-    """The serving rollup: traffic, shedding, head and tenant-cache stats.
-
-    Only rendered when the snapshot actually carries ``serve.*``
-    counters or gauges, so training-only reports are unchanged.
-    """
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    requests = counters.get("serve.requests", 0)
-    batches = counters.get("serve.batches", 0)
-    rows = [("requests", _fmt(requests)), ("batches", _fmt(batches))]
-    if batches:
-        rows.append(("mean batch size", f"{requests / batches:.2f}"))
-    shed = (counters.get("serve.shed.queue_full", 0),
-            counters.get("serve.shed.deadline", 0))
-    rows.append(("shed (queue full / deadline)", f"{shed[0]} / {shed[1]}"))
-    if counters.get("serve.handler_errors"):
-        rows.append(("handler errors", _fmt(counters["serve.handler_errors"])))
-    if "serve.queue_depth" in gauges:
-        rows.append(("queue depth (high water)", _fmt(gauges["serve.queue_depth"])))
-    for key, label in (("serve.latency_p50", "latency p50"),
-                       ("serve.latency_p99", "latency p99")):
-        if key in gauges:
-            rows.append((label, f"{gauges[key] * 1e3:.2f}ms"))
-    head_queries = counters.get("serve.head.queries", 0)
-    if head_queries:
-        rows.append(("head queries", _fmt(head_queries)))
-        rows.append(("mean candidates / query",
-                     f"{counters.get('serve.head.candidates', 0) / head_queries:.1f}"))
-        rows.append(("head exact fallbacks",
-                     _fmt(counters.get("serve.head.exact_fallbacks", 0))))
-    tenant_total = (counters.get("serve.tenant.hits", 0)
-                    + counters.get("serve.tenant.misses", 0))
-    if tenant_total:
-        rows.append((
-            "tenant cache (hits / misses / evictions)",
-            f"{counters.get('serve.tenant.hits', 0)} / "
-            f"{counters.get('serve.tenant.misses', 0)} / "
-            f"{counters.get('serve.tenant.evictions', 0)}",
-        ))
-        rows.append(("tenant hit rate",
-                     f"{counters.get('serve.tenant.hits', 0) / tenant_total:.2%}"))
-    return "<table>" + "".join(
-        f"<tr><td>{escape(label)}</td><td class=\"num\">{value}</td></tr>"
-        for label, value in rows
-    ) + "</table>"
-
-
-def _histograms_block(snapshot: dict) -> str:
-    """Latency-distribution table from the log-bucket histograms."""
-    histograms = snapshot.get("histograms", {})
-    rows = []
-    for name in sorted(histograms):
-        hist = Histogram.from_snapshot(histograms[name])
-        if not hist.count:
-            continue
-        desc = HISTOGRAM_CATALOG.get(name, "")
-        rows.append(
-            f"<tr><td>{escape(name)}</td>"
-            f'<td class="num">{hist.count:,}</td>'
-            f'<td class="num">{hist.quantile(0.5) * 1e3:.3f}</td>'
-            f'<td class="num">{hist.quantile(0.9) * 1e3:.3f}</td>'
-            f'<td class="num">{hist.quantile(0.99) * 1e3:.3f}</td>'
-            f'<td class="num">{hist.max * 1e3:.3f}</td>'
-            f'<td class="muted">{escape(desc)}</td></tr>'
-        )
-    if not rows:
-        return '<p class="muted">(no histograms recorded)</p>'
-    return (
-        "<table><tr><th>histogram</th><th>n</th><th>p50 (ms)</th>"
-        "<th>p90 (ms)</th><th>p99 (ms)</th><th>max (ms)</th><th></th></tr>"
-        + "".join(rows)
-        + "</table>"
-    )
-
-
-def _has_histograms(snapshot: dict) -> bool:
-    return bool(snapshot.get("histograms"))
-
-
-def _slo_block(snapshot: dict) -> str:
-    """Error-budget burn gauges (``slo.burn.*``) when any were recorded."""
-    burns = {
-        name[len(SLO_BURN_PREFIX):]: value
-        for name, value in snapshot.get("gauges", {}).items()
-        if name.startswith(SLO_BURN_PREFIX)
-    }
-    rows = []
-    for name in sorted(burns):
-        burn = burns[name]
-        verdict = "within budget" if burn <= 1.0 else "VIOLATED"
-        rows.append(
-            f"<tr><td>{escape(name)}</td>"
-            f'<td class="num">{burn:.3f}</td>'
-            f"<td>{verdict}</td></tr>"
-        )
-    return (
-        "<table><tr><th>SLO</th><th>budget burn</th><th></th></tr>"
-        + "".join(rows)
-        + "</table>"
-    )
-
-
-def _has_slo(snapshot: dict) -> bool:
-    return any(
-        name.startswith(SLO_BURN_PREFIX)
-        for name in snapshot.get("gauges", {})
-    )
-
-
-def _has_serving(snapshot: dict) -> bool:
-    return any(
-        name.startswith("serve.")
-        for section in ("counters", "gauges")
-        for name in snapshot.get(section, {})
-    )
-
-
-def _streaming_block(snapshot: dict) -> str:
-    """The streaming rollup: stream volume, maintenance and table health.
-
-    Only rendered when the snapshot actually carries ``stream.*``
-    counters or series, so batch-training reports are unchanged.
-    """
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    batches = counters.get("stream.batches", 0)
-    rows = [("stream batches", _fmt(batches)),
-            ("stream samples", _fmt(counters.get("stream.samples", 0)))]
-    rows.append(("drift checks", _fmt(counters.get("stream.drift_checks", 0))))
-    rows.append(("drift-triggered rebuilds",
-                 _fmt(counters.get("stream.rebuilds", 0))))
-    if counters.get("lsh.rehashed_columns"):
-        rows.append(("columns re-hashed",
-                     _fmt(counters["lsh.rehashed_columns"])))
-    if counters.get("lsh.rehashed_items"):
-        rows.append(("items re-hashed", _fmt(counters["lsh.rehashed_items"])))
-    rows.append(("gauge-driven compactions",
-                 _fmt(counters.get("stream.compactions", 0))))
-    if "lsh.garbage_frac" in gauges:
-        rows.append(("garbage fraction (last gauge)",
-                     f"{gauges['lsh.garbage_frac']:.3f}"))
-    rows.append(("checkpoints written",
-                 _fmt(counters.get("stream.checkpoints", 0))))
-    rows.append(("held-out evals", _fmt(counters.get("stream.evals", 0))))
-    series = snapshot.get("series", {})
-    accuracy = series.get("stream.accuracy")
-    if accuracy:
-        rows.append(("last held-out accuracy", f"{accuracy[-1][1]:.3f}"))
-    return "<table>" + "".join(
-        f"<tr><td>{escape(label)}</td><td class=\"num\">{value}</td></tr>"
-        for label, value in rows
-    ) + "</table>"
-
-
-def _has_streaming(snapshot: dict) -> bool:
-    return any(
-        name.startswith("stream.")
-        for section in ("counters", "series")
-        for name in snapshot.get(section, {})
-    )
+def _table(table: Table) -> str:
+    """One report section as an HTML table, series rows with sparklines."""
+    if not table.rows:
+        return f'<p class="muted">(no {escape(table.title.lower())} recorded)</p>'
+    spark = table.rows[0].points is not None
+    heads = table.columns[:1] + ("",) * spark + table.columns[1:] + ("",)
+    html = ["<table><tr>" + "".join(f"<th>{escape(h)}</th>" for h in heads) + "</tr>"]
+    for row in table.rows:
+        cells = [f"<td>{escape(row.name)}</td>"]
+        if spark:
+            cells.append(f"<td>{_sparkline(*row.points)}</td>")
+        cells += [f'<td class="num">{escape(cell)}</td>' for cell in row.cells]
+        cells.append(f'<td class="desc">{escape(row.desc)}</td>')
+        html.append("<tr>" + "".join(cells) + "</tr>")
+    return "".join(html) + "</table>"
 
 
 def render_html_report(
@@ -537,41 +273,16 @@ def render_html_report(
     body.append("<h2>Per-layer forward error vs Theorem 7.2 bound</h2>")
     body.append(_overlay_chart(measured, theory_bound))
 
-    body.append("<h2>Counters</h2>")
-    body.append(_counters_table(roll))
-
-    body.append("<h2>Spans &amp; timings</h2>")
-    body.append(_spans_block(roll))
-
-    body.append("<h2>Time series</h2>")
-    body.append(_series_block(roll))
-
-    if _has_histograms(roll):
-        body.append("<h2>Latency histograms</h2>")
-        body.append(_histograms_block(roll))
-
-    if _has_serving(roll):
-        body.append("<h2>Serving</h2>")
-        body.append(_serving_block(roll))
-
-    if _has_streaming(roll):
-        body.append("<h2>Streaming</h2>")
-        body.append(_streaming_block(roll))
-
-    if _has_slo(roll):
-        body.append("<h2>SLO error budgets</h2>")
-        body.append(_slo_block(roll))
-
-    body.append("<h2>Probe overhead</h2>")
-    body.append(_overhead_block(roll))
+    for table in report_tables(roll):
+        body.append(f"<h2>{escape(table.title)}</h2>")
+        body.append(_table(table))
 
     if len(traces) > 1:
         body.append("<h2>Individual runs</h2>")
         for t, snap in zip(traces, snapshots):
-            label = str(t.get("label", "run"))
-            body.append(f"<h3>{escape(label)}</h3>")
-            body.append(_counters_table(snap))
-            body.append(_series_block(snap))
+            body.append(f"<h3>{escape(str(t.get('label', 'run')))}</h3>")
+            body.append(_table(counter_table(snap)))
+            body.append(_table(series_table(snap)))
 
     return (
         "<!doctype html>\n"

@@ -3,10 +3,10 @@
 The executor and the traced harness both append one JSON object per
 line to a shared sink.  This module follows that file while a sweep is
 running and prints one rolling summary line per record as it lands —
-trace records get their headline series (epochs seen, last loss, last
-validation accuracy, probe overhead), executor outcomes get their
-status.  Corrupt or partial lines (a writer mid-append) are skipped
-and retried on the next poll.
+snapshots get their :data:`~repro.obs.report.HEADLINES` line (training
+traces, serve and stream runs), executor outcomes their status, and
+request-trace batches a count.  Corrupt or partial lines (a writer
+mid-append) are skipped and retried on the next poll.
 
 Stdlib only; records are consumed as raw dicts so the monitor never
 imports the harness.
@@ -14,19 +14,13 @@ imports the harness.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
-from .histogram import Histogram
-from .report import probe_overhead
-from .timeseries import (
-    SERIES_EPOCH_LOSS,
-    SERIES_STREAM_ACCURACY,
-    SERIES_VAL_ACCURACY,
-    series_points,
-)
+from .report import headline
+from .sink import decode_lines
+from .tracectx import REQUEST_TRACE_KIND
 
 __all__ = ["follow_jsonl", "summarize_record", "monitor_sink"]
 
@@ -64,17 +58,9 @@ def follow_jsonl(
                 fh.seek(offset)
                 chunk = fh.read()
                 offset = fh.tell()
-            buffer += chunk
-            while "\n" in buffer:
-                line, buffer = buffer.split("\n", 1)
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
+            *lines, buffer = (buffer + chunk).split("\n")
+            for record in decode_lines(lines):
+                if record is not None:
                     yield record
         if not follow:
             return
@@ -83,87 +69,15 @@ def follow_jsonl(
         time.sleep(poll)
 
 
-def _last(snapshot: dict, name: str):
-    _, values = series_points(snapshot, name)
-    return values[-1] if values else None
-
-
-def _quantile_ms(snapshot: dict, name: str, q: float) -> Optional[float]:
-    payload = snapshot.get("histograms", {}).get(name)
-    if not payload:
-        return None
-    value = Histogram.from_snapshot(payload).quantile(q)
-    return None if value is None else value * 1e3
-
-
-def _serve_summary(record: dict, snapshot: dict, label: str) -> str:
-    counters = snapshot.get("counters", {})
-    served = counters.get("serve.requests", 0)
-    shed = counters.get("serve.shed.queue_full", 0) + counters.get(
-        "serve.shed.deadline", 0
-    )
-    parts = [f"[serve] {label}:", f"served={int(served)}"]
-    elapsed = record.get("elapsed")
-    if elapsed:
-        parts.append(f"qps={served / float(elapsed):.0f}")
-    p99 = _quantile_ms(snapshot, "serve.latency_s", 0.99)
-    if p99 is not None:
-        parts.append(f"p99={p99:.2f}ms")
-    parts.append(f"shed={int(shed)}")
-    errors = counters.get("serve.handler_errors")
-    if errors:
-        parts.append(f"handler_errors={int(errors)}")
-    return " ".join(parts)
-
-
-def _stream_summary(record: dict, snapshot: dict, label: str) -> str:
-    counters = snapshot.get("counters", {})
-    parts = [
-        f"[stream] {label}:",
-        f"batches={int(counters.get('stream.batches', 0))}",
-        f"rebuilds={int(counters.get('stream.rebuilds', 0))}",
-        f"compactions={int(counters.get('stream.compactions', 0))}",
-    ]
-    p99 = _quantile_ms(snapshot, "stream.batch_s", 0.99)
-    if p99 is not None:
-        parts.append(f"batch_p99={p99:.2f}ms")
-    acc = _last(snapshot, SERIES_STREAM_ACCURACY)
-    if acc is not None:
-        parts.append(f"acc={acc:.4f}")
-    return " ".join(parts)
-
-
 def summarize_record(record: dict) -> Optional[str]:
     """One summary line for a sink record; None for unknown shapes.
 
-    Training traces render their headline series; serve and stream
-    snapshots get dedicated lines (qps, histogram p99, shed counts,
-    rebuild events); executor outcomes their status; request-trace
-    event batches a count.
+    Snapshots get their headline line (see
+    :data:`~repro.obs.report.HEADLINES`), executor outcomes their
+    status, request-trace event batches a count.
     """
-    snapshot = record.get("snapshot")
-    if isinstance(snapshot, dict):
-        label = record.get("label", record.get("kind", "trace"))
-        counters = snapshot.get("counters", {})
-        if "serve.requests" in counters:
-            return _serve_summary(record, snapshot, label)
-        if "stream.batches" in counters:
-            return _stream_summary(record, snapshot, label)
-        _, losses = series_points(snapshot, SERIES_EPOCH_LOSS)
-        parts = [f"[trace] {label}:"]
-        if losses:
-            parts.append(f"epochs={len(losses)}")
-            parts.append(f"loss={losses[-1]:.4g}")
-        val = _last(snapshot, SERIES_VAL_ACCURACY)
-        if val is not None:
-            parts.append(f"val_acc={val:.4f}")
-        frac = probe_overhead(snapshot).get("probe.overhead_frac")
-        if frac is not None:
-            parts.append(f"probe_overhead={frac:.1%}")
-        if len(parts) == 1:
-            counters = snapshot.get("counters", {})
-            parts.append(f"counters={len(counters)}")
-        return " ".join(parts)
+    if isinstance(record.get("snapshot"), dict):
+        return headline(record)
     if "status" in record:
         label = record.get("key", record.get("label", "run"))
         line = f"[{record['status']}] {label}"
@@ -171,7 +85,7 @@ def summarize_record(record: dict) -> Optional[str]:
         if error:
             line += f": {error}"
         return line
-    if record.get("kind") == "request_trace":
+    if record.get("kind") == REQUEST_TRACE_KIND:
         events = record.get("events", [])
         requests = {
             e.get("request") for e in events

@@ -9,15 +9,16 @@ share one file: the executor ignores trace lines on resume, and
 
 The executor's sink appends and reads through :func:`write_trace` and
 :func:`scan_jsonl`, so both kinds of line share one writer and one
-reader.  This module imports nothing from the rest of the package, so
-``repro.obs`` never imports the packages it instruments.
+reader; ``repro monitor`` tails a sink with the same line decoder,
+:func:`decode_lines`.  This module imports nothing from the rest of
+the package, so ``repro.obs`` never imports the packages it instruments.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "TRACE_KIND",
@@ -26,6 +27,7 @@ __all__ = [
     "write_trace",
     "read_traces",
     "scan_jsonl",
+    "decode_lines",
     "load_trace_file",
 ]
 
@@ -71,24 +73,29 @@ def scan_jsonl(path: Union[str, Path]) -> Tuple[List[dict], int]:
     for a missing path; callers wanting the lenient empty-list behaviour
     use :func:`read_traces`.
     """
-    path = Path(path)
     records: List[dict] = []
     corrupt = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+    with open(Path(path), encoding="utf-8") as f:
+        for record in decode_lines(f):
+            if record is None:
                 corrupt += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
             else:
-                corrupt += 1
+                records.append(record)
     return records, corrupt
+
+
+def decode_lines(lines: Iterable[str]) -> Iterator[Optional[dict]]:
+    """The JSON object on each non-blank line, or None for a line that
+    does not decode to one; blank lines yield nothing."""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            record = None
+        yield record if isinstance(record, dict) else None
 
 
 def _trace_filter(records: List[dict], kind: Optional[str]) -> List[dict]:

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from .counters import SLO_BURN_PREFIX
-from .histogram import Histogram
+from .report import Row, Table, format_text, read_metric
 
 __all__ = [
     "SLOResult",
@@ -112,32 +112,6 @@ def load_slo_spec(path: Union[str, Path]) -> List[Dict[str, Any]]:
     return entries
 
 
-def _read_value(entry: Dict[str, Any], snapshot: dict) -> Optional[float]:
-    if "histogram" in entry:
-        payload = snapshot.get("histograms", {}).get(entry["histogram"])
-        if payload is None:
-            return None
-        q = Histogram.from_snapshot(payload).quantile(float(entry["quantile"]))
-        if q is None:
-            return None
-        return q * float(entry.get("scale", 1.0))
-    if "gauge" in entry:
-        value = snapshot.get("gauges", {}).get(entry["gauge"])
-        return None if value is None else float(value)
-    if "counter" in entry:
-        value = snapshot.get("counters", {}).get(entry["counter"])
-        return None if value is None else float(value)
-    if "ratio" in entry:
-        num_name, den_name = entry["ratio"]
-        counters = snapshot.get("counters", {})
-        if num_name not in counters and den_name not in counters:
-            return None
-        den = float(counters.get(den_name, 0))
-        return float(counters.get(num_name, 0)) / den if den else 0.0
-    points = snapshot.get("series", {}).get(entry["series_last"])
-    return float(points[-1][1]) if points else None
-
-
 def evaluate_slos(
     snapshot: Optional[dict], entries: List[Dict[str, Any]]
 ) -> List[SLOResult]:
@@ -148,7 +122,7 @@ def evaluate_slos(
         name = entry["name"]
         kind = "max" if "max" in entry else "min"
         bound = float(entry[kind])
-        value = _read_value(entry, snapshot)
+        value = read_metric(entry, snapshot)
         if value is None:
             if entry.get("absent_ok"):
                 results.append(
@@ -196,21 +170,17 @@ def attach_burn_gauges(
 
 def render_slo_results(results: List[SLOResult]) -> str:
     """Plain-text verdict table for ``python -m repro slo-check``."""
-    lines = []
-    width = max((len(r.name) for r in results), default=4)
-    for r in results:
-        mark = "ok " if r.ok else "VIOLATED"
-        value = "absent" if r.value is None else f"{r.value:.6g}"
-        burn = "inf" if math.isinf(r.burn) else f"{r.burn:.3f}"
-        lines.append(
-            f"  {r.name:<{width}}  {mark:<8}  value={value}  "
-            f"{r.kind}={r.bound:.6g}  burn={burn}"
-            + (f"  ({r.detail})" if r.detail else "")
-        )
+    rows = [
+        Row(r.name, ("ok" if r.ok else "VIOLATED",
+                     "absent" if r.value is None else f"{r.value:.6g}",
+                     f"{r.kind} {r.bound:.6g}",
+                     "inf" if math.isinf(r.burn) else f"{r.burn:.3f}"), r.detail)
+        for r in results
+    ]
+    table = Table("SLOs", ("slo", "verdict", "value", "bound", "burn"), rows)
     violated = sum(not r.ok for r in results)
-    lines.append(
-        f"{len(results)} SLO(s), {violated} violated"
+    return format_text(table) + (
+        f"\n{len(results)} SLO(s), {violated} violated"
         if violated
-        else f"{len(results)} SLO(s), all within budget"
+        else f"\n{len(results)} SLO(s), all within budget"
     )
-    return "\n".join(lines)

@@ -221,6 +221,62 @@ class TestConvClassifier:
         acc = (model.predict(test_imgs) == test_labels).mean()
         assert acc > 0.8
 
+    def test_one_backward_loop_matches_the_two_pass_step(self, rng):
+        """``train_batch`` walks the head once; the weights stay bitwise
+        those of the step that ran ``MLP.backward`` and then the delta
+        chain again down to the features."""
+        from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
+        from repro.nn.losses import NLLLoss
+        from repro.nn.network import MLP
+
+        def two_pass_step(model, images, labels):
+            cache = model.head.forward(model.extractor.forward(images))
+            loss = NLLLoss().value(cache.output, labels)
+            grads = model.head.backward(cache, labels)
+            delta = NLLLoss.fused_logit_gradient(cache.zs[-1], labels)
+            for i in range(len(model.head.layers) - 1, 0, -1):
+                da = model.head.layers[i].backprop_delta(delta)
+                delta = da * model.head.hidden_activation.derivative(
+                    cache.zs[i - 1]
+                )
+            model.extractor.backward(model.head.layers[0].backprop_delta(delta))
+            for conv, _ in model.extractor.stages:
+                conv.kernels -= model.lr * conv.grad_kernels
+                conv.bias -= model.lr * conv.grad_bias
+            for (g_w, g_b), layer in zip(grads, model.head.layers):
+                layer.W -= model.lr * g_w
+                layer.b -= model.lr * g_b
+            return loss
+
+        def build():
+            fx = ConvFeatureExtractor(1, (4, 3), seed=0)
+            head = MLP([fx.feature_dim(8, 8), 16, 8, 2], seed=1)
+            return ConvClassifier(fx, head, lr=5e-2)
+
+        imgs, labels = self._data(rng)
+        model, reference = build(), build()
+        for start in range(0, 40, 10):
+            batch = imgs[start:start + 10], labels[start:start + 10]
+            assert model.train_batch(*batch) == two_pass_step(reference, *batch)
+        for (conv, _), (ref, _) in zip(model.extractor.stages,
+                                       reference.extractor.stages):
+            assert np.array_equal(conv.kernels, ref.kernels)
+            assert np.array_equal(conv.bias, ref.bias)
+        for layer, ref in zip(model.head.layers, reference.head.layers):
+            assert np.array_equal(layer.W, ref.W)
+            assert np.array_equal(layer.b, ref.b)
+
+    def test_refuses_a_head_without_log_softmax(self, rng):
+        from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
+        from repro.nn.network import MLP
+
+        fx = ConvFeatureExtractor(1, (4,), seed=0)
+        head = MLP([fx.feature_dim(8, 8), 2], output_activation="relu", seed=1)
+        with pytest.raises(NotImplementedError, match="log-softmax"):
+            ConvClassifier(fx, head).train_batch(
+                rng.normal(size=(2, 1, 8, 8)), np.array([0, 1])
+            )
+
     def test_features_shape(self, rng):
         from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
         from repro.nn.network import MLP

@@ -97,3 +97,30 @@ def probed_runs(tiny_dataset):
             "snapshot": trainer.obs.snapshot(),
         }
     return out
+
+
+@pytest.fixture(scope="session")
+def report_snapshot(probed_runs):
+    """One merged snapshot of every probed training run, a short traced
+    stream run and a traced top-k server with a tenant head cache — a
+    snapshot that forms every derived ratio and every report section."""
+    from repro.obs import merge_snapshots
+    from repro.serve.server import InferenceServer, _fire, seeded_servable
+    from repro.serve.tenants import TenantHeadCache
+    from repro.stream import make_stream_trainer
+
+    stream = InMemoryRecorder()
+    make_stream_trainer(
+        dim=12, n_classes=3, width=16, depth=2, batch_size=10,
+        eval_every=5, seed=0, recorder=stream,
+    ).run(10, resume=False)
+    serve = InMemoryRecorder()
+    with InferenceServer(
+        seeded_servable(seed=0), mode="topk", k=5, recorder=serve
+    ) as server:
+        _fire(server, np.random.default_rng(0).normal(size=(40, 64)))
+    tenants = TenantHeadCache(2, loader=str, recorder=serve)
+    for tenant in "abacab":
+        tenants.get(tenant)
+    runs = [probed_runs[name]["snapshot"] for name in TRAINER_NAMES]
+    return merge_snapshots(runs + [stream.snapshot(), serve.snapshot()])

@@ -3,14 +3,24 @@
 Satellite guarantee: run all six trainers with probes attached and
 assert every counter, gauge and series that lands in the snapshot has a
 catalogue entry (``COUNTER_CATALOG`` / ``GAUGE_CATALOG`` /
-``SERIES_CATALOG``+``SERIES_PREFIXES``), so reports and docs can always
-describe what they show.
+``SERIES_CATALOG``+``SERIES_PREFIXES``), and every derived ratio a
+``DERIVED_CATALOG`` entry, so reports and docs can always describe what
+they show.
 """
+
+from html import escape
 
 import pytest
 
-from repro.obs import is_catalogued_series
+from repro.obs import (
+    derived_metrics,
+    is_catalogued_series,
+    render_html_report,
+    render_trace,
+    trace_record,
+)
 from repro.obs.counters import COUNTER_CATALOG, GAUGE_CATALOG
+from repro.obs.report import DERIVED_CATALOG
 from repro.obs.timeseries import SERIES_CATALOG, SERIES_PREFIXES
 
 from .conftest import TRAINER_NAMES
@@ -55,3 +65,28 @@ class TestCatalogueHygiene:
                      "probe.points"):
             assert name in COUNTER_CATALOG
         assert "lsh.garbage_frac" in GAUGE_CATALOG
+
+
+class TestDerivedCoverage:
+    def test_every_derived_ratio_has_a_one_line_description(self):
+        for name, (desc, _) in DERIVED_CATALOG.items():
+            assert desc.strip() and "\n" not in desc, name
+
+    def test_derived_names_are_not_recorded_names(self):
+        recorded = (set(COUNTER_CATALOG) | set(GAUGE_CATALOG)
+                    | set(SERIES_CATALOG) | set(SERIES_PREFIXES))
+        assert not recorded & set(DERIVED_CATALOG)
+
+    def test_both_renderers_print_each_derived_description(
+        self, report_snapshot
+    ):
+        text = render_trace(report_snapshot)
+        html = render_html_report([trace_record(report_snapshot)])
+        derived = derived_metrics(report_snapshot)
+        assert set(derived) == set(DERIVED_CATALOG)
+        for name in derived:
+            desc = DERIVED_CATALOG[name][0]
+            assert any(line.split()[0] == name and line.endswith(desc)
+                       for line in text.splitlines() if line.strip()), name
+            assert (f"<td>{name}</td>" in html
+                    and f'<td class="desc">{escape(desc)}</td>' in html), name

@@ -222,7 +222,9 @@ class TestStreamingReport:
         st.run(10, resume=False)
         html = render_html_report([{"snapshot": recorder.snapshot()}])
         assert "<h2>Streaming</h2>" in html
-        assert "stream batches" in html
+        section = html.split("<h2>Streaming</h2>")[1].split("<h2>")[0]
+        assert "<td>stream.batches</td>" in section
+        assert COUNTER_CATALOG["stream.batches"] in section
 
     def test_training_only_report_has_no_streaming_section(self):
         from repro.obs.html import render_html_report

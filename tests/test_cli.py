@@ -188,6 +188,32 @@ def _usage_errors():
         ["compare", "--methods", "foo"],
         ["compare", "--methods", "topk"],  # a method without §8.4 defaults
         ["sweep", "--store", "s.jsonl", "--methods", "foo"],
+        ["sweep", "--store", "s.jsonl", "--workers", "0"],
+        ["sweep", "--store", "s.jsonl", "--timeout", "0"],
+        ["sweep", "--store", "s.jsonl", "--retries", "-1"],
+        ["sweep", "--store", "s.jsonl", "--reseed", "-1"],
+        ["sweep", "--store", "s.jsonl", "--seed", "-1"],
+        ["compare", "--data-scale", "0"],
+        ["compare", "--seed", "-1"],
+        ["run", "--seed", "-1"],
+        ["run", "--lr", "0"],
+        ["run", "--data-scale", "1.5"],
+        ["trace-report", "--seed", "-1"],
+        ["serve", "--seed", "-1"],
+        ["stream", "--seed", "-1"],
+        ["theory", "--c", "0"],
+        ["theory", "--max-k", "0"],
+        ["flops", "--batch", "0"],
+        ["flops", "--arch", "5"],
+        ["flops", "--arch", "5", "0", "3"],
+        ["report", "t.jsonl", "--theory-c", "0"],
+        ["monitor", "t.jsonl", "--follow", "--poll", "-1"],
+        ["stream", "--drift-threshold", "-1"],
+        ["stream", "--batches", "0"],
+        ["serve", "--metrics-port", "-5"],
+        ["serve", "--metrics-port", "70000"],
+        ["stream", "--metrics-port", "-5"],
+        ["stream", "--metrics-port", "70000"],
     ]
 
 
@@ -323,6 +349,19 @@ class TestReportCommand:
                      "--no-theory"])
         assert code == 0
         assert "Theorem 7.2 bound at c" not in out_path.read_text()
+
+    def test_theory_c_is_refused_before_the_trace_is_read(
+        self, capsys, probed_trace, tmp_path
+    ):
+        out_path = tmp_path / "report.html"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(probed_trace), "--out", str(out_path),
+                  "--theory-c", "0"])
+        assert exc.value.code == 2
+        assert "--theory-c: must be a finite positive number" in (
+            capsys.readouterr().err
+        )
+        assert not out_path.exists()
 
     def test_missing_file_fails_cleanly(self, capsys, tmp_path):
         code = main(["report", str(tmp_path / "missing.jsonl")])
