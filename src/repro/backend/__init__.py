@@ -5,8 +5,8 @@ activation of training and serving calls one of the seven kernels in
 :data:`~repro.backend.base.KERNEL_NAMES` on the active backend
 (im2col/col2im and the DWTA gather call NumPy directly).  One backend
 ships, :class:`~repro.backend.base.ComputeBackend` (``reference``): the
-NumPy expressions, bitwise-preserving at float64, with the MC sampled
-gather staged through a reusable scratch buffer.
+NumPy expressions, bitwise-preserving at float64, holding no state
+between calls, so one shared instance serves every thread.
 
 The seam exists so wrappers — any object with the seven kernels — can
 be swapped in without touching a trainer:
@@ -27,12 +27,11 @@ import threading
 from contextlib import contextmanager
 from typing import List
 
-from .base import ComputeBackend, KERNEL_NAMES, ScratchPool
+from .base import ComputeBackend, KERNEL_NAMES
 from .instrument import InstrumentedBackend
 
 __all__ = [
     "ComputeBackend",
-    "ScratchPool",
     "KERNEL_NAMES",
     "InstrumentedBackend",
     "get_backend",

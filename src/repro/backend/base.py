@@ -15,24 +15,22 @@ Conventions
 * Operands are float64 C- or F-contiguous ndarrays (1-D operands are
   accepted where the historical call sites passed them).
 * Returned arrays are always freshly allocated — callers hold on to
-  results across batches (activation caches), so kernels must never
-  return their scratch buffers.
+  results across batches (activation caches).  A backend holds no
+  buffers between calls: the shared ``reference`` instance serves every
+  thread at once.
 * The weight-gradient products (:meth:`~ComputeBackend.grad_cols`, and
   :meth:`~ComputeBackend.sampled_matmul`, which yields MC's) come back
   column-major, the layout trainers keep ``W`` in, so an optimiser step
   never mixes layouts.
-* Scratch buffers (:class:`ScratchPool`) are only used for operand
-  staging and are keyed by a call-site slot name so two buffers of the
-  same shape never alias within one kernel invocation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["ComputeBackend", "ScratchPool", "KERNEL_NAMES"]
+__all__ = ["ComputeBackend", "KERNEL_NAMES"]
 
 #: Every kernel a backend implements, in call-frequency order: exactly
 #: the kernels the trainers and serving call.  The instrumentation
@@ -49,53 +47,10 @@ KERNEL_NAMES = (
 )
 
 
-class ScratchPool:
-    """Reusable staging buffers keyed by ``(slot, shape, dtype)``.
-
-    The pool exists to kill the per-step slice allocations the sampled
-    trainers otherwise pay: a gather like
-    ``a[:, idx] * scales`` allocates two fresh ``(m, keep)`` arrays per
-    call, while ``np.take(..., out=pool.get(...))`` reuses one buffer for
-    the whole run.  ``hits``/``misses`` are exposed so the allocation
-    regression test can assert steady-state reuse.
-    """
-
-    def __init__(self):
-        self._buffers: Dict[Tuple[str, Tuple[int, ...], str], np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, slot: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """An uninitialised buffer of the requested shape and dtype."""
-        key = (slot, tuple(int(s) for s in shape), np.dtype(dtype).str)
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(key[1], dtype=np.dtype(dtype))
-            self._buffers[key] = buf
-            self.misses += 1
-        else:
-            self.hits += 1
-        return buf
-
-    def clear(self) -> None:
-        """Drop all buffers (and reset the hit/miss statistics)."""
-        self._buffers.clear()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held by the pool."""
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-
 class ComputeBackend:
     """The ``reference`` backend: the NumPy expression of every kernel."""
 
     name = "reference"
-
-    def __init__(self):
-        self.scratch = ScratchPool()
 
     # ------------------------------------------------------------------
     # dense GEMM
@@ -163,21 +118,9 @@ class ComputeBackend:
 
         Returned column-major, like :meth:`grad_cols` (MC's weight
         gradients come from here), as the transpose of the row-major
-        product of the transposed operands.  At float64 the gather of
-        ``a`` lands in a pooled scratch buffer and is scaled in place:
-        the same float operations in the same order, so bitwise the
-        plain expression, with the GEMM output the only allocation.  The
-        row gather of ``b`` stays fancy indexing: it measured faster than
-        ``np.take`` into a buffer, and the GEMM needs a fresh operand.
+        product of the transposed operands; an empty draw gives zeros.
         """
-        if idx.size == 0:
-            return np.zeros((a.shape[0], b.shape[1]), order="F")
-        if a.dtype != np.float64 or scales.dtype != np.float64:
-            return (b[idx, :].T @ (a[:, idx] * scales).T).T
-        ga = self.scratch.get("sampled.a", (a.shape[0], idx.size))
-        np.take(a, idx, axis=1, out=ga)
-        np.multiply(ga, scales, out=ga)
-        return (b[idx, :].T @ ga.T).T
+        return (b[idx, :].T @ (a[:, idx] * scales).T).T
 
     # ------------------------------------------------------------------
     # elementwise

@@ -90,10 +90,6 @@ class InstrumentedBackend:
         """The wrapped backend's name (what ``backend.used.*`` records)."""
         return self.inner.name
 
-    @property
-    def scratch(self):
-        return self.inner.scratch
-
     def _wrap(self, kernel: str, flop_model):
         fn = getattr(self.inner, kernel)
         timing = f"kernel.{kernel}"

@@ -29,12 +29,14 @@ Commands
 ``serve``
     Fire a request stream through the micro-batched inference server
     (``--topk`` answers through the ALSH head, ``--smoke`` runs the CI
-    serve smoke: nominal load sheds nothing, overload sheds and counts).
+    serve smoke under every other flag: nominal load sheds nothing,
+    overload sheds and counts).
 ``stream``
     Train continually on an infinite drifting stream with drift-triggered
     ALSH rebuilds, gauge-driven compaction and continuous checkpointing
     (``--smoke`` runs the CI stream smoke: a killed-and-resumed session
-    must be bitwise identical to an uninterrupted one).
+    must be bitwise identical to an uninterrupted one; it takes only
+    ``--seed``).
 ``trace-report``
     Train one configuration with the observability recorder attached and
     print the span tree, the counter catalogue rollup and the measured
@@ -119,6 +121,15 @@ _non_negative_float = _bounded(
 )
 _data_scale = _bounded(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _port = _bounded(int, lambda v: 0 <= v <= 65535, "a port in 0..65535")
+
+
+class _Given(argparse.Action):
+    """Store the value and note the flag in ``args.given``: for flags a
+    mode refuses when given at all, even at their default value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given + (option_string,)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,32 +349,39 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream", help="train continually on an infinite drifting stream"
     )
+    # --smoke refuses each _Given flag; only --seed applies to it.
+    stream.set_defaults(given=())
     stream.add_argument("--batches", type=_positive_int, default=500,
+                        action=_Given,
                         help="absolute stream position to train to "
                              "(default 500; resumes count from a "
                              "checkpoint when --checkpoint-dir is set)")
     stream.add_argument("--rebuild", choices=("drift", "count", "none"),
-                        default="drift",
+                        default="drift", action=_Given,
                         help="table maintenance policy (default drift)")
     stream.add_argument("--drift-threshold", type=_non_negative_float,
-                        default=0.05,
+                        default=0.05, action=_Given,
                         help="relative column-drift threshold that "
                              "triggers a re-hash (default 0.05)")
     stream.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                        action=_Given,
                         help="checkpoint continuously into DIR and resume "
                              "from it if a checkpoint exists")
     stream.add_argument("--checkpoint-every", type=_positive_int, default=100,
+                        action=_Given,
                         help="batches between checkpoints (default 100)")
     stream.add_argument("--seed", type=_non_negative_int, default=0)
     stream.add_argument("--smoke", action="store_true",
                         help="run the CI stream smoke (kill-resume "
-                             "bitwise equality) and exit")
+                             "bitwise equality) and exit; takes no "
+                             "flag but --seed")
     stream.add_argument("--metrics-port", type=_port, default=None,
-                        metavar="PORT",
+                        metavar="PORT", action=_Given,
                         help="serve /metrics, /healthz and /readyz on "
                              "this port while the stream trains "
                              "(0 picks a free port)")
     stream.add_argument("--store", default=None, metavar="PATH",
+                        action=_Given,
                         help="append the stream trace snapshot to this "
                              "JSONL file when the run finishes")
     return parser
@@ -823,27 +841,25 @@ def _cmd_datasets(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import time
+    from .serve import server
 
-    import numpy as np
+    for flag, given, needed, value in (
+        ("--exact", args.exact, "--topk", args.topk),
+        ("--version", args.version, "--model", args.model),
+        ("--slo", args.slo, "--metrics-port", args.metrics_port),
+    ):
+        if given and value is None:
+            print(f"error: {flag} requires {needed}", file=sys.stderr)
+            return 2
+    slo = None
+    if args.slo:
+        from .obs import load_slo_spec
 
-    from .obs import (
-        NULL_TRACER,
-        InMemoryRecorder,
-        MetricsServer,
-        RequestTracer,
-        trace_record,
-        write_trace,
-    )
-    from .serve.server import InferenceServer, _fire, run_smoke, seeded_servable
-
-    if args.requests is None:
-        args.requests = 1000 if args.smoke else 256
-    if args.smoke:
-        return run_smoke(requests=args.requests,
-                         seed=args.seed,
-                         metrics_port=args.metrics_port,
-                         store=args.store)
+        try:
+            slo = load_slo_spec(args.slo)
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.model is not None:
         from .serve.registry import load_servable
 
@@ -856,77 +872,45 @@ def _cmd_serve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        model = seeded_servable(seed=args.seed)
-    recorder = InMemoryRecorder()
-    tracer = RequestTracer(sink=args.store) if args.store else NULL_TRACER
+        model = server.seeded_servable(seed=args.seed)
+    if args.requests is None:
+        args.requests = 1000 if args.smoke else 256
     mode = "topk" if args.topk is not None else "logproba"
+    flags = dict(
+        requests=args.requests, seed=args.seed, topk=args.topk,
+        exact=args.exact, max_batch=args.max_batch, max_wait=args.max_wait,
+        metrics_port=args.metrics_port, slo=slo, store=args.store,
+    )
     try:
-        server = InferenceServer(
-            model,
-            mode=mode,
-            k=10 if args.topk is None else args.topk,
-            exact=args.exact,
-            max_batch=args.max_batch,
-            max_wait=args.max_wait,
-            max_queue=max(4 * args.requests, 64),
-            recorder=recorder,
-            tracer=tracer,
+        if args.smoke:
+            return server.run_smoke(model=model, **flags)
+        served = server.serve_session(
+            model, label=f"serve-{mode}", verbose=True, **flags
         )
     except ValueError as exc:  # a mode or --topk the model cannot answer
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # Requests are drawn only once the server has accepted the model: a
-    # conv servable has no flat input width.
-    xs = np.random.default_rng(args.seed).normal(
-        size=(args.requests, model.input_dim)
-    )
-    metrics = None
-    try:
-        with server:
-            snapshot_fn = recorder.snapshot
-            if args.slo:
-                from .obs import attach_burn_gauges, load_slo_spec
-
-                entries = load_slo_spec(args.slo)
-                snapshot_fn = lambda: attach_burn_gauges(  # noqa: E731
-                    recorder.snapshot(), entries
-                )
-            if args.metrics_port is not None:
-                metrics = MetricsServer(
-                    snapshot_fn, port=args.metrics_port, ready_fn=server.ready
-                )
-                print(f"metrics: serving {metrics.url}/metrics")
-            t0 = time.perf_counter()
-            outcome = _fire(server, xs)
-            elapsed = time.perf_counter() - t0
-    finally:
-        if metrics is not None:
-            metrics.close()
-    stats = server.stats()
-    snapshot = recorder.snapshot()
-    if args.store:
-        tracer.flush()
-        write_trace(
-            args.store,
-            trace_record(snapshot, label=f"serve-{mode}", elapsed=elapsed),
-        )
-        print(f"trace appended to {args.store}")
+    stats = served["stats"]
     print(f"model {model.name}@{model.version} ({model.kind}), mode {mode}")
     print(
-        f"{outcome['ok']}/{args.requests} served, {outcome['shed']} shed, "
-        f"{outcome['failed']} failed, "
-        f"{snapshot['counters'].get('serve.batches', 0)} batches"
+        f"{served['ok']}/{args.requests} served, {served['shed']} shed, "
+        f"{served['failed']} failed, "
+        f"{served['snapshot']['counters'].get('serve.batches', 0)} batches"
     )
     if stats["latency_p50"] is not None:
         print(f"latency p50 {stats['latency_p50'] * 1e3:.2f}ms, "
               f"p99 {stats['latency_p99'] * 1e3:.2f}ms")
-    return 0 if outcome["failed"] == 0 else 1
+    return 0 if served["failed"] == 0 else 1
 
 
 def _cmd_stream(args) -> int:
     from .stream import make_stream_trainer, run_smoke
 
     if args.smoke:
+        if args.given:
+            print(f"error: --smoke runs a fixed kill-resume scenario and "
+                  f"takes no {', '.join(args.given)}", file=sys.stderr)
+            return 2
         return run_smoke(seed=args.seed)
     recorder = None
     metrics = None

@@ -15,7 +15,8 @@ serves the checkpoints the trainers produce:
 * :mod:`~repro.serve.tenants` — per-user heads over a shared trunk,
   LRU-evicted by the :mod:`repro.memsim` cache model.
 * :mod:`~repro.serve.server` — the :class:`InferenceServer`
-  composition, plus the CI smoke.
+  composition, the one serving session (``serve_session``) behind
+  ``python -m repro serve``, its CI smoke and the serve bench.
 * :mod:`~repro.serve.bench` — the qps / tail-latency suite behind
   ``python -m repro bench serve`` and ``BENCH_serve.json``.
 

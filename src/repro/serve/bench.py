@@ -3,10 +3,11 @@
 Four configurations on one seeded paper-shape model (784 in, three
 1000-wide hidden layers, a wide prototype output layer): exact vs ALSH
 top-k head, each served batch-1 and micro-batched.  Every configuration
-fires the same request stream through a live :class:`~repro.serve.
-server.InferenceServer` from a windowed client loop, timed once, and
-records sustained queries/sec, p50/p99 latency, mean batch size — and
-for the ALSH head, recall@k against brute-force MIPS.
+fires the same seeded request stream through one
+:func:`~repro.serve.server.serve_session` (a live server and a windowed
+client loop), timed once, and records sustained queries/sec, p50/p99
+latency, mean batch size — and for the ALSH head, recall@k against
+brute-force MIPS.
 
 The records go to ``BENCH_serve.json``.  The gate fails when
 micro-batching does not beat batch-1 serving by ``--min-speedup``
@@ -19,14 +20,10 @@ repro report`` render the serving section from real bench traffic.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterator, List, Sequence
 
-import numpy as np
-
-from ..obs import InMemoryRecorder
 from .head import head_recall
-from .server import InferenceServer, _fire, seeded_servable
+from .server import seeded_servable, serve_session
 
 #: paper-shape model served by every configuration: the paper trunk
 #: (three 1000-wide hidden layers) into a narrow embedding and a wide
@@ -72,54 +69,44 @@ def config_key(config: Dict) -> str:
     return f"serve-bench:{config['head']}:{config['batching']}"
 
 
-def bench_config(config: Dict, model, xs: np.ndarray, window: int = 128) -> Dict:
+def bench_config(config: Dict, model, window: int = 128) -> Dict:
     """Serve the request stream under one configuration; returns a record."""
-    recorder = InMemoryRecorder()
-    server = InferenceServer(
+    served = serve_session(
         model,
-        mode="topk",
-        k=K,
+        config["requests"],
+        # One seeded stream for every configuration, so qps ratios and
+        # the two ALSH recall figures compare like for like.
+        seed=SEED + 1,
+        topk=K,
         exact=config["head"] == "exact",
         max_batch=config["max_batch"],
-        max_wait=0.002,
-        max_queue=max(4 * len(xs), 1024),
-        recorder=recorder,
+        window=window if config["max_batch"] > 1 else 8,
     )
-    start = time.perf_counter()
-    outcome = _fire(server, xs, window=window if config["max_batch"] > 1 else 8)
-    server.close()
-    elapsed = time.perf_counter() - start
-    stats = server.stats()
-    snapshot = recorder.snapshot()
+    stats = served["stats"]
     record = dict(config)
     record.update({
         "k": K,
-        "served": outcome["ok"],
-        "shed": outcome["shed"],
-        "failed": outcome["failed"],
-        "elapsed_s": elapsed,
-        "qps": outcome["ok"] / elapsed if elapsed > 0 else 0.0,
+        "served": served["ok"],
+        "shed": served["shed"],
+        "failed": served["failed"],
+        "elapsed_s": served["elapsed"],
+        "qps": served["ok"] / served["elapsed"] if served["elapsed"] > 0 else 0.0,
         "latency_p50_ms": (stats["latency_p50"] or 0.0) * 1e3,
         "latency_p99_ms": (stats["latency_p99"] or 0.0) * 1e3,
-        "batches": snapshot["counters"].get("serve.batches", 0),
+        "batches": served["snapshot"]["counters"].get("serve.batches", 0),
     })
     if config["head"] == "alsh":
-        sample = model.trunk_forward(xs[: min(64, len(xs))])
-        record["recall_at_k"] = head_recall(server.head, sample, K)
-    record["_snapshot"] = snapshot
+        sample = model.trunk_forward(served["rows"][:64])
+        record["recall_at_k"] = head_recall(served["server"].head, sample, K)
+    record["_snapshot"] = served["snapshot"]
     return record
 
 
 def run(configs: Sequence[Dict]) -> Iterator[Dict]:
-    """Benchmark every configuration on one shared model and stream."""
+    """Benchmark every configuration on one shared model."""
     model = seeded_servable(seed=SEED, name="serve-bench", **MODEL_SHAPE)
-    rng = np.random.default_rng(SEED + 1)
-    # One request stream shared by every configuration, so qps ratios
-    # and the two ALSH recall figures compare like for like.
-    n_requests = max(c["requests"] for c in configs)
-    stream = rng.normal(size=(n_requests, MODEL_SHAPE["input_dim"]))
     for config in configs:
-        yield bench_config(config, model, stream[: config["requests"]])
+        yield bench_config(config, model)
 
 
 def summary(record: Dict) -> str:

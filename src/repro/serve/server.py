@@ -21,6 +21,10 @@ server duck-types the :class:`~repro.obs.probes.ProbeManager`'s trainer
 protocol (it has an ``obs`` recorder), so
 :class:`~repro.serve.head.HeadRecallProbe` runs on the standard
 cadence/budget rules and lands recall@k in the trace.
+
+:func:`serve_session` is the one serving session: ``python -m repro
+serve``, its ``--smoke`` (:func:`run_smoke`) and ``bench serve`` each
+serve their request stream through it.
 """
 
 from __future__ import annotations
@@ -31,15 +35,28 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..backend import check_backend, use_backend
-from ..obs import NULL_RECORDER, Recorder
-from ..obs.counters import SERVE_LATENCY_P50, SERVE_LATENCY_P99
+from ..obs import (
+    NULL_RECORDER,
+    InMemoryRecorder,
+    MetricsServer,
+    Recorder,
+    attach_burn_gauges,
+    parse_prometheus,
+    trace_record,
+    write_trace,
+)
+from ..obs.counters import (
+    SERVE_LATENCY_P50,
+    SERVE_LATENCY_P99,
+    SERVE_SHED_QUEUE_FULL,
+)
 from ..obs.probes import ProbeManager
 from ..obs.tracectx import NULL_TRACER, RequestTracer
-from .batcher import MicroBatcher, ServeRequest
+from .batcher import MicroBatcher, ServeError, ServeRequest, ServerOverloaded
 from .head import ALSHTopKHead, HeadRecallProbe
 from .registry import ServableModel
 
-__all__ = ["InferenceServer", "seeded_servable"]
+__all__ = ["InferenceServer", "seeded_servable", "serve_session"]
 
 
 def seeded_servable(
@@ -280,10 +297,9 @@ def _fire(
 ) -> dict:
     """Submit every row with a bounded in-flight window; await all.
 
-    Returns shed/error/ok counts — the smoke and bench client loop.
+    Returns shed/error/ok counts — the client loop of
+    :func:`serve_session`.
     """
-    from .batcher import ServeError, ServerOverloaded
-
     pending: List[ServeRequest] = []
     ok = shed = failed = 0
     for row in xs:
@@ -308,91 +324,162 @@ def _fire(
     return {"ok": ok, "shed": shed, "failed": failed}
 
 
-def run_smoke(
-    requests: int = 1000,
+def serve_session(
+    model: ServableModel,
+    requests: int,
     seed: int = 0,
-    verbose: bool = True,
+    label: str = "serve",
+    topk: Optional[int] = None,
+    exact: bool = False,
+    max_batch: int = 32,
+    max_wait: float = 0.002,
+    window: int = 64,
     metrics_port: Optional[int] = None,
-    store: Optional[str] = None,
-) -> int:
-    """The CI serve-smoke: nominal load sheds nothing, overload sheds.
+    slo: Optional[List[dict]] = None,
+    store=None,
+    scrape: Optional[Callable[[str], object]] = None,
+    verbose: bool = False,
+) -> dict:
+    """Serve ``requests`` seeded rows through one :class:`InferenceServer`.
 
-    Spins the server in-process, fires ``requests`` requests at a
-    generously sized queue (asserting zero sheds and all answers
-    served), then again at a tiny queue with a deliberately slowed
-    handler (asserting the load-shedding path actually rejects).
-    Returns a process exit code.
+    The one session behind ``serve``, ``serve --smoke`` and ``bench
+    serve``: it builds the recorder, the request tracer (given a
+    ``store``), the server (log-probabilities, or ``topk`` ids through
+    the ALSH head) and, given ``metrics_port``, the ``/metrics`` exporter
+    with ``slo.burn.*`` gauges for ``slo`` (loaded spec entries); fires
+    ``default_rng(seed).normal`` rows through :func:`_fire`, ``window``
+    in flight, and times them; calls ``scrape(url)`` while the exporter
+    still answers; closes server and exporter; and appends one ``label``
+    trace record carrying ``elapsed`` to ``store``.  ``verbose`` prints
+    the exporter's URL and the store written.
 
-    ``metrics_port`` additionally attaches the live exporter, then
-    self-scrapes ``/metrics``, ``/healthz`` and ``/readyz`` and
-    validates the exposition — the CI metrics-smoke path.  ``store``
-    writes the final snapshot (histograms included) and the request
-    trace events to a JSONL file for ``slo-check`` /
-    ``trace-report --request``.
+    Raises ``ValueError``, before anything is served, for a mode or
+    ``topk`` the model cannot answer.  Returns :func:`_fire`'s counts
+    plus ``elapsed``, ``stats`` (:meth:`InferenceServer.stats`), the final
+    ``snapshot``, the closed ``server``, the ``rows`` fired and what
+    ``scrape`` returned (``scraped``).
     """
-    from ..obs import InMemoryRecorder
-    from ..obs.counters import SERVE_SHED_QUEUE_FULL
-    from ..obs.export import MetricsServer, parse_prometheus
-    from ..obs.sink import trace_record, write_trace
-
-    rng = np.random.default_rng(seed)
-    model = seeded_servable(seed=seed)
-    xs = rng.normal(size=(requests, model.input_dim))
-
     recorder = InMemoryRecorder()
     tracer = RequestTracer(sink=store) if store else NULL_TRACER
     server = InferenceServer(
-        model, max_batch=32, max_wait=0.001, max_queue=4 * requests,
-        recorder=recorder, tracer=tracer,
+        model,
+        mode="logproba" if topk is None else "topk",
+        k=10 if topk is None else topk,
+        exact=exact,
+        max_batch=max_batch,
+        max_wait=max_wait,
+        # No windowed client fills this queue: nominal load sheds nothing.
+        max_queue=max(4 * requests, 1024),
+        recorder=recorder,
+        tracer=tracer,
     )
-    metrics = None
-    if metrics_port is not None:
-        metrics = MetricsServer(
-            recorder.snapshot, port=metrics_port, ready_fn=server.ready
-        )
-        if verbose:
-            print(f"metrics: serving {metrics.url}/metrics")
+    metrics = scraped = None
     try:
-        nominal = _fire(server, xs)
-        nominal_stats = server.stats()
-        if metrics is not None:
-            from urllib.request import urlopen
-
-            with urlopen(metrics.url + "/metrics", timeout=10.0) as resp:
-                samples = parse_prometheus(resp.read().decode("utf-8"))
-            with urlopen(metrics.url + "/healthz", timeout=10.0) as resp:
-                health = resp.status
-            with urlopen(metrics.url + "/readyz", timeout=10.0) as resp:
-                ready = resp.status
-            if verbose:
-                print(
-                    f"metrics: scraped {len(samples)} metric(s), "
-                    f"healthz {health}, readyz {ready}"
+        # Rows are drawn once the server has accepted the model: a conv
+        # servable has no flat input width.
+        rows = np.random.default_rng(seed).normal(
+            size=(requests, model.input_dim)
+        )
+        if metrics_port is not None:
+            snapshot_fn = recorder.snapshot
+            if slo:
+                snapshot_fn = lambda: attach_burn_gauges(  # noqa: E731
+                    recorder.snapshot(), slo
                 )
-            if health != 200 or ready != 200:
-                print("FAIL: health endpoints must answer 200 under nominal load")
-                return 1
-            if "repro_serve_latency_s_count" not in samples:
-                print("FAIL: /metrics must expose the serve latency histogram")
-                return 1
+            metrics = MetricsServer(
+                snapshot_fn, port=metrics_port, ready_fn=server.ready
+            )
+            if verbose:
+                print(f"metrics: serving {metrics.url}/metrics")
+        start = time.perf_counter()
+        outcome = _fire(server, rows, window=window)
+        elapsed = time.perf_counter() - start
+        stats = server.stats()
+        if scrape is not None and metrics is not None:
+            scraped = scrape(metrics.url)
     finally:
         server.close()
         if metrics is not None:
             metrics.close()
+    snapshot = recorder.snapshot()
     if store:
         tracer.flush()
-        write_trace(
-            store,
-            trace_record(recorder.snapshot(), label="serve-smoke"),
-        )
+        write_trace(store, trace_record(snapshot, label=label, elapsed=elapsed))
         if verbose:
-            print(f"store: snapshot + request traces written to {store}")
+            print(f"trace appended to {store}")
+    outcome.update(elapsed=elapsed, stats=stats, snapshot=snapshot,
+                   server=server, rows=rows, scraped=scraped)
+    return outcome
+
+
+def run_smoke(
+    requests: int = 1000,
+    seed: int = 0,
+    verbose: bool = True,
+    model: Optional[ServableModel] = None,
+    **flags,
+) -> int:
+    """The CI serve-smoke: nominal load sheds nothing, overload sheds.
+
+    Serves ``requests`` rows of ``model`` (default: the seeded demo)
+    through one :func:`serve_session`, which takes every other keyword
+    (``topk``, ``exact``, ``max_batch``, ``max_wait``, ``metrics_port``,
+    ``slo``, ``store``: every ``serve`` flag), asserting zero sheds and
+    every answer served; then fires the same rows at a queue of 8 behind
+    a deliberately slowed handler, asserting the load-shedding path
+    actually rejects.  Returns a process exit code.
+
+    With ``metrics_port`` the smoke scrapes ``/metrics``, ``/healthz``
+    and ``/readyz`` while the server runs and validates the exposition:
+    the serve latency histogram, and the burn gauges given ``slo`` — the
+    CI metrics-smoke path.
+    """
+    from urllib.request import urlopen
+
+    if model is None:
+        model = seeded_servable(seed=seed)
+
+    def check_endpoints(url: str) -> Optional[str]:
+        """What the live endpoints got wrong, or None."""
+        with urlopen(url + "/metrics", timeout=10.0) as resp:
+            exposition = resp.read().decode("utf-8")
+        with urlopen(url + "/healthz", timeout=10.0) as resp:
+            health = resp.status
+        with urlopen(url + "/readyz", timeout=10.0) as resp:
+            ready = resp.status
+        try:
+            samples = parse_prometheus(exposition)
+        except ValueError as exc:
+            return f"/metrics must parse as a Prometheus exposition: {exc}"
+        if verbose:
+            print(
+                f"metrics: scraped {len(samples)} metric(s), "
+                f"healthz {health}, readyz {ready}"
+            )
+        if health != 200 or ready != 200:
+            return "health endpoints must answer 200 under nominal load"
+        if "repro_serve_latency_s_count" not in samples:
+            return "/metrics must expose the serve latency histogram"
+        if flags.get("slo") and not any(
+            name.startswith("repro_slo_burn_") for name in samples
+        ):
+            return "/metrics must expose the SLO burn gauges"
+        return None
+
+    nominal = serve_session(
+        model, requests, seed=seed, label="serve-smoke",
+        scrape=check_endpoints, verbose=verbose, **flags,
+    )
+    if nominal["scraped"]:
+        print(f"FAIL: {nominal['scraped']}")
+        return 1
     if verbose:
+        stats = nominal["stats"]
         print(
             f"nominal: {nominal['ok']}/{requests} served, "
             f"{nominal['shed']} shed, "
-            f"p50 {nominal_stats['latency_p50'] * 1e3:.2f}ms, "
-            f"p99 {nominal_stats['latency_p99'] * 1e3:.2f}ms"
+            f"p50 {stats['latency_p50'] * 1e3:.2f}ms, "
+            f"p99 {stats['latency_p99'] * 1e3:.2f}ms"
         )
     if nominal["shed"] or nominal["failed"] or nominal["ok"] != requests:
         print("FAIL: nominal load must serve every request without shedding")
@@ -413,12 +500,9 @@ def run_smoke(
         recorder=overload_recorder,
     )
     shed = 0
-    pending = []
-    from .batcher import ServerOverloaded
-
-    for row in xs:
+    for row in nominal["rows"]:
         try:
-            pending.append(batcher.submit(row))
+            batcher.submit(row)
         except ServerOverloaded:
             shed += 1
     batcher.close()

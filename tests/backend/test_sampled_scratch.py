@@ -1,52 +1,22 @@
-"""Allocation regression for the scratch-pooled sampled gather.
+"""The sampled gather of the reference backend holds no scratch state.
 
-The MC trainer's ``(a[:, idx] * scales) @ b[idx, :]`` historically
-allocated two fresh ``(m, keep)`` intermediates per call.  The reference
-backend now stages the gather through a :class:`ScratchPool` buffer; the
-pool's hit/miss statistics are the regression test — at steady state a
-repeated shape must reuse one buffer, not allocate per call.
+``sampled_matmul`` is the plain expression
+``(b[idx, :].T @ (a[:, idx] * scales).T).T``: every call allocates its
+own gather and output, so results never alias and the one shared
+``reference`` instance, which every trainer built without
+``compute_backend=`` runs on, serves concurrent threads.
 """
 
+import sys
+import threading
+
 import numpy as np
-import pytest
 
-from repro.backend import ComputeBackend, ScratchPool
-from repro.core import make_trainer
-from repro.nn.network import MLP
-
-
-def test_scratch_pool_reuses_buffers():
-    pool = ScratchPool()
-    first = pool.get("x", (4, 8))
-    again = pool.get("x", (4, 8))
-    assert again is first
-    assert (pool.misses, pool.hits) == (1, 1)
-    # A different shape, dtype or slot is a different buffer.
-    assert pool.get("x", (4, 9)) is not first
-    assert pool.get("x", (4, 8), dtype=np.float32) is not first
-    assert pool.get("y", (4, 8)) is not first
-    assert pool.nbytes > 0
-    pool.clear()
-    assert (pool.misses, pool.hits, pool.nbytes) == (0, 0, 0)
-
-
-def test_sampled_matmul_allocates_once_for_a_repeated_shape(rng):
-    backend = ComputeBackend()
-    a = rng.normal(size=(20, 64))
-    b = rng.normal(size=(64, 32))
-    idx = np.sort(rng.choice(64, size=10, replace=False))
-    scales = rng.uniform(1.0, 3.0, size=idx.size)
-    expected = (a[:, idx] * scales) @ b[idx, :]
-    for _ in range(100):
-        out = backend.sampled_matmul(a, b, idx, scales)
-        assert np.array_equal(out, expected)
-    # One miss fills the buffer; the other 99 calls reuse it.
-    assert backend.scratch.misses == 1
-    assert backend.scratch.hits == 99
+from repro.backend import ComputeBackend, get_backend
 
 
 def test_sampled_matmul_returns_fresh_output_arrays(rng):
-    """Only the gather is pooled — outputs must never alias each other."""
+    """Outputs must never alias each other."""
     backend = ComputeBackend()
     a = rng.normal(size=(6, 16))
     b = rng.normal(size=(16, 5))
@@ -65,18 +35,44 @@ def test_non_float64_inputs_fall_back_to_the_canonical_path(rng):
     idx = np.arange(4)
     scales = np.full(4, 2.0, dtype=np.float32)
     out = backend.sampled_matmul(a, b, idx, scales)
+    assert out.dtype == np.float32
     assert np.array_equal(out, (a[:, idx] * scales) @ b[idx, :])
-    assert backend.scratch.misses == 0
 
 
-@pytest.mark.parametrize("k", [5, 10])
-def test_mc_trainer_reuses_the_gather_buffer(k, tiny_dataset):
-    backend = ComputeBackend()
-    net = MLP([64, 32, 32, 3], seed=123)
-    trainer = make_trainer("mc", net, seed=123, k=k, compute_backend=backend)
-    trainer.fit(
-        tiny_dataset.x_train, tiny_dataset.y_train, epochs=2, batch_size=20
-    )
-    # The Bernoulli draw varies the keep count, so a handful of shapes
-    # get buffers — but the bulk of the calls must be steady-state hits.
-    assert backend.scratch.hits > backend.scratch.misses
+def test_two_threads_on_the_shared_backend_get_their_own_products(rng):
+    """MC^M's weight-gradient shapes, one same-shaped draw per thread."""
+    backend = get_backend("reference")
+    idx = np.sort(rng.choice(20, size=10, replace=False))
+    scales = rng.uniform(1.0, 3.0, size=idx.size)
+    operands = [
+        (rng.normal(size=(1000, 20)), rng.normal(size=(20, 1000)))
+        for _ in range(2)
+    ]
+    expected = [(a[:, idx] * scales) @ b[idx, :] for a, b in operands]
+    wrong = []
+    start = threading.Barrier(2)
+
+    def work(t):
+        a, b = operands[t]
+        start.wait()
+        for _ in range(100):
+            try:
+                out = backend.sampled_matmul(a, b, idx, scales)
+            except ValueError as exc:
+                wrong.append(repr(exc))
+                continue
+            if not np.array_equal(out, expected[t]):
+                wrong.append("wrong product")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [], f"{len(wrong)} of 200 calls: {sorted(set(wrong))}"

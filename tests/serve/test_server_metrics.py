@@ -157,6 +157,32 @@ class TestSmokeWithTelemetry:
         events = read_trace_events(records)
         assert any(e.get("event") == "completed" for e in events)
 
+    def test_smoke_record_carries_elapsed_and_qps(self, tmp_path):
+        from repro.obs.monitor import summarize_record
+        from repro.obs.sink import read_traces
+
+        store = tmp_path / "serve.jsonl"
+        assert run_smoke(requests=120, seed=0, verbose=False, store=store) == 0
+        (record,) = read_traces(store)
+        assert record["label"] == "serve-smoke"
+        assert record["elapsed"] > 0
+        assert "qps=" in summarize_record(record)
+
+    def test_smoke_scrape_sees_the_slo_burn_gauges(self, monkeypatch, capsys):
+        from repro.serve import server
+
+        slo = [{"name": "p99_latency_ms", "histogram": "serve.latency_s",
+                "quantile": 0.99, "scale": 1000.0, "max": 1000.0}]
+        assert run_smoke(requests=120, seed=0, metrics_port=0, slo=slo) == 0
+        # Without the burn gauges on /metrics the smoke's scrape fails.
+        monkeypatch.setattr(
+            server, "attach_burn_gauges", lambda snapshot, entries: snapshot
+        )
+        assert run_smoke(requests=120, seed=0, metrics_port=0, slo=slo) == 1
+        assert "FAIL: /metrics must expose the SLO burn gauges" in (
+            capsys.readouterr().out
+        )
+
     def test_queue_wait_histogram_populated(self, small_model):
         recorder = InMemoryRecorder()
         server = InferenceServer(

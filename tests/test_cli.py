@@ -214,6 +214,17 @@ def _usage_errors():
         ["serve", "--metrics-port", "70000"],
         ["stream", "--metrics-port", "-5"],
         ["stream", "--metrics-port", "70000"],
+        ["serve", "--exact", "--requests", "20"],
+        ["serve", "--version", "abc", "--requests", "20"],
+        ["serve", "--slo", "slo.json", "--requests", "20"],
+        ["serve", "--slo", "missing.json", "--metrics-port", "0"],
+        ["stream", "--smoke", "--batches", "500"],  # given, even at its default
+        ["stream", "--smoke", "--rebuild", "none"],
+        ["stream", "--smoke", "--drift-threshold", "0.1"],
+        ["stream", "--smoke", "--checkpoint-dir", "ckpts"],
+        ["stream", "--smoke", "--checkpoint-every", "5"],
+        ["stream", "--smoke", "--metrics-port", "0"],
+        ["stream", "--smoke", "--store", "s.jsonl"],
     ]
 
 
@@ -457,6 +468,27 @@ class TestServeCommand:
         code = main(["serve", "--model", str(path), "--requests", "8"])
         assert code == 0
         assert "(mlp), mode logproba" in capsys.readouterr().out
+
+    def test_smoke_honours_serve_flags(self, capsys, tmp_path):
+        from repro.obs.sink import read_traces
+
+        store = str(tmp_path / "s.jsonl")
+        assert main(["serve", "--smoke", "--topk", "3", "--max-batch", "4",
+                     "--requests", "64", "--store", store]) == 0
+        (record,) = read_traces(store)
+        snapshot = record["snapshot"]
+        assert snapshot["counters"]["serve.head.queries"] == 64
+        sizes = [size for _, size in snapshot["series"]["serve.batch_size"]]
+        assert sizes and max(sizes) <= 4
+
+    def test_slo_without_metrics_port_is_refused(self, capsys, tmp_path):
+        spec = tmp_path / "slo.json"
+        spec.write_text('{"slos": [{"name": "p99", "histogram": '
+                        '"serve.latency_s", "quantile": 0.99, "max": 1.0}]}')
+        assert main(["serve", "--slo", str(spec), "--requests", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --slo requires --metrics-port\n"
+        assert "served" not in captured.out
 
     def test_serve_bench_parser(self):
         from repro.serve import bench as serve_bench
