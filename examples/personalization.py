@@ -15,7 +15,7 @@ two acts:
    register the base checkpoint in a `ModelRegistry` (digest-pinned),
    persist each head as its own checkpoint, and answer a skewed request
    stream through a `TenantHeadCache` that holds only a few heads in
-   memory — the memsim cache model decides who stays resident.
+   memory, evicting the least recently used.
 
 Run:
     python examples/personalization.py            # both acts

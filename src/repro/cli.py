@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="fire requests through the micro-batched inference server"
     )
     serve.add_argument("--model", default=None, metavar="PATH",
-                       help="kind-tagged .npz checkpoint to serve "
-                            "(default: a seeded demo MLP)")
+                       help="MLP archive (.npz, as run --save-model "
+                            "writes) to serve (default: a seeded demo MLP)")
     serve.add_argument("--version", default=None,
                        help="pin the checkpoint's content digest")
     serve.add_argument("--requests", type=_positive_int, default=None,
@@ -673,10 +673,16 @@ def _cmd_monitor(args) -> int:
         return 2
     try:
         count = monitor_sink(args.sink, follow=args.follow, poll=args.poll)
+        if not args.follow:
+            print(f"({count} record(s) in {args.sink})")
     except KeyboardInterrupt:
-        return 0
-    if not args.follow:
-        print(f"({count} record(s) in {args.sink})")
+        pass
+    except BrokenPipeError:
+        # The reader closed the pipe (`monitor S | head`): stop quietly,
+        # and give the interpreter's final flush somewhere to write.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
@@ -868,7 +874,7 @@ def _cmd_serve(args) -> int:
         except FileNotFoundError:
             print(f"error: model file not found: {args.model}", file=sys.stderr)
             return 2
-        except ValueError as exc:  # corrupt, unservable kind, wrong --version
+        except ValueError as exc:  # corrupt, not an MLP, wrong --version
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
@@ -891,7 +897,7 @@ def _cmd_serve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     stats = served["stats"]
-    print(f"model {model.name}@{model.version} ({model.kind}), mode {mode}")
+    print(f"model {model.name}@{model.version} (mlp), mode {mode}")
     print(
         f"{served['ok']}/{args.requests} served, {served['shed']} shed, "
         f"{served['failed']} failed, "

@@ -82,16 +82,6 @@ class CacheLevel:
         self._stamp[set_idx, victim] = self._clock
         return False
 
-    def resident_lines(self) -> set:
-        """Line addresses currently held across all sets.
-
-        Exposes the post-eviction contents so callers can use the level
-        as an *eviction model* for their own objects (the serving layer's
-        tenant head cache maps one head to one line and drops whatever
-        the LRU policy dropped).
-        """
-        return {int(tag) for tag in self._tags.ravel() if tag >= 0}
-
     @property
     def accesses(self) -> int:
         """Total line accesses seen."""

@@ -7,17 +7,7 @@ support, classification metrics, and the convolutional front-end for the
 paper's CIFAR-10 setting.
 """
 
-from .activations import (
-    Activation,
-    Identity,
-    LeakyReLU,
-    LogSoftmax,
-    ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
-    get_activation,
-)
+from .activations import Activation, LogSoftmax, ReLU, Sigmoid
 from .checkpoint import (
     TrainerCheckpoint,
     checkpoint_path,
@@ -39,13 +29,8 @@ from .optim import SGD, Adam, Optimizer, get_optimizer
 __all__ = [
     "Activation",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
-    "Tanh",
-    "Identity",
-    "Softplus",
     "LogSoftmax",
-    "get_activation",
     "NLLLoss",
     "DenseLayer",
     "MLP",

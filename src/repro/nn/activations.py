@@ -6,7 +6,9 @@ an off-the-shelf autograd), so every activation exposes both ``forward`` and
 ``derivative``.  Activations are stateless; the same instance can be shared
 across layers and threads.
 
-The output activation of the paper's networks is log-softmax, which is not
+The paper's network has ReLU hidden layers under a log-softmax output
+(§4.1, §8.4), and :class:`~repro.nn.network.MLP` is that network; sigmoid
+is standout's keep probability (adaptive dropout).  Log-softmax is not
 element-wise.  It is modelled by :class:`LogSoftmax`, whose backward pass is
 only ever needed fused with the negative log-likelihood loss (see
 :class:`repro.nn.losses.NLLLoss`), matching how the paper trains.
@@ -16,17 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Activation",
-    "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
-    "Softplus",
-    "LogSoftmax",
-    "get_activation",
-]
+__all__ = ["Activation", "ReLU", "Sigmoid", "LogSoftmax"]
 
 
 class Activation:
@@ -65,23 +57,6 @@ class ReLU(Activation):
         return (z > 0.0).astype(z.dtype)
 
 
-class LeakyReLU(Activation):
-    """ReLU with a small negative-side slope to avoid dead units."""
-
-    name = "leaky_relu"
-
-    def __init__(self, alpha: float = 0.01):
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
-        self.alpha = float(alpha)
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.where(z > 0.0, z, self.alpha * z)
-
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        return np.where(z > 0.0, 1.0, self.alpha).astype(z.dtype)
-
-
 class Sigmoid(Activation):
     """Logistic sigmoid, numerically stabilised for large ``|z|``."""
 
@@ -98,44 +73,6 @@ class Sigmoid(Activation):
     def derivative(self, z: np.ndarray) -> np.ndarray:
         s = self.forward(z)
         return s * (1.0 - s)
-
-
-class Tanh(Activation):
-    """Hyperbolic tangent."""
-
-    name = "tanh"
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(z)
-
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        t = np.tanh(z)
-        return 1.0 - t * t
-
-
-class Identity(Activation):
-    """Linear activation f(z) = z, used by the §7 theoretical analysis."""
-
-    name = "identity"
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return z
-
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        return np.ones_like(z, dtype=float)
-
-
-class Softplus(Activation):
-    """Smooth approximation of ReLU: log(1 + exp(z))."""
-
-    name = "softplus"
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        # log(1 + e^z) = max(z, 0) + log(1 + e^{-|z|}) avoids overflow.
-        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-    def derivative(self, z: np.ndarray) -> np.ndarray:
-        return Sigmoid().forward(z)
 
 
 class LogSoftmax(Activation):
@@ -169,24 +106,3 @@ class LogSoftmax(Activation):
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
 
-
-_REGISTRY = {
-    cls.name: cls
-    for cls in (ReLU, LeakyReLU, Sigmoid, Tanh, Identity, Softplus, LogSoftmax)
-}
-
-
-def get_activation(name) -> Activation:
-    """Resolve an activation by name (or pass an instance through).
-
-    >>> get_activation("relu")
-    ReLU()
-    """
-    if isinstance(name, Activation):
-        return name
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown activation {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None

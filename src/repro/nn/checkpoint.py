@@ -14,10 +14,12 @@ persistence layer that makes mid-run trainer state survive a crash:
   counters, drift references, …) contributed by the trainer's
   ``checkpoint_state`` hook.
 * :func:`save_checkpoint` writes it as a single kind-tagged ``.npz``
-  archive, **atomically** (same-directory temp file + ``os.replace``),
-  so a crash mid-write can never destroy the previous good checkpoint.
-* :func:`load_checkpoint` reads it back, raising a clear ``ValueError``
-  on truncated/corrupt archives, foreign kinds or unknown versions.
+  archive through :mod:`repro.nn.serialize`'s one writer,
+  **atomically** (same-directory temp file + ``os.replace``), so a
+  crash mid-write can never destroy the previous good checkpoint.
+* :func:`load_checkpoint` reads it back through the one reader, which
+  refuses truncated/corrupt archives, foreign kinds and unknown versions
+  with a one-line ``ValueError``.
 
 The hard guarantee (enforced by ``tests/core/test_resume_equality.py``):
 a run checkpointed at epoch *k* and resumed is **bitwise identical** to
@@ -47,11 +49,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-import json
-
 import numpy as np
 
-from .serialize import atomic_savez, read_archive
+from .serialize import load_archive, write_archive
 
 __all__ = [
     "TrainerCheckpoint",
@@ -60,9 +60,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_FORMAT_VERSION = 1
 _CKPT_KIND = "trainer_checkpoint"
-_META_ENTRY = "meta"
 
 
 @dataclass
@@ -99,48 +97,26 @@ def save_checkpoint(
     A crash at any point leaves either the previous checkpoint or the new
     one on disk, never a truncated archive.  Returns the path written.
     """
-    if _META_ENTRY in ckpt.arrays:
-        raise ValueError(f"array name {_META_ENTRY!r} is reserved")
     meta = {
-        "format_version": _FORMAT_VERSION,
-        "kind": _CKPT_KIND,
         "method": ckpt.method,
         "epoch": int(ckpt.epoch),
         "stopped_early": bool(ckpt.stopped_early),
         "payload": ckpt.payload,
     }
-    arrays = {
-        _META_ENTRY: np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    }
-    arrays.update(ckpt.arrays)
-    return atomic_savez(path, arrays)
+    return write_archive(path, _CKPT_KIND, meta, ckpt.arrays)
 
 
 def load_checkpoint(path: Union[str, Path]) -> TrainerCheckpoint:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
-    Raises ``FileNotFoundError`` for a missing file and ``ValueError``
+    Raises ``FileNotFoundError`` for a missing file and, through
+    :func:`~repro.nn.serialize.load_archive`, a one-line ``ValueError``
     for corrupt/truncated archives, non-checkpoint archives or unknown
     format versions.
     """
-    path = Path(path)
-    arrays = read_archive(path)
-    if _META_ENTRY not in arrays:
-        raise ValueError(f"{path} is not a trainer checkpoint (no meta entry)")
-    try:
-        meta = json.loads(arrays.pop(_META_ENTRY).tobytes().decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path} has a corrupt meta entry: {exc}") from exc
-    if meta.get("kind") != _CKPT_KIND:
-        raise ValueError(
-            f"{path} holds a {meta.get('kind')!r} archive, "
-            f"expected {_CKPT_KIND!r}"
-        )
-    if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format version "
-            f"{meta.get('format_version')!r}"
-        )
+    meta, arrays = load_archive(
+        path, _CKPT_KIND, ("method", "epoch", "stopped_early")
+    )
     return TrainerCheckpoint(
         method=meta["method"],
         epoch=int(meta["epoch"]),

@@ -286,13 +286,8 @@ class ConvClassifier:
 
     def train_batch(self, images: np.ndarray, labels: np.ndarray) -> float:
         """One exact end-to-end SGD step; returns the batch loss."""
-        from .activations import LogSoftmax
         from .losses import NLLLoss
 
-        if not isinstance(self.head.output_activation, LogSoftmax):
-            raise NotImplementedError(
-                "exact backward currently assumes a log-softmax + NLL head"
-            )
         feats = self.extractor.forward(images)
         cache = self.head.forward(feats)
         loss = NLLLoss().value(cache.output, labels)

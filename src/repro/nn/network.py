@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend import active_backend
-from .activations import Activation, LogSoftmax, get_activation
+from .activations import Activation, LogSoftmax, ReLU
 from .layers import DenseLayer
 from .losses import NLLLoss
 
@@ -34,7 +34,7 @@ class ForwardCache:
     zs:
         ``[z^1, ..., z^l]`` — pre-activations of each layer.
     output:
-        Network output (log-probabilities for the default head).
+        Network output (log-probabilities).
     """
 
     __slots__ = ("activations", "zs", "output")
@@ -51,16 +51,16 @@ class ForwardCache:
 
 
 class MLP:
-    """A fully connected feedforward network.
+    """The paper's fully connected network: ReLU hidden layers under a
+    log-softmax output (§4.1, §8.4).
+
+    ``hidden_activation`` and ``output_activation`` are those two,
+    always; trainers read them from here.
 
     Parameters
     ----------
     layer_sizes:
         ``[m_i, n_1, ..., n_k, m_o]`` — at least input and output.
-    hidden_activation:
-        Name or instance; the paper uses ReLU (§8.4).
-    output_activation:
-        Name or instance; the paper uses log-softmax.
     seed / rng:
         Reproducibility controls; ``rng`` wins when both are given.
 
@@ -74,8 +74,6 @@ class MLP:
     def __init__(
         self,
         layer_sizes: Sequence[int],
-        hidden_activation="relu",
-        output_activation="log_softmax",
         seed: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ):
@@ -86,8 +84,8 @@ class MLP:
             raise ValueError(f"all layer sizes must be positive: {layer_sizes}")
         self.layer_sizes = layer_sizes
         self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.hidden_activation: Activation = get_activation(hidden_activation)
-        self.output_activation: Activation = get_activation(output_activation)
+        self.hidden_activation: Activation = ReLU()
+        self.output_activation: Activation = LogSoftmax()
         self.layers: List[DenseLayer] = [
             DenseLayer(n_in, n_out, self.rng)
             for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])
@@ -110,12 +108,6 @@ class MLP:
         """Total learnable scalars across all layers."""
         return sum(layer.num_params() for layer in self.layers)
 
-    def activation_for(self, layer_idx: int) -> Activation:
-        """The activation applied after layer ``layer_idx`` (0-based)."""
-        if layer_idx == len(self.layers) - 1:
-            return self.output_activation
-        return self.hidden_activation
-
     # ------------------------------------------------------------------
     # exact passes
     # ------------------------------------------------------------------
@@ -125,26 +117,22 @@ class MLP:
         activations = [a]
         zs: List[np.ndarray] = []
         backend = active_backend()
-        for i, layer in enumerate(self.layers):
-            z = layer.forward(a)
-            zs.append(z)
-            a = backend.apply_activation(self.activation_for(i), z)
-            if i < len(self.layers) - 1:
-                activations.append(a)
-        return ForwardCache(activations, zs, a)
+        for layer in self.layers[:-1]:
+            zs.append(layer.forward(a))
+            a = backend.apply_activation(self.hidden_activation, zs[-1])
+            activations.append(a)
+        zs.append(self.layers[-1].forward(a))
+        output = backend.apply_activation(self.output_activation, zs[-1])
+        return ForwardCache(activations, zs, output)
 
     def backward(
         self, cache: ForwardCache, y: np.ndarray
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Exact gradients ``[(gW^1, gb^1), ...]`` for mean NLL loss.
 
-        Assumes the log-softmax + NLL head (the paper's setting); the fused
-        gradient at the output logits is ``softmax(z^l) - onehot(y)``.
+        The fused gradient at the output logits of the log-softmax + NLL
+        head is ``softmax(z^l) - onehot(y)``.
         """
-        if not isinstance(self.output_activation, LogSoftmax):
-            raise NotImplementedError(
-                "exact backward currently assumes a log-softmax + NLL head"
-            )
         grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(self.layers)
         delta = NLLLoss.fused_logit_gradient(cache.zs[-1], y)
         for i in range(len(self.layers) - 1, -1, -1):
@@ -171,5 +159,4 @@ class MLP:
         return NLLLoss().value(self.predict_logproba(x), y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        arch = "-".join(str(s) for s in self.layer_sizes)
-        return f"MLP({arch}, hidden={self.hidden_activation.name})"
+        return f"MLP({'-'.join(str(s) for s in self.layer_sizes)})"

@@ -1,12 +1,19 @@
-"""Model persistence: save/load MLP and ConvClassifier checkpoints.
+"""Model archives: one writer and one reader for every ``.npz`` on disk.
 
-Models are stored as NumPy ``.npz`` archives holding the architecture
-metadata plus every layer's weight matrix and bias, so a trained network
-survives a process restart — needed for the longer paper-scale runs and
-for comparing checkpoints across training methods.  The convolutional
-variant additionally records each conv stage's kernels, stride/padding
-and pool size, so the §8.4 "exact conv front-end + approximated head"
-protocol can resume from a trained extractor.
+Every archive the program writes is a NumPy ``.npz`` holding a JSON
+``meta`` entry plus named arrays.  There are two kinds: a trained
+:class:`~repro.nn.network.MLP` (:func:`save_mlp` / :func:`load_mlp`,
+here) and a trainer checkpoint (:mod:`repro.nn.checkpoint`).  Both go
+through :func:`write_archive` and :func:`load_archive`:
+
+* the writer stamps ``format_version`` and ``kind`` into ``meta`` and
+  saves atomically (:func:`atomic_savez`);
+* the reader refuses, with one ``ValueError`` line that names the path,
+  a truncated or corrupt file, a missing or undecodable ``meta``, a
+  wrong kind and an unknown version.
+
+An MLP archive also names its activations, which are constant: ReLU
+hidden layers under a log-softmax output, the paper's network.
 """
 
 from __future__ import annotations
@@ -18,25 +25,34 @@ import tempfile
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .conv import ConvClassifier, ConvFeatureExtractor
+from .activations import LogSoftmax, ReLU
 from .network import MLP
 
 __all__ = [
     "save_mlp",
     "load_mlp",
-    "save_conv",
-    "load_conv",
+    "write_archive",
+    "load_archive",
     "atomic_savez",
     "read_archive",
 ]
 
 _FORMAT_VERSION = 1
+_META = "meta"
 _MLP_KIND = "mlp"
-_CONV_KIND = "conv_classifier"
+
+#: Every archive kind the program writes, with the noun its refusals use.
+_KINDS = {_MLP_KIND: "saved model", "trainer_checkpoint": "trainer checkpoint"}
+
+#: An MLP archive's meta fields; the activation names never vary.
+_MLP_ACTIVATIONS = {
+    "hidden_activation": ReLU.name,
+    "output_activation": LogSoftmax.name,
+}
 
 #: Everything ``np.load`` can raise on a truncated or garbled ``.npz`` —
 #: a half-written zip directory (BadZipFile), a cut-off member (zlib
@@ -51,13 +67,6 @@ _CORRUPT_ARCHIVE_ERRORS = (
     OSError,
     KeyError,
 )
-
-
-def _normalise_path(path: Union[str, Path]) -> Path:
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    return path
 
 
 def atomic_savez(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> Path:
@@ -106,22 +115,64 @@ def read_archive(path: Union[str, Path]) -> Dict[str, np.ndarray]:
         ) from exc
 
 
-def _read_meta(archive, path: Path, expected_kind: str) -> dict:
-    if "meta" not in archive:
-        raise ValueError(f"{path} is not a saved model (no meta entry)")
-    meta = json.loads(archive["meta"].tobytes().decode())
+def write_archive(
+    path: Union[str, Path],
+    kind: str,
+    meta: dict,
+    arrays: Dict[str, np.ndarray],
+) -> Path:
+    """Atomically save ``arrays`` under a ``meta`` entry of ``kind``.
+
+    ``meta`` follows ``format_version`` and ``kind`` in the JSON entry,
+    in its own key order.  Returns the path written.
+    """
+    if _META in arrays:
+        raise ValueError(f"array name {_META!r} is reserved")
+    header = {"format_version": _FORMAT_VERSION, "kind": kind, **meta}
+    entry = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    return atomic_savez(path, {_META: entry, **arrays})
+
+
+def load_archive(
+    path: Union[str, Path], kind: str, fields: Sequence[str]
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Read an archive of ``kind``: its decoded ``meta`` and other arrays.
+
+    ``fields`` names the meta keys the caller reads.  Raises
+    ``FileNotFoundError`` for a missing file and a one-line
+    ``ValueError`` naming the path for a truncated or corrupt file, a
+    missing or undecodable ``meta``, a wrong kind or an unknown version.
+    Archives written before ``kind`` existed are all MLPs.
+    """
+    path = Path(path)
+    arrays = read_archive(path)
+    if _META not in arrays:
+        raise ValueError(f"{path} is not a {_KINDS[kind]} (no meta entry)")
+    try:
+        meta = json.loads(arrays.pop(_META).tobytes().decode())
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ValueError(f"{path} has a corrupt meta entry: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path} has a corrupt meta entry: not an object")
+    found = meta.get("kind", _MLP_KIND)
+    if found != kind:
+        raise ValueError(f"{path} holds a {found!r} archive, expected {kind!r}")
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(
-            f"unsupported format version {meta.get('format_version')!r}"
+            f"{path} has unsupported format version "
+            f"{meta.get('format_version')!r}; expected {_FORMAT_VERSION}"
         )
-    # Archives written before the conv checkpoint existed carry no kind
-    # marker; they are all MLPs.
-    kind = meta.get("kind", _MLP_KIND)
-    if kind != expected_kind:
-        raise ValueError(
-            f"{path} holds a {kind!r} checkpoint, expected {expected_kind!r}"
-        )
-    return meta
+    missing = [key for key in fields if key not in meta]
+    if missing:
+        raise ValueError(f"{path} has a corrupt meta entry: no {missing[0]!r}")
+    return meta, arrays
+
+
+def _normalise_path(path: Union[str, Path]) -> Path:
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
+    return path
 
 
 def save_mlp(net: MLP, path: Union[str, Path]) -> Path:
@@ -129,114 +180,41 @@ def save_mlp(net: MLP, path: Union[str, Path]) -> Path:
 
     Returns the path actually written.
     """
-    path = _normalise_path(path)
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "kind": _MLP_KIND,
-        "layer_sizes": list(net.layer_sizes),
-        "hidden_activation": net.hidden_activation.name,
-        "output_activation": net.output_activation.name,
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
+    arrays = {}
     for i, layer in enumerate(net.layers):
         arrays[f"W{i}"] = layer.W
         arrays[f"b{i}"] = layer.b
-    return atomic_savez(path, arrays)
-
-
-def _restore_mlp(archive, path: Path, meta: dict, prefix: str = "") -> MLP:
-    net = MLP(
-        meta["layer_sizes"],
-        hidden_activation=meta["hidden_activation"],
-        output_activation=meta["output_activation"],
-        seed=0,
-    )
-    for i, layer in enumerate(net.layers):
-        try:
-            w = archive[f"{prefix}W{i}"]
-            b = archive[f"{prefix}b{i}"]
-        except KeyError:
-            raise ValueError(f"layer {i} arrays missing from {path}") from None
-        if w.shape != layer.W.shape or b.shape != layer.b.shape:
-            raise ValueError(f"layer {i} shape mismatch in {path}")
-        layer.W = w.copy()
-        layer.b = b.copy()
-    return net
+    meta = {"layer_sizes": list(net.layer_sizes), **_MLP_ACTIVATIONS}
+    return write_archive(_normalise_path(path), _MLP_KIND, meta, arrays)
 
 
 def load_mlp(path: Union[str, Path]) -> MLP:
     """Load a network saved by :func:`save_mlp`.
 
-    Raises ``ValueError`` for missing/corrupt archives, unknown format
-    versions, or archives holding a different model kind.
+    Refuses, besides what :func:`load_archive` refuses, an archive whose
+    meta names activations other than ReLU and log-softmax, or whose
+    layer arrays are missing or misshapen.
     """
     path = Path(path)
-    archive = read_archive(path)
-    meta = _read_meta(archive, path, _MLP_KIND)
-    return _restore_mlp(archive, path, meta)
-
-
-def save_conv(model: ConvClassifier, path: Union[str, Path]) -> Path:
-    """Serialise a :class:`ConvClassifier` to ``path`` (``.npz``).
-
-    Stores every conv stage's kernel bank, bias, stride/padding and pool
-    size alongside the MLP head (prefixed ``head_``), so the loaded model
-    is bit-identical to the saved one.  Returns the path actually written.
-    """
-    path = _normalise_path(path)
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "kind": _CONV_KIND,
-        "lr": model.lr,
-        "stages": [
-            {"stride": conv.stride, "pad": conv.pad, "pool": pool.size}
-            for conv, pool in model.extractor.stages
-        ],
-        "head": {
-            "layer_sizes": list(model.head.layer_sizes),
-            "hidden_activation": model.head.hidden_activation.name,
-            "output_activation": model.head.output_activation.name,
-        },
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for i, (conv, _) in enumerate(model.extractor.stages):
-        arrays[f"K{i}"] = conv.kernels
-        arrays[f"cb{i}"] = conv.bias
-    for i, layer in enumerate(model.head.layers):
-        arrays[f"head_W{i}"] = layer.W
-        arrays[f"head_b{i}"] = layer.b
-    return atomic_savez(path, arrays)
-
-
-def load_conv(path: Union[str, Path]) -> ConvClassifier:
-    """Load a classifier saved by :func:`save_conv`.
-
-    Raises ``ValueError`` for missing/corrupt archives, unknown format
-    versions, or archives holding a different model kind.
-    """
-    path = Path(path)
-    archive = read_archive(path)
-    meta = _read_meta(archive, path, _CONV_KIND)
-    stage_meta = meta["stages"]
-    kernels = [archive[f"K{i}"] for i in range(len(stage_meta))]
-    if not kernels:
-        raise ValueError(f"{path} holds no conv stages")
-    extractor = ConvFeatureExtractor(
-        in_channels=kernels[0].shape[1],
-        channels=[k.shape[0] for k in kernels],
-        field=kernels[0].shape[2],
-        pool=stage_meta[0]["pool"],
-        seed=0,
+    meta, arrays = load_archive(
+        path, _MLP_KIND, ["layer_sizes", *_MLP_ACTIVATIONS]
     )
-    for i, (conv, pool) in enumerate(extractor.stages):
-        # Per-stage geometry may differ from the constructor defaults
-        # (heterogeneous fields/pools are legal when stages are built
-        # by hand), so restore it explicitly.
-        conv.kernels = kernels[i].copy()
-        conv.bias = archive[f"cb{i}"].copy()
-        conv.field = kernels[i].shape[2]
-        conv.stride = stage_meta[i]["stride"]
-        conv.pad = stage_meta[i]["pad"]
-        pool.size = stage_meta[i]["pool"]
-    head = _restore_mlp(archive, path, meta["head"], prefix="head_")
-    return ConvClassifier(extractor, head, lr=meta["lr"])
+    for key, name in _MLP_ACTIVATIONS.items():
+        if meta[key] != name:
+            raise ValueError(
+                f"{path} holds an MLP whose {key} is {meta[key]!r}; "
+                f"only {name!r} loads"
+            )
+    net = MLP(meta["layer_sizes"], seed=0)
+    for i, layer in enumerate(net.layers):
+        try:
+            w = arrays[f"W{i}"]
+            b = arrays[f"b{i}"]
+        except KeyError:
+            raise ValueError(f"layer {i} arrays missing from {path}") from None
+        if w.shape != layer.W.shape or b.shape != layer.b.shape:
+            raise ValueError(f"layer {i} shape mismatch in {path}")
+        # Row-major, whichever layout wrote it (a trainer's W is not).
+        layer.W = np.ascontiguousarray(w)
+        layer.b = b
+    return net

@@ -227,7 +227,7 @@ COUNTER_CATALOG: Dict[str, str] = {
     SERVE_HEAD_FALLBACKS: "head queries answered exactly (candidate set smaller than k)",
     SERVE_TENANT_HITS: "tenant head-cache hits (head already resident)",
     SERVE_TENANT_MISSES: "tenant head-cache misses (head loaded on demand)",
-    SERVE_TENANT_EVICTIONS: "tenant heads evicted by the memsim LRU model",
+    SERVE_TENANT_EVICTIONS: "tenant heads evicted by the LRU head cache",
 }
 
 LSH_BUCKET_MAX_LOAD = "lsh.bucket_max_load"

@@ -4,8 +4,9 @@ The repo trains; production traffic is mostly inference.  This package
 serves the checkpoints the trainers produce:
 
 * :mod:`~repro.serve.registry` — immutable, versioned
-  :class:`ServableModel`\\ s loaded from kind-tagged ``.npz`` archives
-  (corrupt archives rejected at load, digests pinnable per deploy).
+  :class:`ServableModel`\\ s: MLPs, live or loaded from ``.npz``
+  archives (corrupt or non-MLP archives refused at load, digests
+  pinnable per deploy).
 * :mod:`~repro.serve.batcher` — the async micro-batching queue: collect
   requests for ~N ms or until ``max_batch``, one batched forward,
   scatter responses; bounded depth, per-request deadlines, 429-style
@@ -13,7 +14,7 @@ serves the checkpoints the trainers produce:
 * :mod:`~repro.serve.head` — the :class:`ALSHTopKHead`, answering
   top-k classes from LSH candidates without the full output GEMM.
 * :mod:`~repro.serve.tenants` — per-user heads over a shared trunk,
-  LRU-evicted by the :mod:`repro.memsim` cache model.
+  in an LRU cache.
 * :mod:`~repro.serve.server` — the :class:`InferenceServer`
   composition, the one serving session (``serve_session``) behind
   ``python -m repro serve``, its CI smoke and the serve bench.

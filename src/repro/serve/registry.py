@@ -1,7 +1,10 @@
-"""Model registry: immutable servable models from ``.npz`` checkpoints.
+"""Model registry: immutable servable MLPs from ``.npz`` archives.
 
 Training produces kind-tagged archives (:mod:`repro.nn.serialize`);
-serving needs the inverse with stronger guarantees:
+serving needs the inverse with stronger guarantees.  Only MLPs are
+served: anything else is refused with a ``TypeError``, and an archive
+of another kind with :func:`~repro.nn.serialize.load_mlp`'s one-line
+``ValueError``.
 
 * **Immutability.**  A loaded model's parameter arrays are frozen
   (``writeable=False``), so no handler, probe or head can silently
@@ -14,8 +17,9 @@ serving needs the inverse with stronger guarantees:
   deploy that picks up the wrong checkpoint fails at load time, not in
   production answers.
 * **Corrupt-archive rejection.**  Loads go through
-  :func:`repro.nn.serialize.read_archive`, which turns truncated or
-  garbled archives into a clear ``ValueError`` up front.
+  :func:`repro.nn.serialize.load_mlp`, which reads the file once and
+  turns truncated or garbled archives into a clear ``ValueError`` up
+  front.
 
 The fixed-pad forward (:meth:`ServableModel.predict_logproba` with
 ``pad_to``) is the mechanism behind the serving layer's bitwise
@@ -29,20 +33,17 @@ independent of how many requests happened to share its micro-batch.
 from __future__ import annotations
 
 import hashlib
-import json
+import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..backend import active_backend
-from ..nn.conv import ConvClassifier
 from ..nn.network import MLP
-from ..nn.serialize import read_archive
+from ..nn.serialize import load_mlp
 
 __all__ = ["ServableModel", "ModelRegistry", "load_servable", "weights_digest"]
-
-_KIND_LOADERS = ("mlp", "conv_classifier")
 
 
 def weights_digest(arrays) -> str:
@@ -61,70 +62,46 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class ServableModel:
-    """An immutable, versioned model ready to answer inference requests.
+    """An immutable, versioned MLP ready to answer inference requests.
 
     Parameters
     ----------
     model:
-        A trained :class:`~repro.nn.network.MLP` or
-        :class:`~repro.nn.conv.ConvClassifier`.  Its parameter arrays
-        are frozen in place, after any column-major dense ``W`` is
-        replaced by a row-major copy.
+        A trained :class:`~repro.nn.network.MLP`; anything else raises
+        ``TypeError``.  Its parameter arrays are frozen in place, after
+        each column-major ``W`` is replaced by a row-major copy.
     name, version:
         Registry identity; ``version`` defaults to the content digest.
     """
 
-    def __init__(self, model, name: str = "model", version: Optional[str] = None):
-        if isinstance(model, MLP):
-            self.kind = "mlp"
-            self._mlp = model
-            dense, params = model.layers, []
-        elif isinstance(model, ConvClassifier):
-            self.kind = "conv_classifier"
-            self._mlp = None
-            dense = model.head.layers
-            params = [
-                a
-                for conv, _ in model.extractor.stages
-                for a in (conv.kernels, conv.bias)
-            ]
-        else:
+    def __init__(
+        self, model: MLP, name: str = "model", version: Optional[str] = None
+    ):
+        if not isinstance(model, MLP):
             raise TypeError(
-                f"cannot serve a {type(model).__name__}; expected MLP or "
-                "ConvClassifier"
+                f"cannot serve a {type(model).__name__}; expected an MLP"
             )
-        for layer in dense:
+        params = []
+        for layer in model.layers:
             layer.W = np.ascontiguousarray(layer.W)
-            params += [layer.W, layer.b]
+            params += [_freeze(layer.W), _freeze(layer.b)]
         self.model = model
         self.name = str(name)
-        for arr in params:
-            _freeze(arr)
         self.digest = weights_digest(params)
         self.version = self.digest if version is None else str(version)
 
     # ------------------------------------------------------------------
     @property
-    def supports_head(self) -> bool:
-        """Whether an ALSH top-k head can sit on this model (MLP only)."""
-        return self.kind == "mlp"
-
-    @property
     def input_dim(self) -> int:
-        if self.kind == "mlp":
-            return self.model.layer_sizes[0]
-        raise AttributeError("conv servables take NCHW images, not flat rows")
+        return self.model.layer_sizes[0]
 
     @property
     def n_outputs(self) -> int:
-        if self.kind == "mlp":
-            return self.model.n_outputs
-        return self.model.head.n_outputs
+        return self.model.n_outputs
 
     def output_layer(self):
         """The final dense layer (the ALSH head indexes its columns)."""
-        net = self.model if self.kind == "mlp" else self.model.head
-        return net.layers[-1]
+        return self.model.layers[-1]
 
     # ------------------------------------------------------------------
     # inference
@@ -150,13 +127,11 @@ class ServableModel:
         bit-identical regardless of batch composition — the serving
         layer's bitwise-batching mode.
         """
-        if self.kind != "mlp":
-            raise TypeError("predict_logproba requires an MLP servable")
         xp, m = self._padded(x, pad_to)
-        return self._mlp.predict_logproba(xp)[:m]
+        return self.model.predict_logproba(xp)[:m]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Hard class predictions (both model kinds)."""
+        """Hard class predictions."""
         return self.model.predict(x)
 
     def trunk_forward(
@@ -168,52 +143,33 @@ class ServableModel:
         top of this one computation; the ALSH top-k head consumes it as
         its query batch.
         """
-        if self.kind != "mlp":
-            raise TypeError("trunk_forward requires an MLP servable")
-        xp, m = self._padded(x, pad_to)
-        a = xp
+        a, m = self._padded(x, pad_to)
         backend = active_backend()
-        net = self._mlp
-        for layer in net.layers[:-1]:
-            a = backend.apply_activation(net.hidden_activation, layer.forward(a))
+        relu = self.model.hidden_activation
+        for layer in self.model.layers[:-1]:
+            a = backend.apply_activation(relu, layer.forward(a))
         return a[:m]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ServableModel({self.name}@{self.version}, kind={self.kind})"
+        return f"ServableModel({self.name}@{self.version})"
 
 
 def load_servable(
     path: Union[str, Path], name: str = "model", version: Optional[str] = None
 ) -> ServableModel:
-    """Load any kind-tagged checkpoint into a :class:`ServableModel`.
+    """Load an MLP archive into a :class:`ServableModel`, reading it once.
 
-    Sniffs the archive's ``kind`` marker and dispatches to the matching
-    restorer; raises ``ValueError`` for corrupt archives, unknown kinds
-    and — when ``version`` names a digest pin — checkpoints whose
-    content digest does not match the pin.
+    Raises what :func:`~repro.nn.serialize.load_mlp` raises (a corrupt
+    archive, another kind, another activation), and a ``ValueError``
+    when ``version`` names a digest pin the archive's content does not
+    match.
     """
-    from ..nn.serialize import load_conv, load_mlp
-
-    path = Path(path)
-    archive = read_archive(path)
-    if "meta" not in archive:
-        raise ValueError(f"{path} is not a saved model (no meta entry)")
-    meta = json.loads(archive["meta"].tobytes().decode())
-    kind = meta.get("kind", "mlp")
-    if kind not in _KIND_LOADERS:
-        raise ValueError(
-            f"{path} holds unservable kind {kind!r}; "
-            f"expected one of {_KIND_LOADERS}"
-        )
-    model = load_mlp(path) if kind == "mlp" else load_conv(path)
-    servable = ServableModel(model, name=name)
-    if version is not None and servable.digest != version:
+    servable = ServableModel(load_mlp(path), name=name, version=version)
+    if servable.version != servable.digest:
         raise ValueError(
             f"{path} digest {servable.digest} does not match the pinned "
             f"version {version} for model {name!r}"
         )
-    if version is not None:
-        servable.version = version
     return servable
 
 
@@ -233,17 +189,19 @@ class ModelRegistry:
     def register(
         self,
         name: str,
-        source: Union[str, Path, MLP, ConvClassifier, ServableModel],
+        source: Union[str, Path, MLP, ServableModel],
         version: Optional[str] = None,
     ) -> ServableModel:
         """Load/adopt a model under ``name``; returns the servable.
 
-        ``source`` may be a checkpoint path, a live model object, or an
-        existing :class:`ServableModel`.  ``version`` pins the expected
-        content digest for path sources and overrides the label
-        otherwise.
+        ``source`` may be an MLP archive's path, a live MLP, or an
+        existing :class:`ServableModel`; anything else raises
+        ``TypeError``.  ``version`` pins the expected content digest for
+        path sources and overrides the label otherwise.
         """
-        if isinstance(source, ServableModel):
+        if isinstance(source, (str, os.PathLike)):
+            servable = load_servable(source, name=name, version=version)
+        elif isinstance(source, ServableModel):
             servable = source
             servable.name = str(name)
             if version is not None and servable.digest != version:
@@ -251,10 +209,8 @@ class ModelRegistry:
                     f"servable digest {servable.digest} does not match the "
                     f"pinned version {version} for model {name!r}"
                 )
-        elif isinstance(source, (MLP, ConvClassifier)):
-            servable = ServableModel(source, name=name, version=version)
         else:
-            servable = load_servable(source, name=name, version=version)
+            servable = ServableModel(source, name=name, version=version)
         self._current[str(name)] = servable
         self._versions[(str(name), servable.version)] = servable
         return servable

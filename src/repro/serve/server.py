@@ -94,7 +94,7 @@ class InferenceServer:
     Parameters
     ----------
     model:
-        The servable to answer with (MLP kinds only).
+        The servable to answer with.
     mode:
         ``"logproba"`` or ``"topk"``.
     k, exact, head, head_kwargs:
@@ -143,10 +143,6 @@ class InferenceServer:
     ):
         if mode not in ("logproba", "topk"):
             raise ValueError(f"unknown serve mode {mode!r}")
-        if mode == "topk" and not model.supports_head:
-            raise ValueError(f"model kind {model.kind!r} cannot serve top-k")
-        if mode == "logproba" and model.kind != "mlp":
-            raise ValueError(f"model kind {model.kind!r} cannot serve logproba")
         if backend is not None:
             check_backend(backend, type(self).__name__)
         self.model = model
@@ -374,12 +370,8 @@ def serve_session(
         tracer=tracer,
     )
     metrics = scraped = None
+    rows = np.random.default_rng(seed).normal(size=(requests, model.input_dim))
     try:
-        # Rows are drawn once the server has accepted the model: a conv
-        # servable has no flat input width.
-        rows = np.random.default_rng(seed).normal(
-            size=(requests, model.input_dim)
-        )
         if metrics_port is not None:
             snapshot_fn = recorder.snapshot
             if slo:

@@ -3,24 +3,17 @@
 The personalisation scenario (§2 of the paper, ``examples/
 personalization.py``) fine-tunes a small classifier head per user on
 top of one shared trunk.  Serving that means holding *some* heads in
-memory — all of them would dwarf the trunk — and the eviction policy is
-exactly the set-associative LRU question :mod:`repro.memsim.cache`
-already models for the §9.4 analysis.
-
-So instead of re-implementing LRU, the cache maps each tenant to one
-cache line of a single fully-associative :class:`~repro.memsim.cache.
-CacheLevel` (one set, ``capacity`` ways) and lets the simulator decide
-who stays: after every touch, any loaded head whose line left the
-level's resident set is evicted.  Hit/miss/eviction counts land in the
-``serve.tenant.*`` counters and the simulator's own hit/miss statistics
-stay available for analysis.
+memory — all of them would dwarf the trunk — so the cache keeps the
+``capacity`` most recently used ones, in an insertion-ordered dict: a
+hit moves its tenant to the end, a head is inserted only once its
+loader returns, and past capacity the oldest is evicted.
+Hit/miss/eviction counts land in the ``serve.tenant.*`` counters.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from ..memsim.cache import CacheLevel
 from ..obs import NULL_RECORDER, Recorder
 from ..obs.counters import (
     SERVE_TENANT_EVICTIONS,
@@ -33,15 +26,16 @@ __all__ = ["TenantHeadCache"]
 
 
 class TenantHeadCache:
-    """LRU cache of per-tenant heads, driven by the memsim cache model.
+    """LRU cache of per-tenant heads.
 
     Parameters
     ----------
     capacity:
-        Maximum heads resident at once (the level's associativity).
+        Maximum heads resident at once.
     loader:
         ``(tenant_id) -> head`` called on every miss — typically loads a
-        per-user checkpoint through the model registry.
+        per-user checkpoint through the model registry.  A loader that
+        raises leaves the cache as it was.
     recorder:
         Observability sink for the ``serve.tenant.*`` counters.
     """
@@ -57,55 +51,30 @@ class TenantHeadCache:
         self.capacity = int(capacity)
         self.loader = loader
         self.obs = recorder
-        # One fully-associative set: every head is one 64-byte "line",
-        # the level's LRU stamps decide eviction order.
-        self.level = CacheLevel(
-            size_bytes=64 * self.capacity,
-            line_size=64,
-            associativity=self.capacity,
-            name="tenant-heads",
-        )
-        self._line_of: Dict[str, int] = {}
-        self._tenant_of: Dict[int, str] = {}
-        self._heads: Dict[str, object] = {}
+        self._heads: Dict[str, object] = {}  # least recently used first
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    # ------------------------------------------------------------------
-    def _line(self, tenant: str) -> int:
-        line = self._line_of.get(tenant)
-        if line is None:
-            line = len(self._line_of)
-            self._line_of[tenant] = line
-            self._tenant_of[line] = tenant
-        return line
-
     def get(self, tenant: str) -> object:
         """The tenant's head, loading (and possibly evicting) on miss."""
         tenant = str(tenant)
-        hit = self.level.access_line(self._line(tenant))
-        if hit and tenant in self._heads:
+        if tenant in self._heads:
             self.hits += 1
             self.obs.add(SERVE_TENANT_HITS)
-            return self._heads[tenant]
+            head = self._heads.pop(tenant)
+            self._heads[tenant] = head  # now the most recently used
+            return head
         self.misses += 1
         self.obs.add(SERVE_TENANT_MISSES)
         head = self.loader(tenant)
         self._heads[tenant] = head
-        self._evict_nonresident()
-        self.obs.gauge(SERVE_TENANT_RESIDENT, len(self._heads))
-        return head
-
-    def _evict_nonresident(self) -> None:
-        """Drop every loaded head whose line the simulator evicted."""
-        resident = self.level.resident_lines()
-        for tenant in [
-            t for t in self._heads if self._line_of[t] not in resident
-        ]:
-            del self._heads[tenant]
+        if len(self._heads) > self.capacity:
+            del self._heads[next(iter(self._heads))]
             self.evictions += 1
             self.obs.add(SERVE_TENANT_EVICTIONS)
+        self.obs.gauge(SERVE_TENANT_RESIDENT, len(self._heads))
+        return head
 
     # ------------------------------------------------------------------
     def resident(self) -> List[str]:
@@ -119,7 +88,7 @@ class TenantHeadCache:
         return len(self._heads)
 
     def stats(self) -> dict:
-        """Cache statistics: the serving view plus the simulator's own."""
+        """Cache statistics: occupancy, hits, misses, evictions, hit rate."""
         total = self.hits + self.misses
         return {
             "capacity": self.capacity,
@@ -128,5 +97,4 @@ class TenantHeadCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hits / total if total else 0.0,
-            "model_miss_rate": self.level.miss_rate(),
         }

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_trainer, trainer_names
-from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
 from repro.nn.network import MLP
 from repro.nn.serialize import save_mlp
 from repro.serve.registry import ServableModel, load_servable, weights_digest
@@ -88,22 +87,11 @@ def test_trainers_keep_weights_and_gradients_column_major(
         np.testing.assert_array_equal(a, b)
 
 
-def _conv_classifier(head):
-    extractor = ConvFeatureExtractor(
-        in_channels=1, channels=(3,), field=3, pool=2, seed=0
-    )
-    assert extractor.feature_dim(8, 8) == head.layer_sizes[0]
-    return ConvClassifier(extractor, head)
-
-
-@pytest.mark.parametrize("kind", ["mlp", "conv_classifier"])
-def test_servable_freezes_trained_weights_row_major(kind):
+def test_servable_freezes_trained_weights_row_major():
     head = MLP([48, 16, 3], seed=1)
     build("standard", head)
     assert_column_major(head)
-    model = head if kind == "mlp" else _conv_classifier(head)
-    servable = ServableModel(model)
-    assert servable.kind == kind
+    ServableModel(head)
     for layer in head.layers:
         assert layer.W.flags.c_contiguous
         assert not layer.W.flags.writeable and not layer.b.flags.writeable

@@ -266,17 +266,6 @@ class TestConvClassifier:
             assert np.array_equal(layer.W, ref.W)
             assert np.array_equal(layer.b, ref.b)
 
-    def test_refuses_a_head_without_log_softmax(self, rng):
-        from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
-        from repro.nn.network import MLP
-
-        fx = ConvFeatureExtractor(1, (4,), seed=0)
-        head = MLP([fx.feature_dim(8, 8), 2], output_activation="relu", seed=1)
-        with pytest.raises(NotImplementedError, match="log-softmax"):
-            ConvClassifier(fx, head).train_batch(
-                rng.normal(size=(2, 1, 8, 8)), np.array([0, 1])
-            )
-
     def test_features_shape(self, rng):
         from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
         from repro.nn.network import MLP

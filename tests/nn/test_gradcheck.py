@@ -5,8 +5,8 @@ the matrix products), so the exact backward passes are the ground truth
 every approximation is compared against — they must be provably right.
 These tests check, by central differences in float64:
 
-* ``MLP.backward`` for every hidden activation in ``repro.nn.activations``
-  (ReLU's kink is measure-zero under the random continuous inputs used);
+* ``MLP.backward`` through its ReLU hidden layers (ReLU's kink is
+  measure-zero under the random continuous inputs used);
 * the fused log-softmax + NLL logit gradient the trainers consume;
 * the conv substrate: ``Conv2D`` gradients w.r.t. kernels, bias and input.
 """
@@ -22,12 +22,6 @@ from repro.nn.network import MLP
 
 EPS = 1e-6
 TOL = 1e-5
-
-# Hidden activations with a usable element-wise derivative (log_softmax is
-# output-only by design: its Jacobian is not diagonal).
-HIDDEN_ACTIVATIONS = [
-    "relu", "leaky_relu", "sigmoid", "tanh", "identity", "softplus",
-]
 
 
 def numerical_gradient(f, param):
@@ -59,10 +53,9 @@ def relative_error(analytic, numeric):
 
 
 class TestMLPBackward:
-    @pytest.mark.parametrize("activation", HIDDEN_ACTIVATIONS)
-    def test_weight_and_bias_gradients(self, activation):
+    def test_weight_and_bias_gradients(self):
         rng = np.random.default_rng(42)
-        net = MLP([6, 5, 4, 3], hidden_activation=activation, seed=0)
+        net = MLP([6, 5, 4, 3], seed=0)
         x = rng.normal(size=(7, 6))
         y = rng.integers(0, 3, size=7)
 
@@ -70,8 +63,8 @@ class TestMLPBackward:
         for layer, (g_w, g_b) in zip(net.layers, grads):
             num_w = numerical_gradient(lambda: net.loss(x, y), layer.W)
             num_b = numerical_gradient(lambda: net.loss(x, y), layer.b)
-            assert relative_error(g_w, num_w) < TOL, activation
-            assert relative_error(g_b, num_b) < TOL, activation
+            assert relative_error(g_w, num_w) < TOL
+            assert relative_error(g_b, num_b) < TOL
 
     def test_deep_relu_network(self):
         """Depth compounds any systematic gradient error; check at k=4."""

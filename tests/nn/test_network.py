@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.activations import LogSoftmax, ReLU
 from repro.nn.losses import NLLLoss
 from repro.nn.network import MLP
 
@@ -23,6 +24,16 @@ class TestConstruction:
     def test_num_params(self):
         net = MLP([4, 3, 2], seed=0)
         assert net.num_params() == (4 * 3 + 3) + (3 * 2 + 2)
+
+    @pytest.mark.parametrize(
+        "option", ["hidden_activation", "output_activation"]
+    )
+    def test_is_the_papers_relu_log_softmax_network(self, option):
+        net = MLP([4, 3, 2], seed=0)
+        assert isinstance(net.hidden_activation, ReLU)
+        assert isinstance(net.output_activation, LogSoftmax)
+        with pytest.raises(TypeError, match=option):
+            MLP([4, 3, 2], seed=0, **{option: "relu"})
 
     def test_seed_reproducibility(self):
         a = MLP([6, 4, 2], seed=5)
@@ -95,12 +106,6 @@ class TestBackward:
         for (g_w, g_b), layer in zip(grads, net.layers):
             assert g_w.shape == layer.W.shape
             assert g_b.shape == layer.b.shape
-
-    def test_non_logsoftmax_head_rejected(self, rng):
-        net = MLP([4, 3], output_activation="identity", seed=0)
-        cache = net.forward(rng.normal(size=(1, 4)))
-        with pytest.raises(NotImplementedError):
-            net.backward(cache, np.array([0]))
 
 
 class TestInference:

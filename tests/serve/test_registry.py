@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
 from repro.nn.network import MLP
-from repro.nn.serialize import save_conv, save_mlp
+from repro.nn.serialize import save_mlp
 from repro.serve.registry import (
     ModelRegistry,
     ServableModel,
@@ -67,20 +67,14 @@ class TestServableModel:
         assert servable.version == servable.digest
 
     def test_rejects_unknown_model_type(self):
-        with pytest.raises(TypeError, match="expected MLP or"):
+        with pytest.raises(TypeError, match="expected an MLP"):
             ServableModel(object())
 
-    def test_conv_servable_predicts_but_has_no_head(self, tmp_path):
+    def test_rejects_a_conv_classifier(self):
         model = _conv(seed=4)
-        servable = load_servable(save_conv(model, tmp_path / "c"))
-        assert servable.kind == "conv_classifier"
-        assert not servable.supports_head
-        images = np.random.default_rng(1).normal(size=(2, 1, 8, 8))
-        assert servable.predict(images).shape == (2,)
-        with pytest.raises(TypeError):
-            servable.predict_logproba(images)
-        with pytest.raises(TypeError):
-            servable.trunk_forward(images)
+        with pytest.raises(TypeError, match="cannot serve a ConvClassifier"):
+            ServableModel(model)
+        assert model.head.layers[0].W.flags.writeable
 
     def test_pad_to_smaller_than_batch_rejected(self):
         servable = ServableModel(_mlp())
@@ -117,6 +111,20 @@ class TestServableModel:
 
 
 class TestLoadServable:
+    def test_reads_the_archive_once(self, tmp_path, monkeypatch):
+        path = save_mlp(_mlp(seed=1), tmp_path / "m")
+        opened = []
+        real_load = np.load
+
+        def counting_load(*args, **kwargs):
+            opened.append(args[0])
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        servable = load_servable(path)
+        assert opened == [path]
+        assert servable.digest == ServableModel(_mlp(seed=1)).digest
+
     def test_digest_pin_mismatch_rejected(self, tmp_path):
         path = save_mlp(_mlp(seed=1), tmp_path / "m")
         with pytest.raises(ValueError, match="does not match the pinned"):
@@ -154,6 +162,12 @@ class TestModelRegistry:
         registry.register("a", _mlp(seed=1))
         registry.register("b", ServableModel(_mlp(seed=2)))
         assert len(registry) == 2
+
+    def test_register_refuses_a_non_mlp(self):
+        registry = ModelRegistry()
+        with pytest.raises(TypeError, match="cannot serve a ConvClassifier"):
+            registry.register("clf", _conv())
+        assert "clf" not in registry
 
     def test_get_missing_lists_available(self, tmp_path):
         registry = ModelRegistry()

@@ -1,4 +1,4 @@
-"""Multi-tenant head cache: LRU policy from memsim, counters, stats."""
+"""Multi-tenant head cache: LRU policy, counters, stats."""
 
 import pytest
 
@@ -60,6 +60,27 @@ class TestLRUPolicy:
             cache.get(f"t{i % 7}")
             assert len(cache) <= 3
 
+    @pytest.mark.parametrize(
+        "capacity, hits, misses, evictions, resident",
+        [
+            (1, 2, 23, 22, ["c"]),
+            (2, 2, 23, 21, ["a", "c"]),
+            (3, 5, 20, 17, ["a", "c", "i"]),
+            (4, 11, 14, 10, ["a", "b", "c", "i"]),
+        ],
+    )
+    def test_scripted_trace_counts(
+        self, capacity, hits, misses, evictions, resident
+    ):
+        """The counts the memsim-backed cache gave on this trace."""
+        cache, _ = _cache(capacity)
+        for tenant in "a b c a d b e a a c f b a g d a b c h a b b i a c".split():
+            cache.get(tenant)
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            hits, misses, evictions
+        )
+        assert cache.resident() == resident
+
     def test_skewed_traffic_hits(self):
         cache, _ = _cache(2)
         for tenant in ["hot", "hot", "cold1", "hot", "cold2", "hot"]:
@@ -88,7 +109,6 @@ class TestObservability:
         assert stats["capacity"] == 2
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
-        assert 0.0 <= stats["model_miss_rate"] <= 1.0
 
     def test_loader_failure_leaves_cache_consistent(self):
         calls = {"n": 0}
@@ -106,3 +126,20 @@ class TestObservability:
         # The failed tenant is not resident; good tenants still work.
         assert "bad" not in cache
         assert cache.get("a") == "A"
+
+    def test_failed_load_takes_no_slot(self):
+        """A loader that raises inserts nothing and evicts nothing."""
+
+        def loader(tenant):
+            if tenant == "bad":
+                raise IOError("checkpoint missing")
+            return tenant.upper()
+
+        cache = TenantHeadCache(2, loader)
+        cache.get("a")
+        with pytest.raises(IOError):
+            cache.get("bad")
+        cache.get("b")
+        assert cache.resident() == ["a", "b"]
+        assert cache.evictions == 0
+        assert cache.get("a") == "A" and cache.hits == 1

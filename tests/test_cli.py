@@ -244,27 +244,28 @@ def test_flag_misuse_exits_2_without_traceback(argv, tmp_path):
 
 @pytest.fixture(scope="module")
 def model_archives(tmp_path_factory):
-    """A saved MLP and a saved conv classifier, outside any command's cwd."""
-    from repro.nn.conv import ConvClassifier, ConvFeatureExtractor
+    """A saved MLP, outside any command's cwd, and the archives of other
+    models in ``tests/fixtures`` (see ``tests/nn/test_serialize.py``)."""
     from repro.nn.network import MLP
-    from repro.nn.serialize import save_conv, save_mlp
+    from repro.nn.serialize import save_mlp
 
     out = tmp_path_factory.mktemp("models")
-    extractor = ConvFeatureExtractor(in_channels=1, channels=(2,), seed=0)
-    head = MLP([extractor.feature_dim(8, 8), 6, 3], seed=0)
+    fixtures = Path(__file__).resolve().parent / "fixtures"
     return {
         "mlp": save_mlp(MLP([8, 6, 3], seed=0), out / "mlp"),
-        "conv": save_conv(ConvClassifier(extractor, head), out / "conv"),
+        "conv": fixtures / "conv_classifier.npz",
+        "tanh": fixtures / "mlp_tanh.npz",
     }
 
 
 @pytest.mark.parametrize(
     "kind, extra, refusal",
     [
-        ("conv", [], "cannot serve logproba"),
+        ("conv", [], "holds a 'conv_classifier' archive, expected 'mlp'"),
+        ("tanh", [], "hidden_activation is 'tanh'"),
         ("mlp", ["--version", "0" * 16], "does not match the pinned version"),
     ],
-    ids=["conv-archive", "wrong-version"],
+    ids=["conv-archive", "tanh-archive", "wrong-version"],
 )
 def test_serve_refuses_a_model_it_cannot_serve(
     model_archives, kind, extra, refusal, tmp_path
@@ -416,6 +417,25 @@ class TestMonitorCommand:
         code = main(["monitor", str(tmp_path / "missing.jsonl")])
         assert code == 2
         assert "sink file not found" in capsys.readouterr().err
+
+    def test_reader_closing_the_pipe_ends_quietly(self, tmp_path):
+        """``monitor S | head -n 1``: exit 0, nothing on stderr.  The
+        store prints far more than a pipe buffer holds, so the monitor
+        is still writing when the reader goes."""
+        store = tmp_path / "s.jsonl"
+        store.write_text("".join(
+            f'{{"status": "ok", "key": "run{i:05d}"}}\n' for i in range(20000)
+        ))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "monitor", str(store)],
+            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1"),
+        )
+        assert proc.stdout.readline() == b"[ok] run00000\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+        assert stderr == b""
 
 
 class TestSweepProbeFlag:
