@@ -63,12 +63,12 @@ class Sigmoid(Activation):
     name = "sigmoid"
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z, dtype=float)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # e = exp(-|z|) never overflows; 1/(1+e) for z >= 0 and e/(1+e)
+        # below are the two stable halves, taken without masked copies.
+        # min(z, -z) rather than -abs(z) keeps a NaN's sign bit.
+        e = np.exp(np.minimum(z, -z))
+        d = 1.0 + e
+        return np.where(z >= 0, 1.0 / d, e / d)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         s = self.forward(z)

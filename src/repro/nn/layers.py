@@ -55,6 +55,15 @@ class DenseLayer:
         self.W = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
         self.b = np.zeros(n_out)
 
+    @classmethod
+    def from_arrays(cls, W: np.ndarray, b: np.ndarray) -> "DenseLayer":
+        """A layer holding ``W`` (``n_in × n_out``) and ``b`` as given;
+        nothing is drawn."""
+        layer = cls.__new__(cls)
+        layer.n_in, layer.n_out = (int(n) for n in W.shape)
+        layer.W, layer.b = W, b
+        return layer
+
     # ------------------------------------------------------------------
     # forward products
     # ------------------------------------------------------------------

@@ -71,25 +71,43 @@ class MLP:
     2
     """
 
+    hidden_activation: Activation = ReLU()
+    output_activation: Activation = LogSoftmax()
+
     def __init__(
         self,
         layer_sizes: Sequence[int],
         seed: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ):
+        self.layer_sizes = layer_sizes = self.check_sizes(layer_sizes)
+        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.layers: List[DenseLayer] = [
+            DenseLayer(n_in, n_out, self.rng)
+            for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])
+        ]
+
+    @staticmethod
+    def check_sizes(layer_sizes: Sequence[int]) -> List[int]:
+        """``layer_sizes`` as a list, refused unless it names at least an
+        input and an output size and every size is positive."""
         layer_sizes = list(layer_sizes)
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if any(s <= 0 for s in layer_sizes):
             raise ValueError(f"all layer sizes must be positive: {layer_sizes}")
-        self.layer_sizes = layer_sizes
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.hidden_activation: Activation = ReLU()
-        self.output_activation: Activation = LogSoftmax()
-        self.layers: List[DenseLayer] = [
-            DenseLayer(n_in, n_out, self.rng)
-            for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])
-        ]
+        return layer_sizes
+
+    @classmethod
+    def from_arrays(cls, params: Sequence[Tuple[np.ndarray, np.ndarray]]) -> "MLP":
+        """The network whose layers hold ``params``' ``(W, b)`` pairs as
+        given, in order.  Nothing is drawn, so ``rng`` is None; the
+        caller checks that consecutive shapes chain."""
+        net = cls.__new__(cls)
+        net.layers = [DenseLayer.from_arrays(W, b) for W, b in params]
+        net.layer_sizes = [net.layers[0].n_in] + [ly.n_out for ly in net.layers]
+        net.rng = None
+        return net
 
     # ------------------------------------------------------------------
     # structure

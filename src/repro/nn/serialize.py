@@ -205,16 +205,16 @@ def load_mlp(path: Union[str, Path]) -> MLP:
                 f"{path} holds an MLP whose {key} is {meta[key]!r}; "
                 f"only {name!r} loads"
             )
-    net = MLP(meta["layer_sizes"], seed=0)
-    for i, layer in enumerate(net.layers):
+    sizes = MLP.check_sizes(meta["layer_sizes"])
+    params = []
+    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         try:
             w = arrays[f"W{i}"]
             b = arrays[f"b{i}"]
         except KeyError:
             raise ValueError(f"layer {i} arrays missing from {path}") from None
-        if w.shape != layer.W.shape or b.shape != layer.b.shape:
+        if w.shape != (n_in, n_out) or b.shape != (n_out,):
             raise ValueError(f"layer {i} shape mismatch in {path}")
         # Row-major, whichever layout wrote it (a trainer's W is not).
-        layer.W = np.ascontiguousarray(w)
-        layer.b = b
-    return net
+        params.append((np.ascontiguousarray(w), b))
+    return MLP.from_arrays(params)

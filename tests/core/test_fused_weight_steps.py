@@ -11,10 +11,12 @@ step.  The hidden layers of 784→300→300→10 span several blocks (a block
 holds ``BLOCK_BYTES // (8 n_in)`` float64 columns), so each step crosses
 block boundaries, dense and lazy.
 
-The last test pins paper-width (784→1000³→10) weights after ten steps:
+The last tests pin paper-width (784→1000³→10) weights after ten steps:
 of all six methods at batch 1, at digests written before the fused step
 existed, and of the four train-minibatch methods at batch 20, at digests
-written before batch steps were applied in blocks.
+written before batch steps were applied in blocks.  The batch-1 rows
+must also come out under a caller's ufunc buffer far below and far
+above the size trainers pin.
 """
 
 import hashlib
@@ -296,3 +298,18 @@ def test_paper_width_weights_are_pinned(case):
         f"{case} was pinned on OpenBLAS 0.3.31's Haswell kernels; another "
         "BLAS build or CPU kernel may round the batch GEMMs differently"
     )
+
+
+@pytest.mark.parametrize("preset", [16, 65536])
+@pytest.mark.parametrize(
+    "case", sorted(c for c in PAPER_WIDTH_DIGESTS if PAPER_SETTINGS[c][1] == 1)
+)
+def test_paper_width_weights_ignore_the_callers_ufunc_buffer(case, preset):
+    """Trainers pin NumPy's ufunc buffer, so whatever size the caller
+    set, the batch-1 rows come out as written."""
+    old = np.setbufsize(preset)
+    try:
+        assert _paper_width_digest(case) == PAPER_WIDTH_DIGESTS[case]
+        assert np.getbufsize() == preset
+    finally:
+        np.setbufsize(old)

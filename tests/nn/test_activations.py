@@ -34,6 +34,26 @@ class TestForwardValues:
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(20, 1000), (1, 1000), (20, 128)])
+    def test_sigmoid_matches_the_masked_formula_byte_for_byte(self, shape):
+        """Standout's keep probabilities: every byte, a NaN's sign bit
+        included, is the masked two-halves formula's."""
+
+        def masked(z):
+            out = np.empty_like(z, dtype=float)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        z = np.random.default_rng(0).normal(scale=20.0, size=shape)
+        special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+        z.reshape(-1)[:len(special)] = special
+        out = Sigmoid().forward(z)
+        assert out.dtype == np.float64 and out.shape == z.shape
+        assert out.tobytes() == masked(z).tobytes()
+
 class TestDerivatives:
     @pytest.mark.parametrize("act", ELEMENTWISE, ids=lambda a: a.name)
     def test_derivative_matches_finite_difference(self, act):

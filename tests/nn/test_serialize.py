@@ -21,7 +21,7 @@ import pytest
 from repro.nn.activations import LogSoftmax, ReLU
 from repro.nn.checkpoint import TrainerCheckpoint, load_checkpoint, save_checkpoint
 from repro.nn.network import MLP
-from repro.nn.serialize import load_mlp, save_mlp
+from repro.nn.serialize import load_archive, load_mlp, save_mlp
 from repro.serve.registry import load_servable
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -115,6 +115,105 @@ class TestKindMismatch:
         loaded = load_mlp(path)
         for la, lb in zip(net.layers, loaded.layers):
             np.testing.assert_array_equal(la.W, lb.W)
+
+
+def _load_by_overwriting(path):
+    """The reader before it built layers from the archive, kept as the
+    reference: draw a network, then overwrite every layer."""
+    meta, arrays = load_archive(
+        path, "mlp", ["layer_sizes", "hidden_activation", "output_activation"]
+    )
+    for key, name in [("hidden_activation", "relu"),
+                      ("output_activation", "log_softmax")]:
+        if meta[key] != name:
+            raise ValueError(
+                f"{path} holds an MLP whose {key} is {meta[key]!r}; "
+                f"only {name!r} loads"
+            )
+    net = MLP(meta["layer_sizes"], seed=0)
+    for i, layer in enumerate(net.layers):
+        try:
+            w = arrays[f"W{i}"]
+            b = arrays[f"b{i}"]
+        except KeyError:
+            raise ValueError(f"layer {i} arrays missing from {path}") from None
+        if w.shape != layer.W.shape or b.shape != layer.b.shape:
+            raise ValueError(f"layer {i} shape mismatch in {path}")
+        layer.W = np.ascontiguousarray(w)
+        layer.b = b
+    return net
+
+
+def _outcome(load, path):
+    """A load's refusal, or every array's bytes, layout and dtype."""
+    try:
+        net = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return net.layer_sizes, [
+        (a.tobytes(order="A"), a.flags.c_contiguous, a.dtype.str)
+        for layer in net.layers for a in (layer.W, layer.b)
+    ]
+
+
+def _saved_then_edited(tmp_path, name, sizes, edit=None):
+    net = MLP(sizes, seed=4)
+    net.layers[0].W = np.asfortranarray(net.layers[0].W)  # as a trainer keeps it
+    path = save_mlp(net, tmp_path / name)
+    if edit is not None:
+        arrays = dict(np.load(path))
+        edit(arrays)
+        np.savez(path, **arrays)
+    return path
+
+
+#: Archive name -> (layer sizes, edit of its arrays).
+EDITED = {
+    "paper-width": ([784, 1000, 1000, 1000, 10], None),
+    "missing-layer": ([6, 5, 3], lambda a: a.pop("W1")),
+    "misshapen-weights": ([6, 5, 3], lambda a: a.update(W1=np.zeros((5, 4)))),
+    "misshapen-bias": ([6, 5, 3], lambda a: a.update(b0=np.zeros(4))),
+    "extra-arrays": ([6, 5, 3], lambda a: a.update(W9=np.zeros(2))),
+    "one-size": ([6, 5, 3], lambda a: a.update(meta=np.frombuffer(
+        json.dumps({"format_version": 1, "kind": "mlp", "layer_sizes": [6],
+                    "hidden_activation": "relu",
+                    "output_activation": "log_softmax"}).encode(), np.uint8))),
+}
+
+
+class TestBuiltFromTheArchive:
+    """``load_mlp`` builds the layers from the archive's arrays; it draws
+    no weights to throw away, and loads or refuses what it did."""
+
+    def test_a_paper_width_load_draws_nothing(self, tmp_path, monkeypatch):
+        path = save_mlp(MLP([784, 1000, 1000, 1000, 10], seed=0), tmp_path / "m")
+        draws = []
+
+        class Spy(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                draws.append(kwargs.get("size"))
+                return super().normal(*args, **kwargs)
+
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed=None: Spy(np.random.PCG64(seed))
+        )
+        MLP([4, 3, 2], seed=0)
+        assert draws == [(4, 3), (3, 2)]  # the spy sees a network's draws
+        draws.clear()
+        load_mlp(path)
+        assert draws == []
+
+    @pytest.mark.parametrize(
+        "fixture", sorted(p.name for p in FIXTURES.glob("*.npz"))
+    )
+    def test_committed_fixtures_load_or_are_refused_as_before(self, fixture):
+        path = FIXTURES / fixture
+        assert _outcome(load_mlp, path) == _outcome(_load_by_overwriting, path)
+
+    @pytest.mark.parametrize("name", sorted(EDITED))
+    def test_archives_load_or_are_refused_as_before(self, tmp_path, name):
+        path = _saved_then_edited(tmp_path, name, *EDITED[name])
+        assert _outcome(load_mlp, path) == _outcome(_load_by_overwriting, path)
 
 
 class TestErrors:
