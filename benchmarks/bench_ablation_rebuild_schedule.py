@@ -15,17 +15,17 @@ from repro.lsh.rebuild import RebuildScheduler
 MAX_TRAIN = 300
 EPOCHS = 2
 SCHEDULES = [
-    ("every 10", RebuildScheduler(10, 10, 0)),
-    ("every 100", RebuildScheduler(100, 100, 0)),
-    ("paper (100 -> 1000)", RebuildScheduler(100, 1000, 10_000)),
-    ("never", RebuildScheduler(10**9, 10**9, 0)),
+    ("every 10", (10, 10, 0)),
+    ("every 100", (100, 100, 0)),
+    ("paper (100 -> 1000)", (100, 1000, 10_000)),
+    ("never", (10**9, 10**9, 0)),
 ]
 
 
 def run_sweep(mnist):
     rows = []
-    for label, scheduler in SCHEDULES:
-        scheduler.reset()
+    for label, periods in SCHEDULES:
+        scheduler = RebuildScheduler(*periods)
         trainer, history, acc = train_and_eval(
             "alsh", mnist, depth=2, batch=1, lr=1e-3, epochs=EPOCHS,
             max_train=MAX_TRAIN, optimizer="adam", rebuild=scheduler,

@@ -541,7 +541,7 @@ def _cmd_trace_report(args) -> int:
             return 2
         try:
             records, corrupt = scan_jsonl(args.from_store)
-        except FileNotFoundError as exc:
+        except OSError as exc:  # missing, a directory, or unreadable
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if corrupt:
@@ -683,6 +683,10 @@ def _cmd_monitor(args) -> int:
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # a directory, or a file we may not read
+        print(f"error: cannot read sink {args.sink}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -303,7 +303,3 @@ class ALSHApproxTrainer(ColumnSamplingTrainer):
             self._touched[i] = {int(v) for v in arrays[f"touched{i}"]}
             if self._drift is not None:
                 self._drift[i].restore_reference(arrays[f"drift{i}"])
-
-    def index_memory_bytes(self) -> int:
-        """Total memory footprint of all per-layer hash tables (§9.4)."""
-        return sum(ix.memory_bytes() for ix in self.indexes)

@@ -165,11 +165,6 @@ class ColumnSamplingTrainer(Trainer):
                 [int(np.argmax(self._forward(xi)[-1])) for xi in x], dtype=int
             )
 
-    def predict_exact(self, x: np.ndarray) -> np.ndarray:
-        """Exact forward through the trained weights (diagnostic)."""
-        with self._backend_scope():
-            return self.net.predict(x)
-
     def probe_approx_forward(self, x, rng):
         """The sampled forward of training, read-only.
 

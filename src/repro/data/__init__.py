@@ -8,7 +8,6 @@ DESIGN.md §1 for the substitution rationale.
 from .corruptions import (
     with_class_imbalance,
     with_dead_features,
-    with_feature_noise,
     with_label_noise,
 )
 from .benchmarks import BENCHMARKS, benchmark_names, get_benchmark_spec, load_benchmark
@@ -28,7 +27,6 @@ __all__ = [
     "load_benchmark",
     "BatchLoader",
     "with_label_noise",
-    "with_feature_noise",
     "with_dead_features",
     "with_class_imbalance",
     "DriftingStream",

@@ -11,7 +11,6 @@ never mutated in place).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +19,6 @@ from .datasets import Dataset
 
 __all__ = [
     "with_label_noise",
-    "with_feature_noise",
     "with_dead_features",
     "with_class_imbalance",
 ]
@@ -62,17 +60,6 @@ def with_label_noise(
     return _copy_with(
         data, name=f"{data.name}+labelnoise{fraction:g}", y_train=y
     )
-
-
-def with_feature_noise(
-    data: Dataset, sigma: float, seed: Optional[int] = 0
-) -> Dataset:
-    """Add i.i.d. Gaussian noise to the training features."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    rng = np.random.default_rng(seed)
-    x = data.x_train + rng.normal(scale=sigma, size=data.x_train.shape)
-    return _copy_with(data, name=f"{data.name}+featnoise{sigma:g}", x_train=x)
 
 
 def with_dead_features(

@@ -24,11 +24,9 @@ class BatchLoader:
         Features (2-D) and integer labels (1-D), equal first dimension.
     batch_size:
         1 for the paper's stochastic setting, 20 for minibatch (§8.4).
+        When it does not divide the data, the last batch is the remainder.
     shuffle:
         Reshuffle order at the start of every epoch.
-    drop_last:
-        Drop a trailing partial batch (keeps per-step cost uniform in the
-        timing benches).
     seed:
         Shuffle reproducibility.
     """
@@ -39,7 +37,6 @@ class BatchLoader:
         y: np.ndarray,
         batch_size: int = 20,
         shuffle: bool = True,
-        drop_last: bool = False,
         seed: Optional[int] = None,
     ):
         x = np.asarray(x)
@@ -56,28 +53,21 @@ class BatchLoader:
         self.y = y
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
-        self.drop_last = bool(drop_last)
         self.rng = np.random.default_rng(seed)
 
     @property
     def n_samples(self) -> int:
-        """Total samples per epoch (before drop_last)."""
+        """Total samples per epoch."""
         return self.x.shape[0]
 
     def __len__(self) -> int:
-        """Number of batches per epoch."""
-        full, rem = divmod(self.n_samples, self.batch_size)
-        if rem and not self.drop_last:
-            return full + 1
-        return full
+        """Number of batches per epoch, a partial last one included."""
+        return -(-self.n_samples // self.batch_size)
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         order = np.arange(self.n_samples)
         if self.shuffle:
             self.rng.shuffle(order)
-        stop = self.n_samples
-        if self.drop_last:
-            stop = (self.n_samples // self.batch_size) * self.batch_size
-        for start in range(0, stop, self.batch_size):
+        for start in range(0, self.n_samples, self.batch_size):
             idx = order[start : start + self.batch_size]
             yield self.x[idx], self.y[idx]

@@ -16,8 +16,6 @@ from .flops import StepFlops, flops_table, method_step_flops, speedup_vs_standar
 from .parallel import (
     ALSH_PHASES,
     PhaseProfile,
-    fit_from_measurements,
-    measured_vs_projected,
     projected_time,
     speedup_curve,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "ALSH_PHASES",
     "projected_time",
     "speedup_curve",
-    "fit_from_measurements",
-    "measured_vs_projected",
     "ExperimentExecutor",
     "ExecutorError",
     "ExperimentTask",

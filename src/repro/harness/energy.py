@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..memsim.cache import default_hierarchy
-from ..memsim.profile import MethodTraceModel
+from ..memsim.profile import replay_trace
 from .flops import method_step_flops
 
 __all__ = ["EnergyModel", "EnergyEstimate", "estimate_training_energy"]
@@ -82,27 +81,23 @@ class EnergyModel:
     ) -> EnergyEstimate:
         """Energy of one training step of ``method`` on the architecture.
 
-        Memory traffic is measured by replaying ``steps`` trace steps
-        through the scaled hierarchy and averaging; the byte scaling of the
-        trace model (itemsize 1 = 1/8 of float64 bytes) is undone so the
-        estimate is in real bytes.
+        Memory traffic is the per-step average of ``steps`` replayed
+        trace steps (:func:`~repro.memsim.profile.replay_trace`), in
+        float64 bytes.  Dropout's traffic follows the paper's mask-based
+        trace while its FLOPs are column-sliced; ``topk`` has no trace of
+        its own and follows the column-sliced one.
         """
         flops = method_step_flops(method, layer_sizes, batch, **method_kwargs)
         trace_method = method if method != "topk" else "dropout_sliced"
-        model = MethodTraceModel(layer_sizes, batch=batch, seed=seed)
-        hierarchy = default_hierarchy(self.hierarchy_scale)
-        for _ in range(steps):
-            hierarchy.run_trace(model.step_trace(trace_method))
-        line = hierarchy.line_size
-        byte_unscale = 8.0  # trace model itemsize 1 vs float64
-        dram_bytes = hierarchy.dram_accesses * line * byte_unscale / steps
-        cache_hits = sum(lvl.hits for lvl in hierarchy.levels)
-        cache_bytes = cache_hits * line * byte_unscale / steps
+        traffic = replay_trace(
+            trace_method, layer_sizes, batch=batch, steps=steps,
+            hierarchy_scale=self.hierarchy_scale, seed=seed,
+        )
         pj = 1e-12
         return EnergyEstimate(
             compute_j=flops.total * self.pj_per_flop * pj,
-            dram_j=dram_bytes * self.pj_per_dram_byte * pj,
-            cache_j=cache_bytes * self.pj_per_cache_byte * pj,
+            dram_j=traffic.dram_bytes * self.pj_per_dram_byte * pj,
+            cache_j=traffic.cache_bytes * self.pj_per_cache_byte * pj,
         )
 
 

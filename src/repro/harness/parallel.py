@@ -26,8 +26,6 @@ __all__ = [
     "ALSH_PHASES",
     "projected_time",
     "speedup_curve",
-    "fit_from_measurements",
-    "measured_vs_projected",
 ]
 
 
@@ -94,63 +92,3 @@ def speedup_curve(
     """Speedup over single-core for each processor count."""
     base = projected_time(1.0, 1, phases)
     return {p: base / projected_time(1.0, p, phases) for p in processors}
-
-
-def fit_from_measurements(
-    measurements: Dict[int, float], name: str = "measured"
-) -> PhaseProfile:
-    """Fit a single-phase Amdahl profile to measured wall-clock times.
-
-    ``measurements`` maps processor count to measured time (e.g. the same
-    sweep run through :class:`~repro.harness.executor.ExperimentExecutor`
-    at several ``max_workers``) and must include the single-core point.
-    The model is ``T(P) = T(1)·((1 − f) + f/P)``; the least-squares
-    parallel fraction ``f`` has the closed form
-
-        f = Σ_P x_P (1 − T(P)/T(1)) / Σ_P x_P²,   x_P = 1 − 1/P,
-
-    clamped to [0, 1].  The returned profile plugs straight into
-    :func:`projected_time` / :func:`speedup_curve`, so the paper's §9.2
-    projection and a real measurement can be compared in one report.
-    """
-    if 1 not in measurements:
-        raise ValueError("measurements must include the 1-processor time")
-    t1 = measurements[1]
-    if t1 <= 0:
-        raise ValueError(f"single-core time must be positive, got {t1}")
-    num = 0.0
-    den = 0.0
-    for p, t in measurements.items():
-        if p < 1:
-            raise ValueError(f"processor counts must be >= 1, got {p}")
-        if t <= 0:
-            raise ValueError(f"measured times must be positive, got {t} at P={p}")
-        x = 1.0 - 1.0 / p
-        num += x * (1.0 - t / t1)
-        den += x * x
-    fraction = num / den if den > 0 else 0.0
-    fraction = min(max(fraction, 0.0), 1.0)
-    return PhaseProfile(name, share=1.0, parallel_fraction=fraction)
-
-
-def measured_vs_projected(
-    measurements: Dict[int, float],
-    phases: Sequence[PhaseProfile] = ALSH_PHASES,
-) -> Dict[int, Dict[str, float]]:
-    """Measured speedups next to the §9.2 model's projection, per P.
-
-    Each entry holds the measured speedup over the single-core time, the
-    phase model's projection, and the fitted single-phase Amdahl curve —
-    the three columns of the "does real parallelism match the paper's
-    story" report.
-    """
-    fitted = fit_from_measurements(measurements)
-    t1 = measurements[1]
-    report = {}
-    for p in sorted(measurements):
-        report[p] = {
-            "measured": t1 / measurements[p],
-            "projected": 1.0 / projected_time(1.0, p, phases),
-            "fitted": 1.0 / projected_time(1.0, p, (fitted,)),
-        }
-    return report

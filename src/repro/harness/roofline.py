@@ -22,14 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..memsim.cache import default_hierarchy
-from ..memsim.profile import MethodTraceModel
+from ..memsim.profile import replay_trace
 from .flops import method_step_flops
 
 __all__ = ["RooflineMachine", "RooflinePoint", "method_roofline", "roofline_table"]
-
-# Trace-model bytes are itemsize-1; real arrays are float64.
-_BYTE_UNSCALE = 8.0
 
 # Which trace model each method's traffic follows.  The dropout row pairs
 # the column-sliced trace with the column-sliced FLOP model (this repo's
@@ -111,10 +107,7 @@ def method_roofline(
     # Traffic = DRAM line transfers from the cache simulation, so gather
     # patterns pay line-granularity amplification and streaming patterns
     # get cache reuse — logical byte counts would flatter the gathers.
-    model = MethodTraceModel(layer_sizes, batch=batch, seed=seed)
-    hierarchy = default_hierarchy(1.0 / 8.0)
-    hierarchy.run_trace(model.step_trace(trace_method))
-    traffic = hierarchy.dram_accesses * hierarchy.line_size * _BYTE_UNSCALE
+    traffic = replay_trace(trace_method, layer_sizes, batch=batch, seed=seed).dram_bytes
     time = machine.predicted_time(flops, traffic)
     intensity = flops / traffic if traffic else float("inf")
     return RooflinePoint(

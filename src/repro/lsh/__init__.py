@@ -19,7 +19,7 @@ from .rebuild import RebuildScheduler
 from .drift import ColumnDriftTracker
 from .dwta import DensifiedWTA, FusedDWTA
 from .srp import FusedSRP, SignedRandomProjection, collision_probability, pack_bits
-from .tables import HASH_FAMILIES, LSHIndex, make_hash_function
+from .tables import HASH_FAMILIES, LSHIndex
 
 __all__ = [
     "SignedRandomProjection",
@@ -28,7 +28,6 @@ __all__ = [
     "FusedDWTA",
     "pack_bits",
     "HASH_FAMILIES",
-    "make_hash_function",
     "collision_probability",
     "LSHIndex",
     "AsymmetricTransform",

@@ -85,11 +85,6 @@ class DensifiedWTA:
         """Number of addressable buckets, ``2^n_bits``."""
         return 1 << self.n_bits
 
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the permutation tables."""
-        return self._bins.nbytes + self._rotation.nbytes
-
     def _bin_argmax(self, vectors: np.ndarray) -> np.ndarray:
         """Argmax index within every bin; -1 where the bin is all-zero."""
         gathered = vectors[:, self._bins]  # (n, n_bins, bin_size)
@@ -140,10 +135,6 @@ class DensifiedWTA:
             codes = (codes << self._bits_per_bin) | winners[:, b].astype(np.int64)
         mask = (1 << self.n_bits) - 1
         return codes & mask
-
-    def hash_one(self, vector: np.ndarray) -> int:
-        """Bucket id of a single vector."""
-        return int(self.hash(np.asarray(vector).reshape(1, -1))[0])
 
 
 class FusedDWTA:

@@ -191,10 +191,6 @@ class MIPSIndex:
         self._data_scale = None if scale is None else float(scale)
         self.index.load_state_dict(arrays)
 
-    def memory_bytes(self) -> int:
-        """Approximate memory footprint of the underlying tables."""
-        return self.index.memory_bytes()
-
     def __len__(self) -> int:
         """Highest item id stored, plus one."""
         return self.index.n_slots

@@ -43,11 +43,6 @@ class RebuildScheduler:
         self._since_rebuild = 0
         self.rebuild_count = 0
 
-    @property
-    def samples_seen(self) -> int:
-        """Total samples recorded so far."""
-        return self._seen
-
     def current_period(self) -> int:
         """Rebuild period in force at the current sample count."""
         if self._seen < self.warmup_samples:
@@ -73,12 +68,6 @@ class RebuildScheduler:
             self.rebuild_count += 1
             return True
         return False
-
-    def reset(self) -> None:
-        """Forget all history (new training run)."""
-        self._seen = 0
-        self._since_rebuild = 0
-        self.rebuild_count = 0
 
     def state_dict(self) -> dict:
         """Mutable counters as a JSON-safe dict (checkpoint support)."""

@@ -60,11 +60,6 @@ class SignedRandomProjection:
         """Number of addressable buckets, ``2^K``."""
         return 1 << self.n_bits
 
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the hyperplane matrix."""
-        return self.planes.nbytes
-
     def signatures(self, vectors: np.ndarray) -> np.ndarray:
         """Bit matrix of signs, shape ``(n_vectors, n_bits)``."""
         vectors = np.atleast_2d(vectors)
@@ -77,24 +72,6 @@ class SignedRandomProjection:
     def hash(self, vectors: np.ndarray) -> np.ndarray:
         """Integer bucket ids in ``[0, 2^K)`` for a batch of vectors."""
         return pack_bits(self.signatures(vectors))
-
-    def hash_one(self, vector: np.ndarray) -> int:
-        """Bucket id of a single vector.
-
-        Fast path: projects the 1-D vector directly (one GEMV) without the
-        ``atleast_2d`` round-trip of :meth:`hash`.
-        """
-        vector = np.asarray(vector, dtype=float).reshape(-1)
-        if vector.shape[0] != self.dim:
-            raise ValueError(
-                f"expected a vector of dim {self.dim}, got {vector.shape[0]}"
-            )
-        bits = (vector @ self.planes) >= 0.0
-        code = 0
-        for k in range(self.n_bits):
-            if bits[k]:
-                code |= 1 << k
-        return code
 
 
 class FusedSRP:

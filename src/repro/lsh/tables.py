@@ -72,7 +72,7 @@ from ..obs.counters import (
 from .dwta import DensifiedWTA, FusedDWTA
 from .srp import FusedSRP, SignedRandomProjection
 
-__all__ = ["LSHIndex", "make_hash_function", "HASH_FAMILIES", "MAX_BUCKET_BITS"]
+__all__ = ["LSHIndex", "HASH_FAMILIES", "MAX_BUCKET_BITS"]
 
 #: Family name → (one table's hash function, the fused L-table hasher).
 _FAMILIES = {
@@ -84,19 +84,6 @@ HASH_FAMILIES = tuple(_FAMILIES)
 #: Widest table the layout holds: each table's bucket directory has
 #: ``2^K + 1`` int64 offsets, 8 MiB per table at K = 20.
 MAX_BUCKET_BITS = 20
-
-
-def _family_classes(family: str):
-    if family not in _FAMILIES:
-        raise ValueError(
-            f"unknown hash family {family!r}; available: {HASH_FAMILIES}"
-        )
-    return _FAMILIES[family]
-
-
-def make_hash_function(family: str, dim: int, n_bits: int, rng: np.random.Generator):
-    """Build a hash function by family name ("srp" or "dwta")."""
-    return _family_classes(family)[0](dim, n_bits, rng=rng)
 
 
 def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -163,7 +150,11 @@ class LSHIndex:
                 f"n_bits={n_bits} exceeds the index's limit of "
                 f"{MAX_BUCKET_BITS} (a dense 2^n_bits bucket directory per table)"
             )
-        fn_class, bank_class = _family_classes(family)
+        if family not in _FAMILIES:
+            raise ValueError(
+                f"unknown hash family {family!r}; available: {HASH_FAMILIES}"
+            )
+        fn_class, bank_class = _FAMILIES[family]
         rng = rng if rng is not None else np.random.default_rng(seed)
         self.dim = int(dim)
         self.n_bits = int(n_bits)
@@ -546,19 +537,6 @@ class LSHIndex:
             return 0.0
         garbage = sum(self._stale) + sum(self._extra_len)
         return float(garbage) / float(scanned)
-
-    def memory_bytes(self) -> int:
-        """Hash-function tables plus all bucket-storage arrays.
-
-        Used by the §9.4-style memory analysis (table setup cost of
-        ALSH-approx).
-        """
-        total = sum(fn.nbytes for fn in self.fns) + self.item_gcode.nbytes
-        for t in range(self.n_tables):
-            total += self._offsets[t].nbytes + self._members[t].nbytes
-            total += sum(chunk.nbytes for chunk in self._extra_items[t])
-            total += sum(chunk.nbytes for chunk in self._extra_gcodes[t])
-        return total
 
     def __len__(self) -> int:
         if self.n_slots == 0:

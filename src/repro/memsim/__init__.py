@@ -1,27 +1,28 @@
 """Memory and cache simulation for the §9.4 analysis.
 
-A set-associative LRU cache hierarchy, an allocation tracker, and
-per-method access-trace models that reproduce the paper's relative
-cache-miss findings offline.
+A set-associative LRU cache hierarchy and per-method access-trace models
+that reproduce the paper's relative cache-miss findings offline, replayed
+through one function (:func:`replay_trace`).
 """
 
 from .cache import CacheHierarchy, CacheLevel, default_hierarchy
 from .profile import (
     ArrayRegion,
     MethodTraceModel,
+    TraceReplay,
     estimate_training_memory,
     profile_methods,
+    replay_trace,
 )
-from .tracker import AllocationTracker, array_nbytes
 
 __all__ = [
     "CacheLevel",
     "CacheHierarchy",
     "default_hierarchy",
-    "AllocationTracker",
-    "array_nbytes",
     "ArrayRegion",
     "MethodTraceModel",
+    "TraceReplay",
+    "replay_trace",
     "profile_methods",
     "estimate_training_memory",
 ]

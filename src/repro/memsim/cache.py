@@ -15,7 +15,7 @@ touches every cache line it overlaps.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -92,18 +92,6 @@ class CacheLevel:
         total = self.accesses
         return self.misses / total if total else 0.0
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (contents are kept)."""
-        self.hits = 0
-        self.misses = 0
-
-    def flush(self) -> None:
-        """Empty the cache and zero statistics."""
-        self._tags.fill(-1)
-        self._stamp.fill(0)
-        self._clock = 0
-        self.reset_stats()
-
 
 class CacheHierarchy:
     """Inclusive multi-level hierarchy; a miss at level i probes level i+1.
@@ -151,16 +139,6 @@ class CacheHierarchy:
             }
         out["dram_accesses"] = self.dram_accesses
         return out
-
-    def total_misses(self) -> int:
-        """Misses at the last level (≈ memory-bus transfers)."""
-        return self.levels[-1].misses
-
-    def flush(self) -> None:
-        """Empty every level and reset DRAM counter."""
-        for level in self.levels:
-            level.flush()
-        self.dram_accesses = 0
 
 
 def default_hierarchy(scale: float = 1.0 / 64.0) -> CacheHierarchy:

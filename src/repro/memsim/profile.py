@@ -32,25 +32,36 @@ The model uses ``itemsize=1`` by default: all byte sizes are 1/8 of the
 real float64 workload, which pairs with a cache hierarchy scaled by the
 same factor (see :func:`profile_methods`) so the working-set-to-cache
 ratios of the paper's machine are preserved at tractable simulation cost.
+:func:`replay_trace` is the one replay: it runs a method's steps through
+a fresh hierarchy and converts line traffic back to float64 bytes, and
+the §9.4 profile, the energy model and the roofline all read it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cache import CacheHierarchy, default_hierarchy
-from .tracker import AllocationTracker, array_nbytes
+from .cache import default_hierarchy
 
 __all__ = [
     "ArrayRegion",
     "MethodTraceModel",
+    "TraceReplay",
+    "replay_trace",
     "profile_methods",
     "estimate_training_memory",
 ]
 
 Extent = Tuple[int, int]
+
+#: Every region of a trace layout starts on a cache-line boundary.
+_ALIGNMENT = 64
+
+#: Bytes per element of the arrays the trainers hold (float64).
+_REAL_ITEMSIZE = 8
 
 
 class ArrayRegion:
@@ -86,19 +97,16 @@ class ArrayRegion:
             yield (addr, self.itemsize)
             addr += stride
 
-    def element(self, i: int, j: int) -> Extent:
-        """Extent of a single element."""
-        return (self.base + (i * self.cols + j) * self.itemsize, self.itemsize)
-
 
 class MethodTraceModel:
     """Builds one training step's access trace for each method.
 
     Parameters mirror the experimental setup: ``layer_sizes`` of the MLP,
     ``batch`` size, the active fraction of the column-sampling methods and
-    the row budget of MC-approx.  ``scale`` shrinks the *address space* the
-    same way :func:`~repro.memsim.cache.default_hierarchy` shrinks the
-    caches, keeping simulation cheap while preserving the working-set to
+    the row budget of MC-approx.  ``itemsize`` (1, against float64's 8)
+    shrinks the *address space* the way
+    :func:`~repro.memsim.cache.default_hierarchy` shrinks the caches,
+    keeping simulation cheap while preserving the working-set to
     cache-size ratios.
     """
 
@@ -108,7 +116,6 @@ class MethodTraceModel:
         batch: int = 1,
         active_frac: float = 0.05,
         mc_node_frac: float = 0.1,
-        mc_batch_k: int = 10,
         itemsize: int = 1,
         seed: int = 0,
     ):
@@ -118,31 +125,27 @@ class MethodTraceModel:
         self.batch = int(batch)
         self.active_frac = float(active_frac)
         self.mc_node_frac = float(mc_node_frac)
-        self.mc_batch_k = int(mc_batch_k)
         self.itemsize = int(itemsize)
         self.rng = np.random.default_rng(seed)
 
-        self.tracker = AllocationTracker()
-        self.weights: List[ArrayRegion] = []
-        self.acts: List[ArrayRegion] = []
-        self.masks: List[ArrayRegion] = []
+        # Regions are laid out back to back, each at the next line
+        # boundary; addresses are identities for the cache, nothing more.
+        self._next_base = 0
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-        for idx, (n_in, n_out) in enumerate(pairs):
-            base = self.tracker.allocate(f"W{idx}", array_nbytes((n_in, n_out), itemsize))
-            self.weights.append(ArrayRegion(base, n_in, n_out, itemsize))
-        for idx, width in enumerate(self.layer_sizes):
-            base = self.tracker.allocate(f"a{idx}", array_nbytes((batch, width), itemsize))
-            self.acts.append(ArrayRegion(base, batch, width, itemsize))
-        for idx, (_, n_out) in enumerate(pairs[:-1]):
-            base = self.tracker.allocate(f"mask{idx}", array_nbytes((batch, n_out), itemsize))
-            self.masks.append(ArrayRegion(base, batch, n_out, itemsize))
+        self.weights = [self._region(n_in, n_out) for n_in, n_out in pairs]
+        self.acts = [self._region(batch, width) for width in self.layer_sizes]
+        self.masks = [self._region(batch, n_out) for _, n_out in pairs[:-1]]
         # One big region standing in for ALSH's hash tables.
         table_bytes = max(
             64 * 1024,
             sum(w.nbytes for w in self.weights) // 2,
         )
-        base = self.tracker.allocate("hash_tables", table_bytes)
-        self.tables = ArrayRegion(base, table_bytes // itemsize, 1, itemsize)
+        self.tables = self._region(table_bytes // itemsize, 1)
+
+    def _region(self, rows: int, cols: int) -> ArrayRegion:
+        region = ArrayRegion(self._next_base, rows, cols, self.itemsize)
+        self._next_base += -(-region.nbytes // _ALIGNMENT) * _ALIGNMENT
+        return region
 
     # ------------------------------------------------------------------
     # pattern helpers
@@ -295,6 +298,53 @@ class MethodTraceModel:
             yield from self.acts[i].rows_extents()
 
 
+@dataclass(frozen=True)
+class TraceReplay:
+    """Cache behaviour of one method's replayed steps.
+
+    ``report`` is the hierarchy's :meth:`~repro.memsim.cache.CacheHierarchy.report`
+    over all steps.  ``dram_bytes`` (lines fetched from main memory) and
+    ``cache_bytes`` (lines served by any cache level) are per step, in
+    the bytes of the float64 arrays the trace stands for.
+    """
+
+    report: dict
+    dram_bytes: float
+    cache_bytes: float
+
+
+def replay_trace(
+    method: str,
+    layer_sizes: Sequence[int],
+    batch: int = 1,
+    steps: int = 1,
+    hierarchy_scale: float = 1.0 / 8.0,
+    seed: int = 0,
+    **model_kwargs,
+) -> TraceReplay:
+    """Replay ``steps`` steps of ``method``'s trace through a fresh
+    :func:`~repro.memsim.cache.default_hierarchy`.
+
+    The default ``hierarchy_scale`` of 1/8 matches the model's default
+    ``itemsize=1`` (bytes scaled 8×), preserving the paper machine's
+    working-set-to-cache ratios; the byte counts undo the itemsize.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    model = MethodTraceModel(layer_sizes, batch=batch, seed=seed, **model_kwargs)
+    hierarchy = default_hierarchy(hierarchy_scale)
+    for _ in range(steps):
+        hierarchy.run_trace(model.step_trace(method))
+    line = hierarchy.line_size
+    unscale = _REAL_ITEMSIZE / model.itemsize
+    hits = sum(level.hits for level in hierarchy.levels)
+    return TraceReplay(
+        report=hierarchy.report(),
+        dram_bytes=hierarchy.dram_accesses * line * unscale / steps,
+        cache_bytes=hits * line * unscale / steps,
+    )
+
+
 def profile_methods(
     layer_sizes: Sequence[int],
     methods: Sequence[str] = ("standard", "dropout", "adaptive_dropout", "mc", "alsh"),
@@ -307,19 +357,16 @@ def profile_methods(
     """Replay each method's step trace and report cache statistics.
 
     Returns ``{method: {"L1": {...}, ..., "dram_accesses": n}}``; each
-    method gets a fresh hierarchy so methods do not warm each other's
-    caches.  The default ``hierarchy_scale`` of 1/8 matches the model's
-    default ``itemsize=1`` (bytes scaled 8×), preserving the paper
-    machine's working-set-to-cache ratios.
+    method gets a fresh hierarchy (:func:`replay_trace`) so methods do
+    not warm each other's caches.
     """
-    out = {}
-    for method in methods:
-        model = MethodTraceModel(layer_sizes, batch=batch, seed=seed, **model_kwargs)
-        hierarchy = default_hierarchy(hierarchy_scale)
-        for _ in range(steps):
-            hierarchy.run_trace(model.step_trace(method))
-        out[method] = hierarchy.report()
-    return out
+    return {
+        method: replay_trace(
+            method, layer_sizes, batch=batch, steps=steps,
+            hierarchy_scale=hierarchy_scale, seed=seed, **model_kwargs,
+        ).report
+        for method in methods
+    }
 
 
 #: Per-element optimiser slots as multiples of the weights, by the names
@@ -331,8 +378,6 @@ def estimate_training_memory(
     method: str,
     layer_sizes: Sequence[int],
     batch: int = 1,
-    active_frac: float = 0.05,
-    mc_node_frac: float = 0.1,
     optimizer: str = "sgd",
     itemsize: int = 8,
 ) -> Dict[str, int]:

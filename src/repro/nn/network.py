@@ -89,14 +89,20 @@ class MLP:
 
     @staticmethod
     def check_sizes(layer_sizes: Sequence[int]) -> List[int]:
-        """``layer_sizes`` as a list, refused unless it names at least an
-        input and an output size and every size is positive."""
+        """``layer_sizes`` as a list of plain ints, refused unless it names
+        at least an input and an output size and every size is a positive
+        Python or NumPy integer (a bool, float or string is refused)."""
         layer_sizes = list(layer_sizes)
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        if any(s <= 0 for s in layer_sizes):
-            raise ValueError(f"all layer sizes must be positive: {layer_sizes}")
-        return layer_sizes
+        if not all(
+            isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
+            for s in layer_sizes
+        ):
+            raise ValueError(
+                f"all layer sizes must be positive integers: {layer_sizes}"
+            )
+        return [int(s) for s in layer_sizes]
 
     @classmethod
     def from_arrays(cls, params: Sequence[Tuple[np.ndarray, np.ndarray]]) -> "MLP":

@@ -87,16 +87,12 @@ from .report import (
     derived_metrics,
     probe_overhead,
     render_counters,
-    render_histograms,
-    render_series,
-    render_spans,
     render_trace,
 )
 from .sink import (
     AGGREGATE_KIND,
     TRACE_KIND,
     load_trace_file,
-    read_traces,
     scan_jsonl,
     trace_record,
     write_trace,
@@ -149,14 +145,10 @@ __all__ = [
     "gemm_flops",
     "trace_record",
     "write_trace",
-    "read_traces",
     "scan_jsonl",
     "load_trace_file",
     "render_trace",
     "render_counters",
-    "render_spans",
-    "render_series",
-    "render_histograms",
     "derived_metrics",
     "probe_overhead",
     "render_html_report",

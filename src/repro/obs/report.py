@@ -77,9 +77,6 @@ __all__ = [
     "series_table",
     "format_text",
     "render_counters",
-    "render_spans",
-    "render_series",
-    "render_histograms",
     "render_trace",
 ]
 
@@ -381,21 +378,6 @@ def format_text(table: Table) -> str:
 def render_counters(snapshot: dict) -> str:
     """Counter table (sorted by name), derived ratios and gauges."""
     return format_text(counter_table(snapshot))
-
-
-def render_spans(snapshot: dict) -> str:
-    """Span tree indented by path depth, with per-path count and time."""
-    return format_text(_span_table(snapshot))
-
-
-def render_series(snapshot: dict) -> str:
-    """One line per recorded series: point count, last point and range."""
-    return format_text(series_table(snapshot))
-
-
-def render_histograms(snapshot: dict) -> str:
-    """One line per log-bucket histogram: count, quantiles and range."""
-    return format_text(_histogram_table(snapshot))
 
 
 def render_trace(snapshot: dict, title: str = "trace") -> str:

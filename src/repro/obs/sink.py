@@ -5,7 +5,7 @@ object per line and its resume logic only consumes records whose
 ``status`` field is ``"ok"``.  Trace records written here carry a
 ``kind`` field and *no* ``status``, so traces and sweep outcomes can
 share one file: the executor ignores trace lines on resume, and
-:func:`read_traces` ignores outcome lines.
+:func:`load_trace_file` ignores outcome lines.
 
 The executor's sink appends and reads through :func:`write_trace` and
 :func:`scan_jsonl`, so both kinds of line share one writer and one
@@ -25,7 +25,6 @@ __all__ = [
     "AGGREGATE_KIND",
     "trace_record",
     "write_trace",
-    "read_traces",
     "scan_jsonl",
     "decode_lines",
     "load_trace_file",
@@ -70,8 +69,7 @@ def scan_jsonl(path: Union[str, Path]) -> Tuple[List[dict], int]:
     decodable object line — trace records *and* executor outcomes — and
     *corrupt* counts non-empty lines that failed to decode (truncated
     crash-mid-write tails included).  Raises :class:`FileNotFoundError`
-    for a missing path; callers wanting the lenient empty-list behaviour
-    use :func:`read_traces`.
+    for a missing path.
     """
     records: List[dict] = []
     corrupt = 0
@@ -98,46 +96,28 @@ def decode_lines(lines: Iterable[str]) -> Iterator[Optional[dict]]:
         yield record if isinstance(record, dict) else None
 
 
-def _trace_filter(records: List[dict], kind: Optional[str]) -> List[dict]:
-    out = []
-    for record in records:
-        if "kind" not in record or "snapshot" not in record:
-            continue  # an executor outcome line, not a trace
-        if kind is not None and record["kind"] != kind:
-            continue
-        out.append(record)
-    return out
+def load_trace_file(path: Union[str, Path]) -> Tuple[List[dict], int]:
+    """The file's trace records (executor outcomes skipped) and its
+    corrupt-line count.
 
-
-def read_traces(path: Union[str, Path], kind: Optional[str] = None) -> List[dict]:
-    """All intact trace records in the file (skips executor outcomes).
-
-    ``kind`` filters to one record kind; corrupt lines (including a
-    truncated crash-mid-write tail) are skipped, matching the executor
-    sink's tolerance, and a missing file reads as empty.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    records, _ = scan_jsonl(path)
-    return _trace_filter(records, kind)
-
-
-def load_trace_file(
-    path: Union[str, Path], kind: Optional[str] = None
-) -> Tuple[List[dict], int]:
-    """Strict read for CLI entry points: trace records + corrupt count.
-
-    Raises :class:`FileNotFoundError` when the file does not exist and
-    :class:`ValueError` (with a one-line human message) when it is empty
-    or holds no trace records — so commands can fail cleanly instead of
-    rendering an empty report.
+    Corrupt lines, a truncated crash-mid-write tail included, are
+    skipped, matching the executor sink's tolerance.  Raises
+    :class:`FileNotFoundError` when the file does not exist and
+    :class:`ValueError` (with a one-line human message) when it is a
+    directory, cannot be read, is empty or holds no trace records — so
+    commands can fail cleanly instead of rendering an empty report.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"trace file not found: {path}")
-    records, corrupt = scan_jsonl(path)
-    traces = _trace_filter(records, kind)
+    try:
+        records, corrupt = scan_jsonl(path)
+    except OSError as exc:  # a directory, or a file we may not read
+        raise ValueError(
+            f"cannot read trace file {path}: {exc.strerror or exc}"
+        ) from None
+    # An executor outcome line carries no kind and no snapshot.
+    traces = [r for r in records if "kind" in r and "snapshot" in r]
     if not traces:
         if corrupt and not records:
             raise ValueError(

@@ -67,12 +67,15 @@ class SLOResult:
 
 
 def load_slo_spec(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load and validate a spec file; raises ValueError with a reason."""
+    """Load and validate a spec file; raises ValueError with a reason
+    (FileNotFoundError for a missing file)."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise FileNotFoundError(f"SLO spec not found: {path}")
+    except OSError as exc:  # a directory, or a file we may not read
+        raise ValueError(f"cannot read SLO spec {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"SLO spec {path} is not valid JSON: {exc}")
     entries = payload.get("slos") if isinstance(payload, dict) else None

@@ -97,10 +97,10 @@ class InferenceServer:
         The servable to answer with.
     mode:
         ``"logproba"`` or ``"topk"``.
-    k, exact, head, head_kwargs:
+    k, exact, head:
         Top-k mode configuration: answer size, the exact escape hatch,
         an optional pre-built :class:`ALSHTopKHead` (otherwise one is
-        built over the model's output layer with ``head_kwargs``).
+        built over the model's output layer).
     max_batch, max_wait, max_queue, default_deadline:
         Micro-batching and overload policy (see
         :class:`~repro.serve.batcher.MicroBatcher`).
@@ -128,7 +128,6 @@ class InferenceServer:
         k: int = 10,
         exact: bool = False,
         head: Optional[ALSHTopKHead] = None,
-        head_kwargs: Optional[dict] = None,
         max_batch: int = 32,
         max_wait: float = 0.002,
         max_queue: int = 256,
@@ -156,8 +155,7 @@ class InferenceServer:
         if mode == "topk":
             if head is None:
                 head = ALSHTopKHead(
-                    model.output_layer(), k=self.k,
-                    recorder=recorder, **(head_kwargs or {}),
+                    model.output_layer(), k=self.k, recorder=recorder
                 )
             elif not 1 <= self.k <= head.n_classes:
                 raise ValueError(

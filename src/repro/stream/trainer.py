@@ -436,7 +436,6 @@ def make_stream_trainer(
     depth: int = 2,
     batch_size: int = 20,
     drift_per_batch: float = 0.01,
-    noise: float = 0.5,
     rebuild: str = "drift",
     drift_threshold: float = 0.1,
     drift_check_every: int = 5,
@@ -453,7 +452,6 @@ def make_stream_trainer(
     probe_manager: Optional[ProbeManager] = None,
     seed: int = 0,
     lr: float = 1e-3,
-    n_bits: int = 6,
     n_tables: int = 5,
     recorder: Optional[Recorder] = None,
 ) -> StreamTrainer:
@@ -465,14 +463,16 @@ def make_stream_trainer(
     generators.  ``rebuild`` selects the maintenance policy (see
     :class:`StreamTrainer`); in "count" mode the scheduler follows the
     paper's two-phase cadence with the given periods, and in "drift"
-    mode the trainer is built with ``drift_threshold``.
+    mode the trainer is built with ``drift_threshold``.  Tables hash
+    K = 6 bits (the paper's setting), and the stream adds Gaussian noise
+    of scale 0.5 to every feature.
     """
     net = MLP([dim] + [width] * depth + [n_classes], seed=seed)
     trainer = ALSHApproxTrainer(
         net,
         lr=lr,
         optimizer="adam",
-        n_bits=n_bits,
+        n_bits=6,
         n_tables=n_tables,
         batch_mode="union",
         rebuild=RebuildScheduler(
@@ -489,7 +489,7 @@ def make_stream_trainer(
         n_classes,
         batch_size=batch_size,
         drift_per_batch=drift_per_batch,
-        noise=noise,
+        noise=0.5,
         seed=seed + 1,
     )
     return StreamTrainer(

@@ -6,10 +6,7 @@ error measurement of the trainers' own sampled forward on live networks.
 """
 
 from .analysis import layerwise_error
-from .mc_propagation import (
-    depth_at_relative_variance,
-    relative_variance_growth,
-)
+from .mc_propagation import relative_variance_growth
 from .error_propagation import (
     LinearErrorModel,
     depth_at_error_ratio,
@@ -24,5 +21,4 @@ __all__ = [
     "LinearErrorModel",
     "layerwise_error",
     "relative_variance_growth",
-    "depth_at_relative_variance",
 ]

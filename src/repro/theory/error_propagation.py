@@ -137,19 +137,3 @@ class LinearErrorModel:
             estimates.append(a_hat.copy())
             errors.append(a_true - a_hat)
         return exact, estimates, errors
-
-    def error_ratios(self, x: np.ndarray) -> np.ndarray:
-        """Per-layer mean |ε|/|â| — the quantity tabulated in §7.
-
-        Nodes whose estimate is (numerically) zero are excluded from the
-        mean; a layer where *all* estimates vanish reports infinity.
-        """
-        _, estimates, errors = self.run(x)
-        out = []
-        for est, err in zip(estimates, errors):
-            mask = np.abs(est) > 1e-12
-            if not mask.any():
-                out.append(float("inf"))
-            else:
-                out.append(float(np.mean(np.abs(err[mask]) / np.abs(est[mask]))))
-        return np.array(out)

@@ -21,12 +21,7 @@ chain is measured by :func:`repro.theory.analysis.layerwise_error` on an
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = [
-    "relative_variance_growth",
-    "depth_at_relative_variance",
-]
+__all__ = ["relative_variance_growth"]
 
 
 def relative_variance_growth(rho: float, k: int) -> float:
@@ -41,12 +36,3 @@ def relative_variance_growth(rho: float, k: int) -> float:
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     return (1.0 + rho) ** k - 1.0
-
-
-def depth_at_relative_variance(rho: float, threshold: float = 1.0) -> int:
-    """Smallest depth where compounded relative variance exceeds threshold."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    return int(np.ceil(np.log1p(threshold) / np.log1p(rho) - 1e-12))

@@ -89,7 +89,7 @@ def _kernel_flops(recorder) -> int:
 @pytest.mark.parametrize("name", TRAINER_NAMES)
 def test_inference_runs_on_the_pinned_backend(name, tiny_dataset):
     """A traced trainer's post-fit inference goes through its kernels too,
-    whichever ``predict`` the method has (and ``predict_exact``)."""
+    whichever ``predict`` the method has."""
     recorder = InMemoryRecorder()
     trainer = make_trainer(
         name, MLP(LAYER_SIZES, seed=SEED), seed=SEED, recorder=recorder
@@ -101,7 +101,3 @@ def test_inference_runs_on_the_pinned_backend(name, tiny_dataset):
     before = _kernel_flops(recorder)
     trainer.evaluate(tiny_dataset.x_test, tiny_dataset.y_test)
     assert _kernel_flops(recorder) > before
-    if hasattr(trainer, "predict_exact"):
-        before = _kernel_flops(recorder)
-        trainer.predict_exact(tiny_dataset.x_test)
-        assert _kernel_flops(recorder) > before

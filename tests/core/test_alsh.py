@@ -36,10 +36,6 @@ class TestIndexes:
         assert trainer.indexes[0].dim == 20  # fan-in of layer 0
         assert trainer.indexes[1].dim == 40
 
-    def test_memory_bytes(self):
-        trainer, _ = make_trainer_and_net()
-        assert trainer.index_memory_bytes() > 0
-
 
 class TestActiveSelection:
     def test_bounds_respected(self, rng):
@@ -140,11 +136,6 @@ class TestInference:
         preds = trainer.predict(rng.normal(size=(7, 20)))
         assert preds.shape == (7,)
         assert ((preds >= 0) & (preds < 4)).all()
-
-    def test_exact_prediction_available(self, rng):
-        trainer, net = make_trainer_and_net()
-        x = rng.normal(size=(5, 20))
-        np.testing.assert_array_equal(trainer.predict_exact(x), net.predict(x))
 
 
 class TestUnionBatchMode:

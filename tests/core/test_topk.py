@@ -139,9 +139,3 @@ class TestInference:
         preds = trainer.predict(rng.normal(size=(6, 10)))
         assert preds.shape == (6,)
         assert ((preds >= 0) & (preds < 4)).all()
-
-    def test_predict_exact_available(self, rng):
-        net = MLP([10, 20, 4], seed=0)
-        trainer = TopKApproxTrainer(net, seed=1)
-        x = rng.normal(size=(5, 10))
-        np.testing.assert_array_equal(trainer.predict_exact(x), net.predict(x))

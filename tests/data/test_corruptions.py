@@ -6,7 +6,6 @@ import pytest
 from repro.data.corruptions import (
     with_class_imbalance,
     with_dead_features,
-    with_feature_noise,
     with_label_noise,
 )
 
@@ -43,21 +42,6 @@ class TestLabelNoise:
     def test_invalid_fraction(self, tiny_dataset):
         with pytest.raises(ValueError):
             with_label_noise(tiny_dataset, 1.5)
-
-
-class TestFeatureNoise:
-    def test_noise_magnitude(self, tiny_dataset):
-        noisy = with_feature_noise(tiny_dataset, 2.0, seed=0)
-        diff = noisy.x_train - tiny_dataset.x_train
-        assert diff.std() == pytest.approx(2.0, rel=0.05)
-
-    def test_test_split_clean(self, tiny_dataset):
-        noisy = with_feature_noise(tiny_dataset, 1.0, seed=0)
-        np.testing.assert_array_equal(noisy.x_test, tiny_dataset.x_test)
-
-    def test_invalid_sigma(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            with_feature_noise(tiny_dataset, -1.0)
 
 
 class TestDeadFeatures:

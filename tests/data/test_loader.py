@@ -38,13 +38,6 @@ class TestIteration:
         sizes = [len(yb) for _, yb in loader]
         assert sizes == [4] * 6 + [1]
 
-    def test_drop_last(self, xy):
-        x, y = xy
-        loader = BatchLoader(x, y, batch_size=4, drop_last=True, seed=0)
-        sizes = [len(yb) for _, yb in loader]
-        assert sizes == [4] * 6
-        assert len(loader) == 6
-
     def test_len_matches_iteration(self, xy):
         x, y = xy
         for bs in (1, 4, 25, 30):

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.harness.parallel import (
-    ALSH_PHASES,
-    PhaseProfile,
-    fit_from_measurements,
-    measured_vs_projected,
-    projected_time,
-    speedup_curve,
-)
+from repro.harness.parallel import PhaseProfile, projected_time, speedup_curve
 from repro.harness.recommend import Recommendation, recommend_method
 
 
@@ -95,51 +88,3 @@ class TestProjectedTime:
         assert curve[64] < 64.0
         # Diminishing returns: marginal gain shrinks.
         assert curve[64] / curve[16] < curve[16] / curve[4]
-
-
-class TestFitFromMeasurements:
-    def test_recovers_known_fraction(self):
-        """Times generated from an Amdahl law are fitted back exactly."""
-        f = 0.8
-        times = {p: (1 - f) + f / p for p in (1, 2, 4, 8)}
-        fitted = fit_from_measurements(times)
-        assert fitted.parallel_fraction == pytest.approx(f)
-        assert fitted.share == 1.0
-
-    def test_perfectly_serial_and_parallel_extremes(self):
-        serial = fit_from_measurements({1: 2.0, 2: 2.0, 8: 2.0})
-        assert serial.parallel_fraction == pytest.approx(0.0)
-        linear = fit_from_measurements({1: 8.0, 2: 4.0, 8: 1.0})
-        assert linear.parallel_fraction == pytest.approx(1.0)
-
-    def test_fraction_clamped(self):
-        # Superlinear "measurements" (cache effects) clamp to 1.
-        fitted = fit_from_measurements({1: 10.0, 8: 0.5})
-        assert fitted.parallel_fraction == 1.0
-
-    def test_fitted_profile_feeds_speedup_curve(self):
-        fitted = fit_from_measurements({1: 1.0, 2: 0.6, 4: 0.4})
-        curve = speedup_curve([1, 2, 4], phases=(fitted,))
-        assert curve[1] == pytest.approx(1.0)
-        assert curve[2] > 1.0
-
-    def test_requires_single_core_point(self):
-        with pytest.raises(ValueError, match="1-processor"):
-            fit_from_measurements({2: 1.0, 4: 0.5})
-        with pytest.raises(ValueError):
-            fit_from_measurements({1: 0.0, 2: 1.0})
-        with pytest.raises(ValueError):
-            fit_from_measurements({1: 1.0, 2: -1.0})
-
-    def test_measured_vs_projected_report(self):
-        f = 0.9
-        times = {p: (1 - f) + f / p for p in (1, 2, 4)}
-        report = measured_vs_projected(times)
-        assert sorted(report) == [1, 2, 4]
-        for p, row in report.items():
-            assert row["measured"] == pytest.approx(times[1] / times[p])
-            assert row["fitted"] == pytest.approx(row["measured"], rel=1e-6)
-            # The §9.2 projection comes from ALSH_PHASES, not the fit.
-            assert row["projected"] == pytest.approx(
-                1.0 / projected_time(1.0, p, ALSH_PHASES)
-            )

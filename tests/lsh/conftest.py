@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.lsh.tables import make_hash_function
+from repro.lsh.dwta import DensifiedWTA
+from repro.lsh.srp import SignedRandomProjection
+
+FAMILIES = {"srp": SignedRandomProjection, "dwta": DensifiedWTA}
 
 
 class BucketOracle:
@@ -17,9 +20,7 @@ class BucketOracle:
 
     def __init__(self, dim, n_bits=6, n_tables=5, family="srp", seed=None):
         rng = np.random.default_rng(seed)
-        self.fns = [
-            make_hash_function(family, dim, n_bits, rng) for _ in range(n_tables)
-        ]
+        self.fns = [FAMILIES[family](dim, n_bits, rng=rng) for _ in range(n_tables)]
         self.codes = np.full((n_tables, 0), -1, dtype=np.int64)
 
     def _hash(self, vectors):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.lsh.dwta import DensifiedWTA
-from repro.lsh.tables import HASH_FAMILIES, LSHIndex, make_hash_function
+from repro.lsh.tables import HASH_FAMILIES, LSHIndex
 
 
 class TestConstruction:
@@ -31,9 +31,6 @@ class TestConstruction:
         fn = DensifiedWTA(3, 6, bin_size=8, rng=rng)
         codes = fn.hash(rng.normal(size=(10, 3)))
         assert ((codes >= 0) & (codes < 64)).all()
-
-    def test_nbytes_positive(self, rng):
-        assert DensifiedWTA(16, 6, rng=rng).nbytes > 0
 
 
 class TestHashing:
@@ -62,7 +59,7 @@ class TestHashing:
     def test_identical_vectors_collide(self, rng):
         fn = DensifiedWTA(16, 8, rng=rng)
         v = rng.normal(size=16)
-        assert fn.hash_one(v) == fn.hash_one(v.copy())
+        assert fn.hash(v)[0] == fn.hash(v.copy())[0]
 
     def test_wrong_dim_rejected(self, rng):
         fn = DensifiedWTA(16, 6, rng=rng)
@@ -96,7 +93,7 @@ class TestDensification:
 
     def test_all_zero_vector_degenerates_gracefully(self, rng):
         fn = DensifiedWTA(16, 6, rng=rng)
-        assert 0 <= fn.hash_one(np.zeros(16)) < 64
+        assert 0 <= fn.hash(np.zeros(16))[0] < 64
 
     def test_sparse_similarity_preserved(self, rng):
         """Two sparse vectors sharing their support should collide more
@@ -111,19 +108,19 @@ class TestDensification:
             same[:6] *= 1.01
             disjoint = np.zeros(dim)
             disjoint[6:12] = v[:6]
-            code = fn.hash_one(v)
-            hits_same += code == fn.hash_one(same)
-            hits_disjoint += code == fn.hash_one(disjoint)
+            code, code_same, code_disjoint = fn.hash(np.stack([v, same, disjoint]))
+            hits_same += code == code_same
+            hits_disjoint += code == code_disjoint
         assert hits_same > hits_disjoint
 
 
 class TestFamilyIntegration:
-    def test_factory(self, rng):
+    def test_factory(self):
         assert set(HASH_FAMILIES) == {"srp", "dwta"}
-        fn = make_hash_function("dwta", 8, 4, rng)
-        assert isinstance(fn, DensifiedWTA)
+        index = LSHIndex(8, n_bits=4, n_tables=2, family="dwta", seed=0)
+        assert all(isinstance(fn, DensifiedWTA) for fn in index.fns)
         with pytest.raises(ValueError, match="unknown hash family"):
-            make_hash_function("minhash", 8, 4, rng)
+            LSHIndex(8, n_bits=4, family="minhash")
 
     def test_lsh_index_with_dwta(self, rng):
         vectors = rng.normal(size=(40, 16))

@@ -204,12 +204,6 @@ class TestFlatHashTables:
         flat.update(np.empty(0, dtype=int), np.empty((0, 8)))
         assert len(flat) == 10
 
-    def test_memory_grows_with_items(self, flat, rng):
-        flat.build(rng.normal(size=(10, 8)))
-        small = flat.memory_bytes()
-        flat.build(rng.normal(size=(200, 8)))
-        assert flat.memory_bytes() > small
-
     def test_mismatched_ids_vectors_raise(self, flat, rng):
         with pytest.raises(ValueError):
             flat.update(np.array([0, 1]), rng.normal(size=(3, 8)))

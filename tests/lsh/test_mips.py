@@ -78,11 +78,6 @@ class TestMIPSIndex:
         index.update(np.array([0]), new_vec.reshape(1, -1))
         assert 0 in index.query(q)
 
-    def test_memory_bytes(self, data):
-        index = MIPSIndex(16, seed=4)
-        index.build(data)
-        assert index.memory_bytes() > 0
-
     def test_empty_update_is_noop(self, data, rng):
         index = MIPSIndex(16, seed=4)
         index.build(data)

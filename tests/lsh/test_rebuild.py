@@ -56,19 +56,3 @@ class TestBatchRecording:
         sched = RebuildScheduler(early_every=10, warmup_samples=0, late_every=10)
         assert sched.record(35)
         assert sched.rebuild_count == 1
-
-
-class TestReset:
-    def test_reset_forgets_everything(self):
-        sched = RebuildScheduler(early_every=10, warmup_samples=100, late_every=50)
-        sched.record(95)
-        sched.reset()
-        assert sched.samples_seen == 0
-        assert sched.rebuild_count == 0
-        assert sched.current_period() == 10
-
-    def test_samples_seen_accumulates(self):
-        sched = RebuildScheduler()
-        sched.record(3)
-        sched.record(4)
-        assert sched.samples_seen == 7

@@ -48,7 +48,7 @@ class TestHashing:
     def test_identical_vectors_always_collide(self, rng):
         srp = SignedRandomProjection(10, 8, rng)
         v = rng.normal(size=10)
-        assert srp.hash_one(v) == srp.hash_one(v.copy())
+        assert srp.hash(v)[0] == srp.hash(v.copy())[0]
 
     def test_opposite_vectors_never_collide(self, rng):
         """Antipodal points differ in every bit (θ = π)."""
@@ -62,18 +62,6 @@ class TestHashing:
         srp = SignedRandomProjection(10, 4, rng)
         with pytest.raises(ValueError):
             srp.hash(rng.normal(size=(5, 7)))
-
-    def test_hash_one_matches_hash(self, rng):
-        srp = SignedRandomProjection(12, 7, rng)
-        vectors = rng.normal(size=(25, 12))
-        codes = srp.hash(vectors)
-        for i in range(25):
-            assert srp.hash_one(vectors[i]) == codes[i]
-
-    def test_hash_one_wrong_dim_raises(self, rng):
-        srp = SignedRandomProjection(10, 4, rng)
-        with pytest.raises(ValueError):
-            srp.hash_one(rng.normal(size=7))
 
 
 class TestPackBits:
@@ -151,7 +139,8 @@ class TestCollisionProbability:
         hits = 0
         for i in range(n_trials):
             srp = SignedRandomProjection(3, 2, np.random.default_rng(i))
-            hits += srp.hash_one(u) == srp.hash_one(v)
+            code_u, code_v = srp.hash(np.stack([u, v]))
+            hits += code_u == code_v
         empirical = hits / n_trials
         analytic = collision_probability(u, v, n_bits=2)
         assert empirical == pytest.approx(analytic, abs=0.03)

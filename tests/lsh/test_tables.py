@@ -58,13 +58,6 @@ class TestLSHIndex:
         candidates = index.query(vectors[0])
         assert (candidates < 10).all()
 
-    def test_memory_bytes_positive_and_grows(self, rng, vectors):
-        small = LSHIndex(12, n_tables=2, seed=6)
-        small.build(vectors)
-        large = LSHIndex(12, n_tables=8, seed=6)
-        large.build(vectors)
-        assert 0 < small.memory_bytes() < large.memory_bytes()
-
     def test_invalid_tables(self):
         with pytest.raises(ValueError):
             LSHIndex(4, n_tables=0)

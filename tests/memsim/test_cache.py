@@ -48,15 +48,6 @@ class TestCacheLevel:
         cache.access_line(0)
         assert cache.miss_rate() == pytest.approx(0.5)
 
-    def test_flush_and_reset(self):
-        cache = CacheLevel(64 * 8, line_size=64, associativity=8)
-        cache.access_line(5)
-        cache.reset_stats()
-        assert cache.accesses == 0
-        assert cache.access_line(5) is True  # contents survived reset_stats
-        cache.flush()
-        assert cache.access_line(5) is False  # flush emptied it
-
 
 class TestHierarchy:
     def _small(self):
@@ -113,14 +104,6 @@ class TestHierarchy:
         assert report["L1"]["hits"] == 1
         assert report["L1"]["misses"] == 2
         assert report["dram_accesses"] == 2
-        assert h.total_misses() == 2
-
-    def test_flush(self):
-        h = self._small()
-        h.access(0, 8)
-        h.flush()
-        assert h.dram_accesses == 0
-        assert h.levels[0].accesses == 0
 
 
 class TestDefaultHierarchy:
@@ -142,9 +125,9 @@ class TestDefaultHierarchy:
         h = default_hierarchy(scale=1.0 / 64.0)
         trace = [(addr, 64) for addr in range(0, 2048, 64)]
         h.run_trace(trace)  # warm up
-        h.levels[0].reset_stats()
+        cold_misses = h.levels[0].misses
         h.run_trace(trace * 5)
-        assert h.levels[0].miss_rate() == 0.0
+        assert h.levels[0].misses == cold_misses
 
     def test_column_gather_worse_than_row_stream(self):
         """The locality effect behind the §9.4 findings: touching k scattered

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.memsim.cache import default_hierarchy
 from repro.memsim.profile import (
     OPTIMIZER_SLOTS,
     ArrayRegion,
     MethodTraceModel,
     estimate_training_memory,
     profile_methods,
+    replay_trace,
 )
 from repro.nn.optim import OPTIMIZERS
 
@@ -25,10 +27,6 @@ class TestArrayRegion:
         r = ArrayRegion(base=0, rows=3, cols=4, itemsize=8)
         extents = list(r.column_extents(1))
         assert extents == [(8, 8), (40, 8), (72, 8)]
-
-    def test_element(self):
-        r = ArrayRegion(base=0, rows=3, cols=4, itemsize=8)
-        assert r.element(1, 2) == (48, 8)
 
     def test_nbytes(self):
         assert ArrayRegion(0, 3, 4).nbytes == 96
@@ -86,6 +84,23 @@ class TestTraceModel:
         with pytest.raises(ValueError):
             MethodTraceModel([10], seed=0)
 
+    def test_regions_aligned_and_disjoint(self):
+        model = MethodTraceModel([13, 7, 5], batch=3, seed=0)
+        regions = model.weights + model.acts + model.masks + [model.tables]
+        for prev, region in zip(regions, regions[1:]):
+            assert region.base % 64 == 0
+            assert region.base >= prev.base + prev.nbytes
+
+    def test_layout_is_weights_activations_masks_then_tables(self):
+        """Each region starts where the previous one ends, rounded up to
+        the next 64-byte line: W0 (13x7 = 91 B at itemsize 1) ends at 91,
+        so W1 starts at 128."""
+        model = MethodTraceModel([13, 7, 5], batch=3, seed=0)
+        bases = [r.base for r in model.weights + model.acts + model.masks]
+        assert bases == [0, 128, 192, 256, 320, 384]
+        assert model.tables.base == 448
+        assert model.tables.nbytes == 64 * 1024
+
 
 class TestProfiling:
     # Working set (W = 90 KB at itemsize 1) straddles the scaled L1 (12 KB)
@@ -128,6 +143,40 @@ class TestProfiling:
         """MC-approx's sampled row band reads less of W than STANDARD's
         full delta-propagation stream."""
         assert report["mc"]["L1"]["misses"] < report["standard"]["L1"]["misses"]
+
+
+class TestReplay:
+    ARCH = [256, 300, 300, 300, 10]
+
+    def test_profile_is_the_replay_report(self):
+        report = profile_methods(self.ARCH, methods=("mc",), steps=2, seed=0)
+        assert report["mc"] == replay_trace("mc", self.ARCH, steps=2, seed=0).report
+
+    def test_matches_a_hand_replay(self):
+        model = MethodTraceModel(self.ARCH, batch=2, seed=4)
+        hierarchy = default_hierarchy(1 / 16)
+        for _ in range(3):
+            hierarchy.run_trace(model.step_trace("alsh"))
+        replay = replay_trace(
+            "alsh", self.ARCH, batch=2, steps=3, hierarchy_scale=1 / 16, seed=4
+        )
+        assert replay.report == hierarchy.report()
+
+    def test_bytes_are_float64_bytes_per_step(self):
+        """Itemsize-1 lines stand for 8x the bytes; two steps halve."""
+        replay = replay_trace("standard", self.ARCH, steps=2, hierarchy_scale=1 / 32)
+        levels = [replay.report[name] for name in ("L1", "L2", "L3")]
+        assert replay.dram_bytes == replay.report["dram_accesses"] * 64 * 8 / 2
+        assert replay.cache_bytes == sum(lvl["hits"] for lvl in levels) * 64 * 8 / 2
+
+    def test_itemsize_is_undone(self):
+        """At the real itemsize the trace's bytes are already float64's."""
+        replay = replay_trace("mc", [64, 32, 10], itemsize=8, hierarchy_scale=1)
+        assert replay.dram_bytes == replay.report["dram_accesses"] * 64
+
+    def test_invalid_steps(self):
+        with pytest.raises(ValueError, match="steps"):
+            replay_trace("mc", self.ARCH, steps=0)
 
 
 class TestMemoryEstimates:

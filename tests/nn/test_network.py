@@ -21,6 +21,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MLP([10, 0, 3])
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [[4, 2.5, 2], [4.0, 3, 2], [4, True, 2], ["4", 3, 2],
+         [4, np.float64(3), 2], [4, np.bool_(True), 2]],
+        ids=["float", "integral-float", "bool", "str", "numpy-float", "numpy-bool"],
+    )
+    def test_rejects_sizes_that_are_not_integers(self, sizes):
+        with pytest.raises(ValueError, match="must be positive integers"):
+            MLP(sizes)
+
+    def test_numpy_integer_sizes_are_plain_ints(self):
+        net = MLP(np.array([4, 3, 2]), seed=0)
+        assert net.layer_sizes == [4, 3, 2]
+        assert all(type(s) is int for s in net.layer_sizes)
+
+    def test_numpy_integer_sizes_draw_the_same_weights(self):
+        plain = MLP([4, 3, 2], seed=7)
+        numpy = MLP(np.array([4, 3, 2], dtype=np.int32), seed=7)
+        for a, b in zip(plain.layers, numpy.layers):
+            assert a.W.tobytes() == b.W.tobytes()
+            assert a.b.tobytes() == b.b.tobytes()
+
     def test_num_params(self):
         net = MLP([4, 3, 2], seed=0)
         assert net.num_params() == (4 * 3 + 3) + (3 * 2 + 2)

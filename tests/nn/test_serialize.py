@@ -58,6 +58,14 @@ class TestRoundTrip:
         assert isinstance(loaded.hidden_activation, ReLU)
         assert isinstance(loaded.output_activation, LogSoftmax)
 
+    def test_numpy_integer_sizes_round_trip(self, tmp_path):
+        net = MLP(np.array([5, 4, 3]), seed=2)
+        loaded = load_mlp(save_mlp(net, tmp_path / "model"))
+        assert loaded.layer_sizes == [5, 4, 3]
+        for la, lb in zip(net.layers, loaded.layers):
+            np.testing.assert_array_equal(la.W, lb.W)
+            np.testing.assert_array_equal(la.b, lb.b)
+
     def test_suffix_appended(self, tmp_path):
         path = save_mlp(MLP([4, 2], seed=0), tmp_path / "model")
         assert path.suffix == ".npz"

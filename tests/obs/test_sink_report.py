@@ -14,9 +14,8 @@ from repro.obs import (
     AGGREGATE_KIND,
     InMemoryRecorder,
     derived_metrics,
-    read_traces,
+    load_trace_file,
     render_counters,
-    render_spans,
     render_trace,
     trace_record,
     write_trace,
@@ -38,16 +37,17 @@ class TestSink:
         path = tmp_path / "traces.jsonl"
         record = trace_record(_snapshot(c=1), label="run-a", key="k1", extra=42)
         write_trace(path, record)
-        loaded = read_traces(path)
+        loaded, corrupt = load_trace_file(path)
         assert loaded == [record]
         assert loaded[0]["extra"] == 42
+        assert corrupt == 0
 
-    def test_kind_filter(self, tmp_path):
+    def test_every_trace_kind_is_read(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         write_trace(path, trace_record(_snapshot(), label="t"))
         write_trace(path, trace_record(_snapshot(), kind=AGGREGATE_KIND))
-        assert len(read_traces(path)) == 2
-        assert len(read_traces(path, kind=AGGREGATE_KIND)) == 1
+        traces, _ = load_trace_file(path)
+        assert [t["kind"] for t in traces] == ["trace", AGGREGATE_KIND]
 
     def test_skips_executor_outcomes_and_truncated_lines(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -56,14 +56,31 @@ class TestSink:
         write_trace(path, trace_record(_snapshot(c=3), label="t"))
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"kind": "trace", "snaps')  # crash mid-write
-        traces = read_traces(path)
+        traces, corrupt = load_trace_file(path)
         assert len(traces) == 1
+        assert corrupt == 1
         assert traces[0]["snapshot"]["counters"] == {"c": 3}
         # and the executor side ignores the trace line symmetrically:
         assert set(sink.completed()) == {"task-1"}
 
-    def test_missing_file_is_empty(self, tmp_path):
-        assert read_traces(tmp_path / "absent.jsonl") == []
+    def test_missing_file_is_refused(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="trace file not found"):
+            load_trace_file(tmp_path / "absent.jsonl")
+
+    def test_directory_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot read trace file"):
+            load_trace_file(tmp_path)
+
+    def test_unreadable_file_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "traces.jsonl"
+        write_trace(path, trace_record(_snapshot(), label="t"))
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("repro.obs.sink.scan_jsonl", denied)
+        with pytest.raises(ValueError, match="Permission denied"):
+            load_trace_file(path)
 
 
 class TestDerivedMetrics:
@@ -94,7 +111,7 @@ class TestRendering:
 
     def test_render_empty(self):
         assert "no counters" in render_counters(_snapshot())
-        assert "no spans" in render_spans(_snapshot())
+        assert "no spans" in render_trace(_snapshot())
 
     def test_render_trace_includes_title_and_spans(self):
         rec = InMemoryRecorder()

@@ -53,6 +53,10 @@ class TestLoadSpec:
         with pytest.raises(FileNotFoundError):
             load_slo_spec(tmp_path / "absent.json")
 
+    def test_directory_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot read SLO spec"):
+            load_slo_spec(tmp_path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import RequestTracer
-from repro.obs.sink import read_traces, scan_jsonl, trace_record, write_trace
+from repro.obs.sink import load_trace_file, scan_jsonl, trace_record, write_trace
 from repro.obs.tracectx import (
     NULL_TRACER,
     REQUEST_TRACE_KIND,
@@ -98,13 +98,14 @@ class TestSinkFlush:
         assert sum(len(r["events"]) for r in records) == 25
 
     def test_trace_records_invisible_to_snapshot_readers(self, tmp_path):
-        """read_traces skips request_trace records (no snapshot key)."""
+        """load_trace_file skips request_trace records (no snapshot key)."""
         store = tmp_path / "trace.jsonl"
         tracer = RequestTracer(sink=store)
         tracer.event("r000001", "enqueued", t=0.0)
         tracer.flush()
         write_trace(store, trace_record({"counters": {}}, label="run"))
-        assert len(read_traces(store)) == 1
+        traces, _ = load_trace_file(store)
+        assert len(traces) == 1
 
 
 def _events():

@@ -148,10 +148,10 @@ class TestSmokeWithTelemetry:
         out = capsys.readouterr().out
         assert "metrics: scraped" in out
         assert "healthz 200" in out
-        from repro.obs.sink import read_traces, scan_jsonl
+        from repro.obs.sink import load_trace_file, scan_jsonl
         from repro.obs.tracectx import read_trace_events
 
-        assert len(read_traces(store)) >= 1  # the snapshot record
+        assert len(load_trace_file(store)[0]) >= 1  # the snapshot record
         records, corrupt = scan_jsonl(store)
         assert corrupt == 0
         events = read_trace_events(records)
@@ -159,11 +159,11 @@ class TestSmokeWithTelemetry:
 
     def test_smoke_record_carries_elapsed_and_qps(self, tmp_path):
         from repro.obs.monitor import summarize_record
-        from repro.obs.sink import read_traces
+        from repro.obs.sink import load_trace_file
 
         store = tmp_path / "serve.jsonl"
         assert run_smoke(requests=120, seed=0, verbose=False, store=store) == 0
-        (record,) = read_traces(store)
+        (record,), _ = load_trace_file(store)
         assert record["label"] == "serve-smoke"
         assert record["elapsed"] > 0
         assert "qps=" in summarize_record(record)

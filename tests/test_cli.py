@@ -10,7 +10,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+REPO = Path(__file__).resolve().parent.parent
+SRC = str(REPO / "src")
 
 
 class TestParser:
@@ -225,12 +226,23 @@ def _usage_errors():
         ["stream", "--smoke", "--checkpoint-every", "5"],
         ["stream", "--smoke", "--metrics-port", "0"],
         ["stream", "--smoke", "--store", "s.jsonl"],
+        # ".." is a directory: the parent of the command's working dir.
+        ["report", ".."],
+        ["monitor", ".."],
+        ["monitor", "..", "--follow"],
+        ["trace-report", "--from-store", ".."],
+        ["trace-report", "--request", "r000001", "--from-store", ".."],
+        ["slo-check", "examples/slo_serve.json", "--from-store", ".."],
+        ["slo-check", "..", "--from-store", "s.jsonl"],
+        ["serve", "--slo", "..", "--metrics-port", "0"],
     ]
 
 
 @pytest.mark.parametrize("argv", _usage_errors(), ids=" ".join)
 def test_flag_misuse_exits_2_without_traceback(argv, tmp_path):
     """A bad flag is one error line and exit 2, before any training."""
+    # Example files are named by their path in the repository.
+    argv = [str(REPO / a) if a.startswith("examples/") else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "repro"] + argv,
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
@@ -490,12 +502,12 @@ class TestServeCommand:
         assert "(mlp), mode logproba" in capsys.readouterr().out
 
     def test_smoke_honours_serve_flags(self, capsys, tmp_path):
-        from repro.obs.sink import read_traces
+        from repro.obs.sink import load_trace_file
 
         store = str(tmp_path / "s.jsonl")
         assert main(["serve", "--smoke", "--topk", "3", "--max-batch", "4",
                      "--requests", "64", "--store", store]) == 0
-        (record,) = read_traces(store)
+        (record,), _ = load_trace_file(store)
         snapshot = record["snapshot"]
         assert snapshot["counters"]["serve.head.queries"] == 64
         sizes = [size for _, size in snapshot["series"]["serve.batch_size"]]

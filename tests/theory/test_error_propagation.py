@@ -114,15 +114,6 @@ class TestLemmaRecursionSimulator:
             ratio = exact[k][0] / estimates[k][0]
             assert ratio == pytest.approx(2.0 ** (k + 1), rel=1e-9)
 
-    def test_error_ratios_grow_with_depth(self, rng):
-        """Even with oracle top-k selection, relative error compounds."""
-        weights = [rng.normal(size=(20, 20)) / np.sqrt(20) for _ in range(5)]
-        model = LinearErrorModel(weights, active_frac=0.5)
-        ratios = model.error_ratios(rng.normal(size=20))
-        # Not necessarily monotone sample-by-sample, but the deep end must
-        # exceed the shallow end.
-        assert ratios[-1] > ratios[0]
-
     def test_chained_shape_validation(self, rng):
         with pytest.raises(ValueError):
             LinearErrorModel([rng.normal(size=(4, 5)), rng.normal(size=(4, 5))])

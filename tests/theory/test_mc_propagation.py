@@ -6,10 +6,7 @@ import pytest
 from repro.core.mc_approx import MCApproxTrainer
 from repro.nn.network import MLP
 from repro.theory.analysis import layerwise_error
-from repro.theory.mc_propagation import (
-    depth_at_relative_variance,
-    relative_variance_growth,
-)
+from repro.theory.mc_propagation import relative_variance_growth
 
 
 def forward_approx_mc(net, node_frac):
@@ -44,20 +41,6 @@ class TestClosedForm:
             relative_variance_growth(-0.1, 2)
         with pytest.raises(ValueError):
             relative_variance_growth(0.1, -1)
-
-
-class TestDepthThreshold:
-    def test_minimal_depth(self):
-        rho = 0.2
-        k = depth_at_relative_variance(rho, 1.0)
-        assert relative_variance_growth(rho, k) >= 1.0
-        assert relative_variance_growth(rho, k - 1) < 1.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            depth_at_relative_variance(0.0)
-        with pytest.raises(ValueError):
-            depth_at_relative_variance(0.5, threshold=0.0)
 
 
 class TestMeasurement:
