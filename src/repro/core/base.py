@@ -619,6 +619,15 @@ class Trainer:
         """One optimisation step on a batch; returns the batch loss."""
         raise NotImplementedError
 
+    @staticmethod
+    def _as_batch(x: np.ndarray) -> np.ndarray:
+        """``x`` as a 2-D float batch; a zero-row batch raises
+        ``ValueError("empty batch")`` before any trainer state changes."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[0] == 0:
+            raise ValueError("empty batch")
+        return x
+
     def fit(
         self,
         x_train: np.ndarray,

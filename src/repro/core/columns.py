@@ -139,7 +139,7 @@ class ColumnSamplingTrainer(Trainer):
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
         """One step per sample, or one step for the batch when it shares
         its active sets (:attr:`shared_active_set`)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._as_batch(x)
         y = np.asarray(y).reshape(-1)
         with self._backend_scope():
             if self.shared_active_set:

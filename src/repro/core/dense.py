@@ -79,7 +79,7 @@ class DenseLoopTrainer(Trainer):
         return acts, zs, masks, layers[-1].forward(a)
 
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._as_batch(x)
         layers = self.net.layers
         act = self.net.hidden_activation
         with self._backend_scope():

@@ -27,7 +27,7 @@ class StandardTrainer(DenseLoopTrainer):
     name = "standard"
 
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._as_batch(x)
         if len(x) == 1:
             return super().train_batch(x, y)
         with self._backend_scope():

@@ -12,6 +12,10 @@ rotate slowly in feature space: after ``period`` batches each prototype
 has moved a fixed angle towards a fresh random direction.  Labels stay
 meaningful throughout (the Bayes classifier tracks the rotation), so a
 learner that adapts keeps its accuracy and a frozen one decays.
+
+A drift step moves every class in one vectorised slerp; each class keeps
+its own ``p @ t`` cosine and row-wise normalisation, and reached targets
+are redrawn in class order, so a seed fixes the stream bit for bit.
 """
 
 from __future__ import annotations
@@ -86,22 +90,33 @@ class DriftingStream:
 
     def _rotate_towards(self) -> None:
         """Move each prototype ``drift_per_batch`` radians toward its
-        target; targets are refreshed when (nearly) reached."""
-        for c in range(self.n_classes):
-            p, t = self._protos[c], self._targets[c]
-            cos = float(np.clip(p @ t, -1.0, 1.0))
-            angle = np.arccos(cos)
-            if angle < self.drift_per_batch + 1e-6:
-                self._targets[c] = self._unit(self.rng.normal(size=self.dim))
-                continue
+        target; targets are refreshed when (nearly) reached.
+
+        The stack of ``(1, dim) @ (dim, 1)`` products runs NumPy's dot
+        kernel once per class, as ``p @ t`` does, so every cosine is the
+        one a per-class step computes.
+        """
+        protos, targets = self._protos, self._targets
+        cos = np.matmul(protos[:, None, :], targets[:, :, None])[:, 0, 0]
+        cos = np.clip(cos, -1.0, 1.0)
+        angle = np.arccos(cos)
+        reached = angle < self.drift_per_batch + 1e-6
+        move = np.flatnonzero(~reached)
+        if move.size:
             # Slerp a small step along the geodesic from p to t.
+            angle = angle[move, None]
             step = self.drift_per_batch / angle
             sin = np.sin(angle)
             new = (
-                np.sin((1 - step) * angle) / sin * p
-                + np.sin(step * angle) / sin * t
+                np.sin((1 - step) * angle) / sin * protos[move]
+                + np.sin(step * angle) / sin * targets[move]
             )
-            self._protos[c] = self._unit(new)
+            protos[move] = self._unit(new)
+        redraw = np.flatnonzero(reached)
+        if redraw.size:
+            targets[redraw] = self._unit(
+                self.rng.normal(size=(redraw.size, self.dim))
+            )
 
     def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
         """Emit one (x, y) batch and advance the drift."""

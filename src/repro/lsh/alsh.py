@@ -90,14 +90,16 @@ class AsymmetricTransform:
 
         Zero queries are padded without normalisation (they collide
         arbitrarily, which is the honest behaviour for a dead activation
-        vector).
+        vector), and so are queries whose norm is NaN.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        dim = queries.shape[1]
+        out = np.empty((queries.shape[0], dim + self.m))
         norms = np.linalg.norm(queries, axis=1, keepdims=True)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        normalised = queries / safe
-        pad = np.full((queries.shape[0], self.m), 0.5)
-        return np.hstack([normalised, pad])
+        norms[~(norms > 0.0)] = 1.0
+        np.divide(queries, norms, out=out[:, :dim])
+        out[:, dim:] = 0.5
+        return out
 
     def transform_query_one(self, query: np.ndarray) -> np.ndarray:
         """Q applied to a single vector (1-D in, 1-D out)."""

@@ -53,10 +53,9 @@ class ColumnDriftTracker:
         drift when they moved at all — they must be re-hashed.
         """
         cols = np.asarray(cols)
-        delta = np.linalg.norm(
-            weights[:, cols] - self._reference[:, cols], axis=0
-        )
-        ref = np.linalg.norm(self._reference[:, cols], axis=0)
+        reference = self._reference[:, cols]
+        delta = np.linalg.norm(weights[:, cols] - reference, axis=0)
+        ref = np.linalg.norm(reference, axis=0)
         out = np.empty(cols.shape, dtype=float)
         zero_ref = ref == 0.0
         out[~zero_ref] = delta[~zero_ref] / ref[~zero_ref]

@@ -27,14 +27,15 @@ __all__ = [
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(..., K)`` bool array into little-endian int64 codes.
 
-    Equivalent to ``bits @ [1, 2, 4, ...]`` but shift-accumulates over the
-    K axis instead of materializing an int64 copy of the whole bit matrix,
-    so only the ``(...)``-shaped accumulator is ever allocated.
+    Equivalent to ``bits @ [1, 2, 4, ...]`` without an int64 copy of the
+    bit matrix: ``np.packbits`` writes each row's bits into little-endian
+    bytes, which are padded to eight and read as one int64 (K ≤ 62, so
+    every code is non-negative).
     """
-    codes = np.zeros(bits.shape[:-1], dtype=np.int64)
-    for k in range(bits.shape[-1]):
-        codes |= bits[..., k].astype(np.int64) << k
-    return codes
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = np.zeros(bits.shape[:-1] + (8,), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view("<i8")[..., 0].astype(np.int64, copy=False)
 
 
 class SignedRandomProjection:

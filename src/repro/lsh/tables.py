@@ -40,7 +40,11 @@ Storage layout
     under code ``c`` is live iff ``item_gcode`` still maps it to ``c``.
 ``extra_items[t]`` / ``extra_gcodes[t]``
     Entries appended by :meth:`LSHIndex.update` since the last
-    compaction, scanned vectorized at query time.
+    compaction.  Queries read every table's extras from one cache sorted
+    by global code, rebuilt lazily after an update with one stable
+    argsort: each probe's extras are one ``searchsorted`` range, so a
+    batch of P probes over E extras costs O((P + E)·log E), and nothing
+    sized by the 2^K buckets is built per update.
 
 :meth:`LSHIndex.update` therefore costs O(|ids|) appends — no bucket
 surgery — which is what keeps the rebuild scheduler's frequent partial
@@ -259,7 +263,9 @@ class LSHIndex:
         return self._extra_items[t][0], self._extra_gcodes[t][0]
 
     def _all_extras(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All tables' extras as (global member ids, global codes)."""
+        """All tables' extras as (global member ids, global codes), sorted
+        by code so a probe's extras are one ``searchsorted`` range.
+        Rebuilt lazily after an :meth:`update`."""
         if self._fused_extras is None:
             n = self.n_slots
             items_parts, code_parts = [], []
@@ -269,10 +275,10 @@ class LSHIndex:
                     items_parts.append(e_items + t * n)
                     code_parts.append(e_gcodes)
             if items_parts:
-                self._fused_extras = (
-                    np.concatenate(items_parts),
-                    np.concatenate(code_parts),
-                )
+                items = np.concatenate(items_parts)
+                codes = np.concatenate(code_parts)
+                order = np.argsort(codes, kind="stable")
+                self._fused_extras = (items[order], codes[order])
             else:
                 empty = np.empty(0, dtype=np.int64)
                 self._fused_extras = (empty, empty)
@@ -459,11 +465,13 @@ class LSHIndex:
             hit.reshape(-1)[cells] = True
         e_items, e_gcodes = self._all_extras()
         if e_items.size:
-            p_idx, e_idx = np.nonzero(probes[:, None] == e_gcodes[None, :])
-            hits = e_items[e_idx]
-            cells = hits + shift[p_idx]
+            # Extras are sorted by code: each probe's are one range.
+            starts = np.searchsorted(e_gcodes, probes, side="left")
+            counts = np.searchsorted(e_gcodes, probes, side="right") - starts
+            hits = e_items[_gather_ranges(starts, counts)]
+            cells = hits + np.repeat(shift, counts)
             if filter_stale:
-                cells = cells[gcode_flat[hits] == e_gcodes[e_idx]]
+                cells = cells[gcode_flat[hits] == np.repeat(probes, counts)]
             hit.reshape(-1)[cells] = True
         # Across-table union: marking a cell twice is a no-op, and one
         # nonzero reads every row back sorted and unique.

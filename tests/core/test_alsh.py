@@ -161,6 +161,52 @@ class TestUnionBatchMode:
         cand = trainer._select_active(0, rng.normal(size=(12, 20)))
         assert 6 <= cand.size <= 18
 
+    @staticmethod
+    def set_union_select(trainer, layer_idx, a_prev, rng):
+        """The set-of-``.tolist()`` union the array union replaced."""
+        n_out = trainer.net.layers[layer_idx].n_out
+        union = set()
+        for cand in trainer.indexes[layer_idx].query_batch(a_prev, record=False):
+            union.update(cand.tolist())
+        candidates = np.fromiter(sorted(union), dtype=np.int64, count=len(union))
+        lo, hi = trainer._bounds(n_out)
+        if candidates.size > hi:
+            candidates = rng.choice(candidates, size=hi, replace=False)
+            candidates.sort()
+        elif candidates.size < lo:
+            pool = np.setdiff1d(np.arange(n_out), candidates)
+            extra = rng.choice(pool, size=lo - candidates.size, replace=False)
+            candidates = np.union1d(candidates, extra)
+        return candidates
+
+    @pytest.mark.parametrize("fracs", [(0.02, 1.0), (0.1, 0.3)])
+    def test_union_matches_the_set_union_rule(self, rng, fracs):
+        """Every layer's active set equals the set rule's, from tables
+        holding re-inserted columns, for 0 to 12 rows: uncapped, and with
+        both caps drawing from equal-seeded generators."""
+        net = MLP([20, 60, 60, 4], seed=0)
+        trainer = ALSHApproxTrainer(
+            net, lr=0.05, seed=1, batch_mode="union",
+            min_active_frac=fracs[0], max_active_frac=fracs[1],
+        )
+        for mips in trainer.indexes:
+            mips.index.compact_garbage_frac = np.inf  # keep every extra
+        for _ in range(4):
+            trainer.train_batch(rng.normal(size=(8, 20)), rng.integers(0, 4, 8))
+            trainer.refresh_tables()
+        assert all(sum(m.index._stale) > 0 for m in trainer.indexes)
+        for rows in (0, 1, 3, 12):
+            for layer_idx, dim in ((0, 20), (1, 60)):
+                a = rng.normal(size=(rows, dim))
+                got = trainer._select_active(
+                    layer_idx, a, rng=np.random.default_rng(rows), record=False
+                )
+                want = self.set_union_select(
+                    trainer, layer_idx, a, np.random.default_rng(rows)
+                )
+                assert got.dtype == np.int64
+                assert got.tobytes() == want.tobytes()
+
     def test_union_learns(self, tiny_dataset):
         net = MLP([tiny_dataset.input_dim, 48, tiny_dataset.n_classes], seed=0)
         trainer = ALSHApproxTrainer(

@@ -1,5 +1,6 @@
 """Tests for the trainer registry."""
 
+import numpy as np
 import pytest
 
 from repro.core.registry import TRAINERS, make_trainer, trainer_names
@@ -61,3 +62,27 @@ def test_unknown_method():
 
 def test_standard_is_default_reference():
     assert TRAINERS["standard"] is StandardTrainer
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [pytest.param(name, {}, id=name) for name in trainer_names()]
+    + [pytest.param("alsh", {"batch_mode": "union"}, id="alsh-union")],
+)
+def test_empty_batch_refused_before_any_state_changes(name, kwargs):
+    """A zero-row batch raises ``ValueError("empty batch")`` and leaves
+    the weights, Adam's slots, RNG and method state as they were."""
+    rng = np.random.default_rng(3)
+    trainer = make_trainer(
+        name, MLP([8, 6, 6, 3], seed=0), seed=1, optimizer="adam", **kwargs
+    )
+    trainer.train_batch(rng.normal(size=(4, 8)), rng.integers(0, 3, size=4))
+    payload, arrays = trainer._state()
+    with pytest.raises(ValueError, match="empty batch"):
+        trainer.train_batch(np.zeros((0, 8)), np.zeros(0, dtype=int))
+    after_payload, after_arrays = trainer._state()
+    assert after_payload == payload
+    assert after_arrays.keys() == arrays.keys()
+    assert any(key.startswith("opt") for key in arrays)
+    for key, value in arrays.items():
+        assert after_arrays[key].tobytes() == value.tobytes(), key

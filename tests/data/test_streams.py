@@ -165,3 +165,47 @@ class TestDrift:
         x1, y1 = stream.eval_batch(300)
         acc_later = (trainer.predict(x1) == y1).mean()
         assert acc_now > acc_later + 0.1
+
+
+class LoopStream(DriftingStream):
+    """The per-class slerp loop the vectorised drift step replaced."""
+
+    def _rotate_towards(self):
+        for c in range(self.n_classes):
+            p, t = self._protos[c], self._targets[c]
+            cos = float(np.clip(p @ t, -1.0, 1.0))
+            angle = np.arccos(cos)
+            if angle < self.drift_per_batch + 1e-6:
+                self._targets[c] = self._unit(self.rng.normal(size=self.dim))
+                continue
+            step = self.drift_per_batch / angle
+            sin = np.sin(angle)
+            new = (
+                np.sin((1 - step) * angle) / sin * p
+                + np.sin(step * angle) / sin * t
+            )
+            self._protos[c] = self._unit(new)
+
+
+class TestVectorisedDrift:
+    @pytest.mark.parametrize("drift", [0.0, 0.02, 0.3, 1.0])
+    def test_byte_identical_to_per_class_loop(self, drift):
+        """3000 batches: equal batches, prototypes, targets and RNG state.
+
+        At every rate above 0 some targets are reached and redrawn (at
+        0.02 rad a class needs about 80 batches to reach one), so the
+        redraw path runs interleaved with the slerp steps.
+        """
+        kw = dict(dim=32, n_classes=8, drift_per_batch=drift, seed=5)
+        fast, loop = DriftingStream(**kw), LoopStream(**kw)
+        targets = loop._targets.copy()
+        redrawn = 0
+        for _ in range(3000):
+            (xa, ya), (xb, yb) = fast.next_batch(), loop.next_batch()
+            assert xa.tobytes() == xb.tobytes() and ya.tobytes() == yb.tobytes()
+            redrawn += int((loop._targets != targets).any(axis=1).sum())
+            targets = loop._targets.copy()
+        assert fast._protos.tobytes() == loop._protos.tobytes()
+        assert fast._targets.tobytes() == loop._targets.tobytes()
+        assert fast.rng.bit_generator.state == loop.rng.bit_generator.state
+        assert (redrawn > 0) == (drift > 0)

@@ -65,6 +65,33 @@ class TestQueryTransform:
         q = t.transform_query(np.zeros((1, 4)))
         assert np.isfinite(q).all()
 
+    @staticmethod
+    def divide_and_stack(t, queries):
+        """The ``np.where`` / ``np.hstack`` Q the preallocated one replaced."""
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        norms = np.linalg.norm(queries, axis=1, keepdims=True)
+        safe = np.where(norms > 0.0, norms, 1.0)
+        pad = np.full((queries.shape[0], t.m), 0.5)
+        return np.hstack([queries / safe, pad])
+
+    def test_byte_identical_on_degenerate_rows(self, rng):
+        """Zero, NaN and ±inf rows keep the old values (a NaN-norm row
+        stays unnormalised, as ``np.where(norms > 0, norms, 1)`` left it),
+        as do ordinary rows and a zero-row batch."""
+        t = AsymmetricTransform(m=3)
+        q = rng.normal(size=(9, 6)) * 10
+        q[1] = 0.0
+        q[2, 3] = np.nan
+        q[3, 0] = np.inf
+        q[4, 5] = -np.inf
+        q[5, :2] = [np.inf, -np.inf]
+        q[6] = np.nan
+        with np.errstate(invalid="ignore"):
+            for sample in (q, q[:0], q[0]):
+                got, want = t.transform_query(sample), self.divide_and_stack(t, sample)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_one_dim_helper(self, rng):
         t = AsymmetricTransform(m=2)
         v = rng.normal(size=6)

@@ -41,6 +41,25 @@ class TestDrift:
         assert drift[0] == np.inf
         assert drift[1] == 0.0
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_byte_identical_to_gathering_the_reference_twice(self, rng, order):
+        """One gather of the reference columns gives the drift values the
+        two gathers it replaced gave, zero columns included."""
+        w = np.asarray(rng.normal(size=(40, 30)), order=order)
+        w[:, 3] = 0.0
+        tracker = ColumnDriftTracker(w)
+        moved = w + 0.05 * rng.normal(size=w.shape)
+        moved[:, 7] = w[:, 7]
+        cols = np.array([0, 3, 7, 29, 12, 3])
+        reference = tracker.reference
+        delta = np.linalg.norm(moved[:, cols] - reference[:, cols], axis=0)
+        ref = np.linalg.norm(reference[:, cols], axis=0)
+        want = np.empty(cols.shape, dtype=float)
+        zero_ref = ref == 0.0
+        want[~zero_ref] = delta[~zero_ref] / ref[~zero_ref]
+        want[zero_ref] = np.where(delta[zero_ref] > 0.0, np.inf, 0.0)
+        assert tracker.drift(moved, cols).tobytes() == want.tobytes()
+
     def test_snapshot_is_independent(self, rng):
         w = rng.normal(size=(4, 4))
         tracker = ColumnDriftTracker(w)

@@ -160,6 +160,49 @@ class TestEquivalence:
         assert_same_answers(o, restored, rng, 24)
 
 
+class TestCodeSortedExtras:
+    """Probes find their extras by binary search in the code-sorted cache."""
+
+    @pytest.mark.parametrize("n_bits", [5, MAX_BUCKET_BITS])
+    @pytest.mark.parametrize("tombstones", [False, True])
+    def test_churn_matches_oracle(self, make_pair, rng, n_bits, tombstones):
+        """Hundreds of extras, never compacted, against the oracle.
+
+        With tombstones, random live ids move and id 7 is re-inserted at
+        every step; the queries include the vector id 7 just left, whose
+        old entries must all be filtered.  Without, only unseen ids are
+        added.  At K = 20 the queries reuse stored vectors, so they
+        collide at all.
+        """
+        dim = 24
+        o, f = make_pair("srp", seed=11, dim=dim, n_bits=n_bits)
+        f.compact_garbage_frac = np.inf
+        data = rng.normal(size=(100, dim))
+        o.build(data)
+        f.build(data)
+        vectors = dict(enumerate(data))
+        next_id = 100
+        for _ in range(12):
+            if tombstones:
+                ids = np.append(rng.integers(0, next_id, size=30), 7)
+            else:
+                ids = np.arange(next_id, next_id + 30)
+                next_id += 30
+            left = vectors[7]
+            vecs = rng.normal(size=(ids.size, dim))
+            vectors.update(zip(ids.tolist(), vecs))
+            o.update(ids, vecs)
+            f.update(ids, vecs)
+            e_items, e_codes = f._all_extras()
+            assert e_items.size == e_codes.size == sum(f._extra_len)
+            assert (np.diff(e_codes) >= 0).all()
+            queries = np.vstack([vecs[-4:], left, data[:3], rng.normal(size=(2, dim))])
+            assert_same_answers(o, f, rng, dim, queries=queries)
+        assert sum(f._extra_len) >= 300
+        assert (sum(f._stale) > 0) == tombstones
+        assert f.compactions == f.n_tables  # the build's only
+
+
 class TestWidthBound:
     """The dense per-table bucket directory caps the table width."""
 

@@ -82,6 +82,24 @@ class TestPackBits:
             codes, bits.astype(np.int64) @ powers
         )
 
+    @staticmethod
+    def shift_accumulate(bits):
+        """The shift-accumulate loop ``np.packbits`` replaced."""
+        codes = np.zeros(bits.shape[:-1], dtype=np.int64)
+        for k in range(bits.shape[-1]):
+            codes |= bits[..., k].astype(np.int64) << k
+        return codes
+
+    @pytest.mark.parametrize("n_bits", range(1, 63))
+    def test_byte_identical_to_shift_accumulate(self, rng, n_bits):
+        """Every width SRP allows, all-ones rows included, and zero rows."""
+        bits = rng.random((33, 4, n_bits)) < 0.5
+        bits[0] = True
+        for sample in (bits, bits[:0]):
+            got, want = pack_bits(sample), self.shift_accumulate(sample)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestFusedSRP:
     def test_matches_per_function_hash(self, rng):
